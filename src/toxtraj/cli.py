@@ -2,6 +2,10 @@
 trajectories -> permanova -> assign, plus synthetic-scenario generation and
 report rendering. A single root seed (config or TOXTRAJ_SEED) feeds every
 stage through named substreams, so any stage can be replayed in isolation.
+
+``STAGES`` declares each stage once: the files it reads and writes and its
+parameters with their defaults; ``run_<stage>`` does its work. ``toxtraj
+run`` and the per-stage subcommands are both generated from that table.
 """
 from __future__ import annotations
 
@@ -10,7 +14,9 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,7 +33,7 @@ from .coherence import (
     level_counts,
     merge_pass,
 )
-from .corpus import StudyWindow, load_corpus, load_corpus_bundle, save_corpus, study_window
+from .corpus import CorpusError, StudyWindow, load_corpus, load_corpus_bundle, save_corpus, study_window
 from .hdbscan import ClusterTree, HdbscanParams, recursive_cluster
 from .knn import DEFAULT_K, fit_knn, label_trajectory
 from .permanova import DEFAULT_PERMUTATIONS, permanova_test
@@ -69,17 +75,6 @@ PIPELINE_DEFAULTS = {
     "t_end": corpus_mod.DEFAULT_T_END,
 }
 
-STAGE_ORDER = [
-    "ingest",
-    "reduce",
-    "cluster",
-    "merge",
-    "groups",
-    "trajectories",
-    "permanova",
-    "assign",
-]
-
 
 def _root_seed(config_seed: int) -> int:
     env = os.environ.get(SEED_ENV_VAR)
@@ -95,19 +90,32 @@ def stage_seed(root_seed: int, stage: str) -> int:
 # Stage implementations (shared by subcommands and the pipeline runner)
 
 
-def run_ingest(posts, embeddings, out, t0=None, t_end=None) -> dict:
-    window = study_window(t0=t0, t_end=t_end)
+def _read_window(path) -> StudyWindow:
+    """The window stored at ``path`` (a window.json), or the default one."""
+    return StudyWindow.from_json(json.loads(Path(path).read_text())) if path else StudyWindow()
+
+
+def run_ingest(posts, embeddings, window, out, t0, t_end) -> dict:
+    # ``window`` (synth's window.json) sets the grids; t0/t_end override its span.
+    base = _read_window(window)
+    window = study_window(
+        t0=base.t0 if t0 is None else t0,
+        t_end=base.t_end if t_end is None else t_end,
+        n_daily_grid=base.n_daily_grid,
+        week_len_days=base.week_len_days,
+    )
     corpus = load_corpus(posts, embeddings_path=embeddings, window=window)
     paths = save_corpus(corpus, out)
     return {
         "outputs": paths,
         "n_posts": len(corpus),
         "n_dropped_outside_window": corpus.n_dropped_outside_window,
+        "corpus": corpus,
     }
 
 
-def run_reduce(src, out, dim, fraction, seed, external=False) -> dict:
-    matrix = corpus_mod.read_embeddings(src)
+def run_reduce(embeddings, out, dim, fraction, external, seed) -> dict:
+    matrix = corpus_mod.read_embeddings(embeddings)
     if external:
         if matrix.d != dim:
             raise ValueError(f"external embeddings have d={matrix.d}, expected {dim}")
@@ -120,14 +128,14 @@ def run_reduce(src, out, dim, fraction, seed, external=False) -> dict:
     return {"outputs": {"embeddings": str(out)}, "kind": model.kind, "dim": dim}
 
 
-def run_cluster(src, out, min_cluster_size, min_samples, max_depth) -> dict:
-    matrix = corpus_mod.read_embeddings(src)
+def run_cluster(embeddings, out, min_cluster_size, min_samples, max_depth) -> dict:
+    matrix = corpus_mod.read_embeddings(embeddings)
+    if min_samples is None:
+        min_samples = min_cluster_size
     params = HdbscanParams(min_cluster_size=min_cluster_size, min_samples=min_samples)
     tree = recursive_cluster(matrix.values, params, max_depth=max_depth)
     tree.save(out)
-    per_level: dict[int, int] = {}
-    for node in tree.nodes.values():
-        per_level[node.level] = per_level.get(node.level, 0) + 1
+    per_level = Counter(node.level for node in tree.nodes.values())
     return {
         "outputs": {"tree": str(out)},
         "nodes_per_level": dict(sorted(per_level.items())),
@@ -147,18 +155,10 @@ def _make_scorer(kind: str, out_dir: Path):
     raise ValueError(f"unknown scorer kind: {kind!r}")
 
 
-def run_merge(tree_path, corpus_dir, embeddings, out, scorer, alpha, seed, reps, n_in, n_out, workers) -> dict:
-    tree = ClusterTree.load(tree_path)
-    if embeddings is None:
-        embeddings = Path(corpus_dir) / "embeddings.emb"
-    corpus = load_corpus(
-        Path(corpus_dir) / "posts.ndjson",
-        embeddings_path=embeddings,
-        window=StudyWindow.from_json(json.loads((Path(corpus_dir) / "window.json").read_text())),
-    )
+def run_merge(tree, corpus, out, scorer, alpha, seed, reps, n_in, n_out, workers) -> dict:
     scorer_obj = _make_scorer(scorer, Path(out).parent)
     topics = merge_pass(
-        tree, corpus, scorer_obj, alpha=alpha, seed=seed,
+        ClusterTree.load(tree), corpus, scorer_obj, alpha=alpha, seed=seed,
         reps=reps, n_in=n_in, n_out=n_out, workers=workers,
     )
     topics.save(out)
@@ -169,8 +169,7 @@ def run_merge(tree_path, corpus_dir, embeddings, out, scorer, alpha, seed, reps,
     }
 
 
-def run_groups(corpus_dir, out, min_posts, alpha) -> dict:
-    corpus = load_corpus_bundle(corpus_dir)
+def run_groups(corpus, out, min_posts, alpha) -> dict:
     grouping = build_groups(corpus, min_posts=min_posts, alpha=alpha)
     grouping.save(out)
     return {
@@ -180,16 +179,10 @@ def run_groups(corpus_dir, out, min_posts, alpha) -> dict:
     }
 
 
-def run_trajectories(corpus_dir, embeddings, out, workers) -> dict:
-    window = StudyWindow.from_json(
-        json.loads((Path(corpus_dir) / "window.json").read_text())
-    )
-    corpus = load_corpus(
-        Path(corpus_dir) / "posts.ndjson", embeddings_path=embeddings, window=window
-    )
-    trajectories, report = build_trajectories(corpus, window, workers=workers)
+def run_trajectories(corpus, out, workers) -> dict:
+    trajectories, report = build_trajectories(corpus, workers=workers)
     user_ids = sorted(trajectories)
-    paths = np.stack([trajectories[u].daily for u in user_ids]) if user_ids else np.empty((0, window.n_daily_grid, 5))
+    paths = np.stack([trajectories[u].daily for u in user_ids]) if user_ids else np.empty((0, corpus.window.n_daily_grid, 5))
     write_trajectories(out, user_ids, paths)
     return {"outputs": {"trajectories": str(out)}, **report}
 
@@ -198,31 +191,28 @@ PAIR_GROUPS = {
     "increasing": (GROUP_INCREASING, REF_INCREASING),
     "decreasing": (GROUP_DECREASING, REF_DECREASING),
 }
+PAIRS = tuple(PAIR_GROUPS)
+FREQS = ("daily", "weekly")
 
 
 def _pair_vectors(user_ids, paths, grouping: GroupingResult, pair: str, freq: str, week_len: int):
-    trend_group, ref_group = PAIR_GROUPS[pair]
     index = {u: i for i, u in enumerate(user_ids)}
 
-    def flatten(users):
-        rows = []
-        for u in users:
-            if u not in index:
-                continue
-            daily = paths[index[u]]
-            grid = daily if freq == "daily" else weekly_average(daily, week_len)
-            rows.append(grid.reshape(-1))
-        return np.asarray(rows)
+    def flatten(group):
+        rows = [paths[index[u]] for u in grouping.members(group) if u in index]
+        if freq == "weekly":
+            rows = [weekly_average(daily, week_len) for daily in rows]
+        return np.asarray([grid.reshape(-1) for grid in rows])
 
-    a = flatten(grouping.members(trend_group))
-    b = flatten(grouping.members(ref_group))
-    return a, b
+    return tuple(flatten(group) for group in PAIR_GROUPS[pair])
 
 
-def run_permanova(traj_path, groups_path, out, pairs, freqs, n_permutations, seed, workers, week_len=7) -> dict:
-    # traj_path must hold the daily grid; weekly vectors are derived from it.
-    user_ids, paths = read_trajectories(traj_path)
-    grouping = GroupingResult.load(groups_path)
+def run_permanova(trajectories, groups, corpus, out, pairs, freqs, n_permutations, seed, workers) -> dict:
+    # ``trajectories`` must hold the daily grid; weekly vectors are derived
+    # from it with the week length of ``corpus``'s window.
+    week_len = _read_window(corpus and Path(corpus) / "window.json").week_len_days
+    user_ids, paths = read_trajectories(trajectories)
+    grouping = GroupingResult.load(groups)
     rows = []
     for pair in pairs:
         for freq in freqs:
@@ -243,8 +233,9 @@ def run_permanova(traj_path, groups_path, out, pairs, freqs, n_permutations, see
     return {"outputs": {"permanova": str(out)}, "n_rows": len(rows)}
 
 
-def run_assign(topics_path, embeddings, traj_path, groups_path, out, k, week_len=7) -> dict:
-    topics = TopicTree.load(topics_path)
+def run_assign(topics, embeddings, trajectories, groups, corpus, out, k) -> dict:
+    week_len = _read_window(corpus and Path(corpus) / "window.json").week_len_days
+    topics = TopicTree.load(topics)
     matrix = corpus_mod.read_embeddings(embeddings)
     assignment = topics.topic_of_rows()
     leaf_ids = {n.node_id for n in topics.surviving_leaves()}
@@ -252,8 +243,8 @@ def run_assign(topics_path, embeddings, traj_path, groups_path, out, k, week_len
     if labeled_rows.size == 0:
         raise ValueError("no rows are assigned to surviving topics")
     model = fit_knn(matrix.values[labeled_rows], assignment[labeled_rows], k=k)
-    user_ids, paths = read_trajectories(traj_path)
-    grouping = GroupingResult.load(groups_path)
+    user_ids, paths = read_trajectories(trajectories)
+    grouping = GroupingResult.load(groups)
     index = {u: i for i, u in enumerate(user_ids)}
     topic_toxicity = {
         n.node_id: n.mean_toxicity for n in topics.surviving()
@@ -287,50 +278,198 @@ def run_assign(topics_path, embeddings, traj_path, groups_path, out, k, week_len
     return {"outputs": {"labeled": str(out)}, "n_training_rows": int(labeled_rows.size)}
 
 
-def run_synth(scenario_path, out_dir, seed=None) -> dict:
-    config = ScenarioConfig.load(scenario_path)
+def run_synth(scenario, out, seed) -> dict:
+    config = ScenarioConfig.load(scenario)
     if seed is not None:
         config.seed = seed
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     corpus, truth = generate_user_streams(config)
-    corpus_mod.write_posts(out / "posts.ndjson", corpus.posts)
-    corpus_mod.write_embeddings(
-        out / "embeddings.emb", corpus.embeddings.values, corpus.embeddings.row_ids
-    )
-    (out / "truth.json").write_text(json.dumps(truth, indent=2, sort_keys=True))
-    (out / "window.json").write_text(json.dumps(corpus.window.to_json(), indent=2))
+    paths = save_corpus(corpus, out)
+    paths["truth"] = str(Path(out) / "truth.json")
+    Path(paths["truth"]).write_text(json.dumps(truth, indent=2, sort_keys=True))
     return {
-        "outputs": {
-            "posts": str(out / "posts.ndjson"),
-            "embeddings": str(out / "embeddings.emb"),
-            "truth": str(out / "truth.json"),
-        },
+        "outputs": paths,
         "n_posts": len(corpus),
         "n_users": config.n_users,
     }
 
 
 # ---------------------------------------------------------------------------
+# The stage table
+
+
+class Port(NamedTuple):
+    """A path a stage reads or writes: the artifact ``name`` within a run, the
+    subcommand option ``flag`` (None: a run alone sets it). An output's
+    ``path`` is where a run writes it, under out_dir. An input is read from
+    what an earlier stage of the run made, unless it is a ``source``, from
+    outside the run: the path the stage's config names (if it has a flag),
+    else the file synth made."""
+
+    name: str
+    flag: str | None
+    required: bool = True
+    source: bool = False
+    path: str | None = None
+    help: str | None = None
+
+
+class Param(NamedTuple):
+    """A key of the stage's run config, and its subcommand option: ``flag``
+    (default: --key), of ``type`` (default: that of ``default``; a False
+    default makes a switch), ``required`` as an option only."""
+
+    key: str
+    default: object = None
+    type: Callable | None = None
+    flag: str | None = None
+    required: bool = False
+    help: str | None = None
+
+
+# A run passes its own values for these: the stage's seed and the run's workers.
+SEED = Param("seed", 0)
+WORKERS = Param("workers", 1)
+
+
+def _one_or_both(names: tuple) -> Callable:
+    def parse(text: str) -> tuple:
+        if text == "both":
+            return names
+        if text not in names:
+            raise argparse.ArgumentTypeError(f"choose from {', '.join(names)} or both")
+        return (text,)
+
+    return parse
+
+
+class Stage(NamedTuple):
+    name: str
+    help: str
+    inputs: tuple
+    outputs: Port
+    params: tuple
+
+    def fn(self, **kwargs) -> dict:
+        """Call ``run_<name>`` with the inputs, ``out`` and the params. It is
+        looked up at each call, so a wrapper installed on this module after
+        import is the one that runs."""
+        return globals()[f"run_{self.name}"](**kwargs)
+
+
+BUNDLE_WINDOW = "corpus bundle whose window sets the week (default: 7 days)"
+
+STAGES = (
+    Stage("synth", "generate a synthetic scenario corpus",
+          inputs=(Port("scenario", "--scenario", source=True),),
+          outputs=Port("synth", "--out-dir", path="synth"),
+          params=(Param("seed", type=int),)),
+    Stage("ingest", "load, validate, and canonicalize a corpus",
+          inputs=(Port("posts", "--posts", source=True),
+                  Port("embeddings", "--embeddings", required=False, source=True),
+                  Port("window", None, required=False, source=True)),
+          outputs=Port("corpus", "--out", path="corpus"),
+          params=(Param("t0", type=str), Param("t_end", type=str))),
+    Stage("reduce", "fit-on-sample reduction to k dimensions",
+          inputs=(Port("embeddings", "--in"),),
+          outputs=Port("embeddings", "--out", path="reduced.emb"),
+          params=(Param("dim", PIPELINE_DEFAULTS["reduce_dim"]),
+                  Param("fraction", PIPELINE_DEFAULTS["reduce_fraction"]),
+                  SEED,
+                  Param("external", False, help="pass through pre-reduced vectors"))),
+    Stage("cluster", "recursive density-based clustering",
+          inputs=(Port("embeddings", "--in"),),
+          outputs=Port("tree", "--out", path="tree.json"),
+          params=(Param("min_cluster_size", 100, required=True),
+                  Param("min_samples", type=int, help="default: min cluster size"),
+                  Param("max_depth", PIPELINE_DEFAULTS["max_depth"]))),
+    Stage("merge", "coherence-gated subcluster merging",
+          inputs=(Port("tree", "--tree"),
+                  Port("corpus", "--corpus", help="corpus bundle directory"),
+                  Port("embeddings", "--embeddings", required=False,
+                     help="reduced embeddings (default: bundle embeddings)")),
+          outputs=Port("topics", "--out", path="topics.json"),
+          params=(Param("scorer", "reference", help="reference | external | constant:N"),
+                  Param("alpha", PIPELINE_DEFAULTS["alpha"]),
+                  SEED,
+                  Param("reps", PIPELINE_DEFAULTS["coherence_reps"]),
+                  Param("n_in", PIPELINE_DEFAULTS["coherence_n_in"]),
+                  Param("n_out", PIPELINE_DEFAULTS["coherence_n_out"]),
+                  WORKERS)),
+    Stage("groups", "toxicity-trend user grouping",
+          inputs=(Port("corpus", "--corpus"),),
+          outputs=Port("groups", "--out", path="groups.json"),
+          params=(Param("min_posts", PIPELINE_DEFAULTS["min_posts"]), Param("alpha", PIPELINE_DEFAULTS["alpha"]))),
+    Stage("trajectories", "interpolate user trajectories",
+          inputs=(Port("corpus", "--corpus"), Port("embeddings", "--embeddings")),
+          outputs=Port("trajectories", "--out", path="traj.bin"),
+          params=(WORKERS,)),
+    Stage("permanova", "trajectory-pair permutation tests",
+          inputs=(Port("trajectories", "--traj", help="daily-grid trajectory file"),
+                  Port("groups", "--groups"),
+                  Port("corpus", "--corpus", required=False, help=BUNDLE_WINDOW)),
+          outputs=Port("permanova", "--out", path="permanova.json", required=False, help="result JSON path (default: stdout)"),
+          params=(Param("pairs", PAIRS, _one_or_both(PAIRS), "--pair", help="increasing, decreasing or both"),
+                  Param("freqs", FREQS, _one_or_both(FREQS), "--freq", help="daily, weekly or both"),
+                  Param("n_permutations", PIPELINE_DEFAULTS["n_permutations"], flag="--perms"),
+                  SEED,
+                  WORKERS)),
+    Stage("assign", "label average trajectories with topics",
+          inputs=(Port("topics", "--topics"),
+                  Port("embeddings", "--embeddings"),
+                  Port("trajectories", "--traj"),
+                  Port("groups", "--groups"),
+                  Port("corpus", "--corpus", required=False, help=BUNDLE_WINDOW)),
+          outputs=Port("labeled", "--out", path="labeled.json"),
+          params=(Param("k", PIPELINE_DEFAULTS["knn_k"]),)),
+)
+
+# Stages that work on the loaded corpus. A run hands it from one to the next
+# in memory and drops it before any other stage, so it is not held through
+# clustering or the permutation tests.
+READS_CORPUS = ("merge", "groups", "trajectories")
+
+
+def _execute(stage: Stage, kwargs: dict, held=None):
+    """Call ``stage.fn`` with ``kwargs``: its input paths, ``out`` and params.
+
+    A corpus-reading stage gets the loaded corpus in place of its ``corpus``
+    path: from ``held``, the (corpus, embeddings path) pair the previous stage
+    left, else from disk. Its ``embeddings`` input, if another file, replaces
+    the corpus's after a row-id check. Returns the stage's result and the pair
+    it leaves for the next stage."""
+    if stage.name in READS_CORPUS:
+        bundle = kwargs["corpus"]
+        corpus, attached = held or (load_corpus_bundle(bundle), Path(bundle) / "embeddings.emb")
+        wanted = Path(kwargs.pop("embeddings", None) or attached)
+        if wanted != attached:
+            matrix = corpus_mod.read_embeddings(wanted)
+            if corpus.embeddings is None or matrix.row_ids != corpus.embeddings.row_ids:
+                raise CorpusError(f"{wanted}: row ids differ from those of the corpus bundle {bundle}")
+            corpus.embeddings = matrix
+        kwargs["corpus"] = corpus
+        held = corpus, wanted
+    result = stage.fn(**kwargs)
+    if "corpus" in result:
+        held = result.pop("corpus"), Path(kwargs["out"]) / "embeddings.emb"
+    return result, held
+
+
+# ---------------------------------------------------------------------------
 # Pipeline runner
 
 
-def _hash_outputs(outputs: dict) -> dict:
-    hashes = {}
-    for name, path in outputs.items():
-        p = Path(path)
-        if p.is_file():
-            hashes[name] = sha256_file(p)
-    return hashes
-
-
 def run_pipeline(config: dict, config_dir: Path | None = None) -> dict:
-    """Execute enabled stages in order; returns the run manifest."""
+    """Execute enabled stages in order; returns the run manifest.
+
+    A stage reads only what earlier stages of this run made, apart from its
+    ``source`` inputs (see ``Port``); a required input with no path is an error
+    that names it. ``config`` is left unchanged.
+    """
     out_dir = Path(config.get("out_dir", "toxtraj_run"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    root_seed = _root_seed(config.get("seed", 0))
+    root_seed = _root_seed(config.get("seed", SEED.default))
     stages_cfg = config.get("stages", {})
-    workers = int(config.get("workers", 1))
+    workers = int(config.get("workers", WORKERS.default))
     manifest = {
         "version": __version__,
         "root_seed": root_seed,
@@ -346,126 +485,48 @@ def run_pipeline(config: dict, config_dir: Path | None = None) -> dict:
                 return candidate
         return p
 
-    def record(name, started, result):
-        manifest["stages"].append(
-            {
-                "name": name,
-                "seed": stage_seed(root_seed, name),
-                "wall_time_s": round(time.time() - started, 3),
-                "outputs": result.get("outputs", {}),
-                "output_hashes": _hash_outputs(result.get("outputs", {})),
-                "summary": {k: v for k, v in result.items() if k != "outputs"},
-            }
-        )
-
-    def enabled(name):
-        stage = stages_cfg.get(name, {})
-        return stage.get("enabled", True), stage
-
-    corpus_dir = out_dir / "corpus"
-    reduced_path = out_dir / "reduced.emb"
-    tree_path = out_dir / "tree.json"
-    topics_path = out_dir / "topics.json"
-    groups_path = out_dir / "groups.json"
-    traj_path = out_dir / "traj.bin"
-    permanova_path = out_dir / "permanova.json"
-    labeled_path = out_dir / "labeled.json"
-
-    name = "synth"
+    plan = [
+        stage for stage in STAGES
+        if stages_cfg.get(stage.name, {}).get("enabled", True)
+        and (stage.name != "synth" or "synth" in stages_cfg)
+    ]
+    artifacts: dict[str, str] = {}
+    sources: dict[str, str] = {}  # synth's files, read by ingest alone
+    held = None
+    name = None
     try:
-        on, stage = enabled("synth")
-        if on and "synth" in stages_cfg:
+        for i, stage in enumerate(plan):
+            name = stage.name
+            cfg = stages_cfg.get(name, {})
             started = time.time()
-            result = run_synth(
-                resolve(stage["scenario"]), out_dir / "synth", seed=stage.get("seed")
+            paths = {}
+            for port in stage.inputs:
+                path = (sources if port.source else artifacts).get(port.name)
+                if port.source and port.flag and cfg.get(port.name):
+                    path = str(resolve(cfg[port.name]))
+                if path is None and port.required:
+                    raise ValueError(f"input {port.name!r} is named in no config and made by no earlier enabled stage")
+                paths[port.name] = path
+            run_values = {SEED: stage_seed(root_seed, name), WORKERS: workers}
+            params = {p.key: run_values[p] if p in run_values else cfg.get(p.key, p.default) for p in stage.params}
+            out = out_dir / stage.outputs.path
+            result, held = _execute(stage, dict(paths, out=out, **params), held)
+            if i + 1 == len(plan) or plan[i + 1].name not in READS_CORPUS:
+                held = None
+            outputs = result.get("outputs", {})
+            manifest["stages"].append(
+                {
+                    "name": name,
+                    "seed": stage_seed(root_seed, name),
+                    "wall_time_s": round(time.time() - started, 3),
+                    "inputs": {k: v for k, v in paths.items() if v is not None},
+                    "outputs": outputs,
+                    "output_hashes": {k: sha256_file(v) for k, v in outputs.items() if Path(v).is_file()},
+                    "summary": {k: v for k, v in result.items() if k != "outputs"},
+                }
             )
-            record("synth", started, result)
-            stages_cfg.setdefault("ingest", {})
-            stages_cfg["ingest"].setdefault("posts", str(out_dir / "synth" / "posts.ndjson"))
-            stages_cfg["ingest"].setdefault("embeddings", str(out_dir / "synth" / "embeddings.emb"))
-            window_doc = json.loads((out_dir / "synth" / "window.json").read_text())
-            stages_cfg["ingest"].setdefault("t0", window_doc["t0"])
-            stages_cfg["ingest"].setdefault("t_end", window_doc["t_end"])
-
-        for name in STAGE_ORDER:
-            on, stage = enabled(name)
-            if not on:
-                continue
-            started = time.time()
-            if name == "ingest":
-                result = run_ingest(
-                    resolve(stage["posts"]),
-                    resolve(stage["embeddings"]) if stage.get("embeddings") else None,
-                    corpus_dir,
-                    t0=stage.get("t0"),
-                    t_end=stage.get("t_end"),
-                )
-            elif name == "reduce":
-                result = run_reduce(
-                    corpus_dir / "embeddings.emb",
-                    reduced_path,
-                    dim=stage.get("dim", PIPELINE_DEFAULTS["reduce_dim"]),
-                    fraction=stage.get("fraction", PIPELINE_DEFAULTS["reduce_fraction"]),
-                    seed=stage_seed(root_seed, "reduce"),
-                    external=stage.get("external", False),
-                )
-            elif name == "cluster":
-                result = run_cluster(
-                    reduced_path if reduced_path.exists() else corpus_dir / "embeddings.emb",
-                    tree_path,
-                    min_cluster_size=stage.get("min_cluster_size", 100),
-                    min_samples=stage.get("min_samples", stage.get("min_cluster_size", 100)),
-                    max_depth=stage.get("max_depth", PIPELINE_DEFAULTS["max_depth"]),
-                )
-            elif name == "merge":
-                result = run_merge(
-                    tree_path,
-                    corpus_dir,
-                    reduced_path if reduced_path.exists() else corpus_dir / "embeddings.emb",
-                    topics_path,
-                    scorer=stage.get("scorer", "reference"),
-                    alpha=stage.get("alpha", PIPELINE_DEFAULTS["alpha"]),
-                    seed=stage_seed(root_seed, "merge"),
-                    reps=stage.get("reps", PIPELINE_DEFAULTS["coherence_reps"]),
-                    n_in=stage.get("n_in", PIPELINE_DEFAULTS["coherence_n_in"]),
-                    n_out=stage.get("n_out", PIPELINE_DEFAULTS["coherence_n_out"]),
-                    workers=workers,
-                )
-            elif name == "groups":
-                result = run_groups(
-                    corpus_dir,
-                    groups_path,
-                    min_posts=stage.get("min_posts", PIPELINE_DEFAULTS["min_posts"]),
-                    alpha=stage.get("alpha", PIPELINE_DEFAULTS["alpha"]),
-                )
-            elif name == "trajectories":
-                result = run_trajectories(
-                    corpus_dir,
-                    reduced_path if reduced_path.exists() else corpus_dir / "embeddings.emb",
-                    traj_path,
-                    workers=workers,
-                )
-            elif name == "permanova":
-                result = run_permanova(
-                    traj_path,
-                    groups_path,
-                    permanova_path,
-                    pairs=stage.get("pairs", ["increasing", "decreasing"]),
-                    freqs=stage.get("freqs", ["daily", "weekly"]),
-                    n_permutations=stage.get("n_permutations", PIPELINE_DEFAULTS["n_permutations"]),
-                    seed=stage_seed(root_seed, "permanova"),
-                    workers=workers,
-                )
-            elif name == "assign":
-                result = run_assign(
-                    topics_path,
-                    reduced_path if reduced_path.exists() else corpus_dir / "embeddings.emb",
-                    traj_path,
-                    groups_path,
-                    labeled_path,
-                    k=stage.get("k", PIPELINE_DEFAULTS["knn_k"]),
-                )
-            record(name, started, result)
+            (sources if name == "synth" else artifacts).update(outputs)
+            artifacts[stage.outputs.name] = str(out)
     except Exception as exc:
         manifest["failed_stage"] = name
         manifest["error"] = str(exc)
@@ -487,44 +548,33 @@ def _tsv_block(header: list[str], rows: list[list]) -> str:
 
 
 def render_report(manifest: dict) -> str:
-    out_dir = Path(manifest["out_dir"])
+    """Markdown summary of what the manifest's stages wrote. Files the
+    manifest does not list, such as an earlier run's, are not read."""
+    stages = {stage["name"]: stage for stage in manifest["stages"]}
+
+    def listed(stage, name):
+        return stages.get(stage, {}).get("outputs", {}).get(name)
+
     sections = [f"# toxtraj run report\n\nroot seed: {manifest['root_seed']}\n"]
 
-    topics_path = out_dir / "topics.json"
-    if topics_path.exists():
-        topics = TopicTree.load(topics_path)
-        counts = level_counts(topics)
+    if "merge" in stages:
+        summary = stages["merge"]["summary"]
         sections.append("## Surviving cluster counts by level\n")
-        sections.append(
-            _tsv_block(
-                ["level", "clusters"], [[lv, c] for lv, c in counts.items()]
-            )
-        )
-        sections.append(f"\noutliers: {topics.n_outliers}\n")
+        sections.append(_tsv_block(["level", "clusters"], [list(item) for item in summary["level_counts"].items()]))
+        sections.append(f"\noutliers: {summary['n_outliers']}\n")
 
-    permanova_path = out_dir / "permanova.json"
-    if permanova_path.exists():
-        doc = json.loads(permanova_path.read_text())
+    if listed("permanova", "permanova"):
+        doc = json.loads(Path(listed("permanova", "permanova")).read_text())
         sections.append("## Trajectory-pair comparisons\n")
-        rows = []
-        for row in doc["rows"]:
-            if "skipped" in row:
-                rows.append([row["freq"], row["pair"], "skipped", "", ""])
-                continue
-            rows.append(
-                [
-                    row["freq"],
-                    row["pair"],
-                    f"{row['pseudo_f']:.4g}",
-                    f"{row['p_value']:.4g}",
-                    f"{row['eta_squared']:.4g}",
-                ]
-            )
+        stats = ("pseudo_f", "p_value", "eta_squared")
+        rows = [
+            [row["freq"], row["pair"], *(["skipped", "", ""] if "skipped" in row else (f"{row[k]:.4g}" for k in stats))]
+            for row in doc["rows"]
+        ]
         sections.append(_tsv_block(["freq", "pair", "pseudo_f", "p", "eta_sq"], rows))
 
-    labeled_path = out_dir / "labeled.json"
-    if labeled_path.exists():
-        doc = json.loads(labeled_path.read_text())
+    if listed("assign", "labeled"):
+        doc = json.loads(Path(listed("assign", "labeled")).read_text())
         for group, payload in doc["groups"].items():
             sections.append(f"## Weekly topic runs: {group}\n")
             rows = [
@@ -538,37 +588,21 @@ def render_report(manifest: dict) -> str:
             ]
             sections.append(_tsv_block(["week_from", "week_to", "topic", "mean_toxicity"], rows))
 
-    groups_path = out_dir / "groups.json"
-    corpus_posts = out_dir / "corpus" / "posts.ndjson"
-    if groups_path.exists() and corpus_posts.exists():
-        grouping = GroupingResult.load(groups_path)
-        corpus = load_corpus_bundle(out_dir / "corpus")
-        window = corpus.window
+    if listed("groups", "groups") and listed("ingest", "posts"):
+        grouping = GroupingResult.load(listed("groups", "groups"))
+        window = _read_window(listed("ingest", "window"))
+        by_user = load_corpus(listed("ingest", "posts"), window=window).by_user()
         week_seconds = window.week_len_days * 86400
-        n_weeks = window.n_weeks
         sections.append("## Weekly mean toxicity by group\n")
-        by_user = corpus.by_user()
-        rows = []
         names = [GROUP_INCREASING, REF_INCREASING, GROUP_DECREASING, REF_DECREASING]
-        series = {}
+        columns = []
         for name in names:
-            sums = np.zeros(n_weeks)
-            counts = np.zeros(n_weeks)
-            for u in grouping.members(name):
-                for post in by_user.get(u, []):
-                    if post.toxicity is None:
-                        continue
-                    week = min((post.timestamp - window.t0) // week_seconds, n_weeks - 1)
-                    sums[int(week)] += post.toxicity
-                    counts[int(week)] += 1
-            with np.errstate(invalid="ignore"):
-                series[name] = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-        for week in range(n_weeks):
-            row = [week]
-            for name in names:
-                value = series[name][week]
-                row.append("" if np.isnan(value) else f"{value:.2f}")
-            rows.append(row)
+            scored = [p for u in grouping.members(name) for p in by_user.get(u, []) if p.toxicity is not None]
+            weeks = [min((p.timestamp - window.t0) // week_seconds, window.n_weeks - 1) for p in scored]
+            sums = np.bincount(np.array(weeks, dtype=np.int64), [p.toxicity for p in scored], window.n_weeks)
+            counts = np.bincount(np.array(weeks, dtype=np.int64), minlength=window.n_weeks)
+            columns.append(["" if c == 0 else f"{s / c:.2f}" for s, c in zip(sums, counts)])
+        rows = [[week, *cells] for week, cells in enumerate(zip(*columns))]
         sections.append(_tsv_block(["week"] + names, rows))
 
     return "\n".join(sections) + "\n"
@@ -583,76 +617,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"toxtraj {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="load, validate, and canonicalize a corpus")
-    p.add_argument("--posts", required=True)
-    p.add_argument("--embeddings")
-    p.add_argument("--out", required=True)
-    p.add_argument("--t0")
-    p.add_argument("--t-end", dest="t_end")
-
-    p = sub.add_parser("reduce", help="fit-on-sample reduction to k dimensions")
-    p.add_argument("--in", dest="src", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--dim", type=int, default=PIPELINE_DEFAULTS["reduce_dim"])
-    p.add_argument("--fraction", type=float, default=PIPELINE_DEFAULTS["reduce_fraction"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--external", action="store_true", help="pass through pre-reduced vectors")
-
-    p = sub.add_parser("cluster", help="recursive density-based clustering")
-    p.add_argument("--in", dest="src", required=True)
-    p.add_argument("--min-cluster-size", type=int, required=True)
-    p.add_argument("--min-samples", type=int)
-    p.add_argument("--max-depth", type=int, default=PIPELINE_DEFAULTS["max_depth"])
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("merge", help="coherence-gated subcluster merging")
-    p.add_argument("--tree", required=True)
-    p.add_argument("--corpus", required=True, help="corpus bundle directory")
-    p.add_argument("--embeddings", help="reduced embeddings (default: bundle embeddings)")
-    p.add_argument("--scorer", default="reference", help="reference | external | constant:N")
-    p.add_argument("--alpha", type=float, default=PIPELINE_DEFAULTS["alpha"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--reps", type=int, default=PIPELINE_DEFAULTS["coherence_reps"])
-    p.add_argument("--n-in", type=int, default=PIPELINE_DEFAULTS["coherence_n_in"])
-    p.add_argument("--n-out", type=int, default=PIPELINE_DEFAULTS["coherence_n_out"])
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("groups", help="toxicity-trend user grouping")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--min-posts", type=int, default=PIPELINE_DEFAULTS["min_posts"])
-    p.add_argument("--alpha", type=float, default=PIPELINE_DEFAULTS["alpha"])
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("trajectories", help="interpolate user trajectories")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--groups")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("permanova", help="trajectory-pair permutation tests")
-    p.add_argument("--traj", required=True, help="daily-grid trajectory file")
-    p.add_argument("--groups", required=True)
-    p.add_argument("--pair", choices=["increasing", "decreasing", "both"], default="both")
-    p.add_argument("--freq", choices=["daily", "weekly", "both"], default="both")
-    p.add_argument("--perms", type=int, default=PIPELINE_DEFAULTS["n_permutations"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", help="result JSON path (default: stdout)")
-
-    p = sub.add_parser("assign", help="label average trajectories with topics")
-    p.add_argument("--topics", required=True)
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--traj", required=True)
-    p.add_argument("--groups", required=True)
-    p.add_argument("--k", type=int, default=PIPELINE_DEFAULTS["knn_k"])
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic scenario corpus")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int)
+    for stage in STAGES:
+        p = sub.add_parser(stage.name, help=stage.help)
+        for port in stage.inputs:
+            if port.flag:
+                p.add_argument(port.flag, dest=port.name, required=port.required, help=port.help)
+        out = stage.outputs
+        p.add_argument(out.flag, dest="out", required=out.required, help=out.help)
+        for param in stage.params:
+            flag = param.flag or "--" + param.key.replace("_", "-")
+            kind = {"action": "store_true"} if param.default is False else {"type": param.type or type(param.default)}
+            p.add_argument(flag, dest=param.key, default=param.default, required=param.required, help=param.help, **kind)
 
     p = sub.add_parser("run", help="run the configured pipeline end to end")
     p.add_argument("--config", required=True)
@@ -666,46 +641,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "ingest":
-            result = run_ingest(args.posts, args.embeddings, args.out, args.t0, args.t_end)
-        elif args.command == "reduce":
-            result = run_reduce(args.src, args.out, args.dim, args.fraction, args.seed, args.external)
-        elif args.command == "cluster":
-            min_samples = args.min_samples if args.min_samples else args.min_cluster_size
-            result = run_cluster(args.src, args.out, args.min_cluster_size, min_samples, args.max_depth)
-        elif args.command == "merge":
-            result = run_merge(
-                args.tree, args.corpus, args.embeddings, args.out, args.scorer,
-                args.alpha, args.seed, args.reps, args.n_in, args.n_out, args.workers,
-            )
-        elif args.command == "groups":
-            result = run_groups(args.corpus, args.out, args.min_posts, args.alpha)
-        elif args.command == "trajectories":
-            result = run_trajectories(args.corpus, args.embeddings, args.out, args.workers)
-        elif args.command == "permanova":
-            pairs = ["increasing", "decreasing"] if args.pair == "both" else [args.pair]
-            freqs = ["daily", "weekly"] if args.freq == "both" else [args.freq]
-            result = run_permanova(
-                args.traj, args.groups, args.out, pairs, freqs, args.perms, args.seed, args.workers
-            )
-        elif args.command == "assign":
-            result = run_assign(
-                args.topics, args.embeddings, args.traj, args.groups, args.out, args.k
-            )
-        elif args.command == "synth":
-            result = run_synth(args.scenario, args.out_dir, args.seed)
-        elif args.command == "run":
+        if args.command == "run":
             config_path = Path(args.config)
             config = json.loads(config_path.read_text())
             manifest = run_pipeline(config, config_dir=config_path.parent)
             print(json.dumps({"stages": [s["name"] for s in manifest["stages"]]}, indent=2))
             return 0
-        elif args.command == "report":
+        if args.command == "report":
             manifest = json.loads(Path(args.manifest).read_text())
             print(render_report(manifest))
             return 0
-        else:  # pragma: no cover
-            raise SystemExit(2)
+        stage = next(s for s in STAGES if s.name == args.command)
+        values = vars(args)
+        kwargs = {port.name: values.get(port.name) for port in stage.inputs}
+        kwargs.update({param.key: values[param.key] for param in stage.params}, out=args.out)
+        result, _ = _execute(stage, kwargs)
     except Exception as exc:
         print(f"toxtraj {args.command}: error: {exc}", file=sys.stderr)
         return 1

@@ -123,14 +123,19 @@ def study_window(
     n_daily_grid: int = DEFAULT_DAILY_GRID,
     week_len_days: int = DEFAULT_WEEK_LEN_DAYS,
 ) -> StudyWindow:
-    """Build a StudyWindow; ISO strings accepted, defaults as above."""
-    if isinstance(t0, str):
-        t0 = parse_utc(t0)
-    if isinstance(t_end, str):
-        t_end = parse_utc(t_end)
+    """Build a StudyWindow, defaults as above. A string is an ISO-8601 time,
+    or Unix seconds when all digits (the form window.json stores)."""
+
+    def seconds(value, default):
+        if value is None:
+            return default
+        if isinstance(value, str) and not value.strip().isdigit():
+            return parse_utc(value)
+        return int(value)
+
     return StudyWindow(
-        t0=DEFAULT_T0 if t0 is None else int(t0),
-        t_end=DEFAULT_T_END if t_end is None else int(t_end),
+        t0=seconds(t0, DEFAULT_T0),
+        t_end=seconds(t_end, DEFAULT_T_END),
         n_daily_grid=n_daily_grid,
         week_len_days=week_len_days,
     )

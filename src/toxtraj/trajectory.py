@@ -10,6 +10,7 @@ the last), and weekly trajectories average non-overlapping 7-day blocks.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Optional
@@ -349,16 +350,36 @@ def write_trajectories(path, user_ids: list[str], paths_array: np.ndarray) -> No
 
 
 def read_trajectories(path) -> tuple[list[str], np.ndarray]:
+    """Read a TRJ1 file; a file that is cut short or runs past its last user
+    raises ValueError naming the file and the part that is wrong."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+
+        # Lengths are checked against the file before anything is read or
+        # allocated, so a corrupt length cannot ask for more memory than the
+        # file could fill.
+        def take(n_bytes: int, what: str) -> bytes:
+            if n_bytes > size - fh.tell():
+                raise ValueError(f"{path}: truncated {what}: {size - fh.tell()} of {n_bytes} bytes")
+            return fh.read(n_bytes)
+
         magic = fh.read(4)
         if magic != TRAJ_MAGIC:
-            raise ValueError(f"bad trajectory file magic: {magic!r}")
-        n, t_steps, k = struct.unpack("<III", fh.read(12))
+            raise ValueError(f"{path}: bad trajectory file magic: {magic!r}")
+        n, t_steps, k = struct.unpack("<III", take(12, "header"))
+        row_bytes = t_steps * k * 8
+        if 16 + n * (4 + row_bytes) > size:
+            raise ValueError(
+                f"{path}: truncated: the header's {n} users of {t_steps}x{k} values "
+                f"need more than the file's {size} bytes"
+            )
         user_ids = []
         paths = np.empty((n, t_steps, k), dtype=np.float64)
         for i in range(n):
-            (id_len,) = struct.unpack("<I", fh.read(4))
-            user_ids.append(fh.read(id_len).decode("utf-8"))
-            payload = fh.read(t_steps * k * 8)
+            (id_len,) = struct.unpack("<I", take(4, f"id length of user {i}"))
+            user_ids.append(take(id_len, f"id of user {i}").decode("utf-8"))
+            payload = take(row_bytes, f"values of user {i}")
             paths[i] = np.frombuffer(payload, dtype="<f8").reshape(t_steps, k)
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the last of {n} users")
     return user_ids, paths

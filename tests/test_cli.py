@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -12,13 +14,17 @@ from toxtraj.cli import (
     run_pipeline,
     stage_seed,
 )
+import toxtraj.cli as cli_mod
+import toxtraj.corpus as corpus_mod
 from toxtraj.corpus import DEFAULT_T0, DEFAULT_T_END, write_embeddings, write_posts
+from toxtraj.corpus import StudyWindow, read_embeddings
 from toxtraj.synth import (
     ScenarioConfig,
     TrendMix,
     generate_user_streams,
     three_by_two_scenario,
 )
+from toxtraj.trajectory import read_trajectories
 from toxtraj.util import sha256_file
 
 
@@ -147,6 +153,112 @@ class TestPipeline:
         # Stable under re-rendering.
         assert render_report(manifest) == report
 
+    def test_rerun_without_reduce_ignores_stale_reduced(self, tmp_path):
+        small_scenario(tmp_path, n_users=24)
+        out_dir = tmp_path / "stale"
+        config = pipeline_config(tmp_path, out_name="stale", perms=19)
+        config["stages"]["reduce"] = {"dim": 2}
+        run_pipeline(config)
+        assert read_trajectories(out_dir / "traj.bin")[1].shape[2] == 2
+        config["stages"]["reduce"] = {"enabled": False}
+        manifest = run_pipeline(config)
+        assert (out_dir / "reduced.emb").exists()
+        corpus_embeddings = out_dir / "corpus" / "embeddings.emb"
+        width = read_embeddings(corpus_embeddings).d
+        assert read_trajectories(out_dir / "traj.bin")[1].shape[2] == width == 5
+        inputs = {s["name"]: s["inputs"] for s in manifest["stages"]}
+        for name in ("cluster", "merge", "trajectories", "assign"):
+            assert inputs[name]["embeddings"] == str(corpus_embeddings), name
+        # Without ingest, the corpus an earlier run left is not picked up.
+        config["stages"]["ingest"] = {"enabled": False}
+        with pytest.raises(RuntimeError, match="stage 'cluster' failed: input 'embeddings'"):
+            run_pipeline(config)
+
+    def test_config_not_mutated_and_synth_read_from_this_run(self, tmp_path):
+        small_scenario(tmp_path, n_users=6)
+        stages = {"synth": {"scenario": str(tmp_path / "scenario.json")}}
+        for name in ("reduce", "cluster", "merge", "groups", "trajectories", "permanova", "assign"):
+            stages[name] = {"enabled": False}
+        config = {"seed": 3, "out_dir": str(tmp_path / "first"), "stages": stages}
+        snapshot = copy.deepcopy(config)
+        run_pipeline(config)
+        assert config == snapshot
+        shutil.rmtree(tmp_path / "first" / "synth")
+        config["out_dir"] = str(tmp_path / "second")
+        manifest = run_pipeline(config)
+        assert config["stages"] == snapshot["stages"]
+        ingest = next(s for s in manifest["stages"] if s["name"] == "ingest")
+        assert set(ingest["inputs"]) == {"posts", "embeddings", "window"}
+        for path in ingest["inputs"].values():
+            assert Path(path).parent == tmp_path / "second" / "synth"
+
+    def test_synth_window_carried_to_permanova_and_assign(self, tmp_path, monkeypatch):
+        scenario = ScenarioConfig(
+            n_users=24,
+            posts_per_user=(50, 65),
+            window=StudyWindow(week_len_days=14),
+            hierarchy=three_by_two_scenario(n_per_child=120),
+            trend_mix=TrendMix(increasing=0.25, decreasing=0.25, flat=0.5, drift=30.0, noise_sd=4.0),
+            seed=7,
+        )
+        scenario.save(tmp_path / "scenario.json")
+        widths = []
+        permanova_test = cli_mod.permanova_test
+
+        def recording(a, b, **kwargs):
+            widths.append(a.shape[1])
+            return permanova_test(a, b, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "permanova_test", recording)
+        parses = []
+        read_posts = corpus_mod.read_posts
+        monkeypatch.setattr(corpus_mod, "read_posts", lambda path: parses.append(path) or read_posts(path))
+        manifest = run_pipeline(pipeline_config(tmp_path, out_name="fortnight", perms=19))
+        # The corpus is parsed by ingest and by merge, then handed on in memory.
+        assert len(parses) == 2
+        out_dir = Path(manifest["out_dir"])
+        assert json.loads((out_dir / "corpus" / "window.json").read_text())["week_len_days"] == 14
+        labeled = json.loads((out_dir / "labeled.json").read_text())
+        assert labeled["groups"]
+        for payload in labeled["groups"].values():
+            assert len(payload["weekly"]["sequence"]) == 13
+            assert len(payload["daily"]["sequence"]) == 194
+        rows = json.loads((out_dir / "permanova.json").read_text())["rows"]
+        freqs = [row["freq"] for row in rows if "skipped" not in row]
+        assert "weekly" in freqs
+        assert widths == [194 * 5 if freq == "daily" else 13 * 5 for freq in freqs]
+
+        # The subcommands take the window from --corpus, else the default one.
+        common = [
+            "--topics", str(out_dir / "topics.json"), "--embeddings", str(out_dir / "reduced.emb"),
+            "--traj", str(out_dir / "traj.bin"), "--groups", str(out_dir / "groups.json"),
+        ]
+        for extra, n_weeks in (["--corpus", str(out_dir / "corpus")], 13), ([], 27):
+            labeled_path = tmp_path / f"labeled_{n_weeks}.json"
+            assert main(["assign", *common, *extra, "--out", str(labeled_path)]) == 0
+            for payload in json.loads(labeled_path.read_text())["groups"].values():
+                assert len(payload["weekly"]["sequence"]) == n_weeks
+        widths.clear()
+        argv = ["permanova", "--traj", str(out_dir / "traj.bin"), "--groups", str(out_dir / "groups.json"),
+                "--freq", "weekly", "--pair", "increasing", "--perms", "19",
+                "--corpus", str(out_dir / "corpus"), "--out", str(tmp_path / "perm.json")]
+        assert main(argv) == 0
+        assert widths == [13 * 5]
+
+    def test_report_lists_only_this_runs_artifacts(self, tmp_path):
+        small_scenario(tmp_path, n_users=24)
+        config = pipeline_config(tmp_path, out_name="reused", perms=19)
+        run_pipeline(config)
+        config["stages"]["merge"] = {"enabled": False}
+        config["stages"]["assign"] = {"enabled": False}
+        manifest = run_pipeline(config)
+        assert (tmp_path / "reused" / "topics.json").exists()
+        report = render_report(manifest)
+        assert "Surviving cluster counts by level" not in report
+        assert "Weekly topic runs" not in report
+        assert "Trajectory-pair comparisons" in report
+        assert "Weekly mean toxicity by group" in report
+
 
 class TestConfigSnapshot:
     def test_paper_parameter_defaults(self):
@@ -226,6 +338,36 @@ class TestCliCommands:
         code = main(["ingest", "--posts", str(tmp_path / "missing.ndjson"), "--out", str(tmp_path / "b")])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_ingest_t0_as_unix_seconds(self, tmp_path, capsys):
+        config = ScenarioConfig(n_users=5, posts_per_user=(50, 52), seed=1)
+        corpus, _ = generate_user_streams(config)
+        write_posts(tmp_path / "posts.ndjson", corpus.posts)
+        for name, t0, t_end in (
+            ("iso", "2023-04-17T00:00:00Z", "2023-10-27T23:59:00Z"),
+            ("unix", "1681689600", "1698451140"),
+        ):
+            argv = ["ingest", "--posts", str(tmp_path / "posts.ndjson"), "--out", str(tmp_path / name),
+                    "--t0", t0, "--t-end", t_end]
+            assert main(argv) == 0, capsys.readouterr().err
+        assert (tmp_path / "unix" / "window.json").read_text() == (tmp_path / "iso" / "window.json").read_text()
+
+    def test_embeddings_of_other_rows_rejected(self, tmp_path, capsys):
+        config = ScenarioConfig(n_users=5, posts_per_user=(50, 52), seed=1)
+        corpus, _ = generate_user_streams(config)
+        write_posts(tmp_path / "posts.ndjson", corpus.posts)
+        write_embeddings(tmp_path / "emb.bin", corpus.embeddings.values, corpus.embeddings.row_ids)
+        write_embeddings(tmp_path / "reversed.emb", corpus.embeddings.values[::-1], corpus.embeddings.row_ids[::-1])
+        bundle = tmp_path / "bundle"
+        ingest = ["ingest", "--posts", str(tmp_path / "posts.ndjson"), "--embeddings", str(tmp_path / "emb.bin"),
+                  "--out", str(bundle)]
+        assert main(ingest) == 0
+        capsys.readouterr()
+        argv = ["trajectories", "--corpus", str(bundle), "--embeddings", str(tmp_path / "reversed.emb"),
+                "--out", str(tmp_path / "traj.bin")]
+        assert main(argv) == 1
+        assert "reversed.emb: row ids differ" in capsys.readouterr().err
+        assert not (tmp_path / "traj.bin").exists()
 
     def test_permanova_stdout_and_merge_default_embeddings(self, tmp_path, capsys):
         small_scenario(tmp_path, n_users=20)

@@ -275,6 +275,31 @@ class TestTrajectoryFile:
         with pytest.raises(ValueError, match="magic"):
             read_trajectories(path)
 
+    # Three users whose ids are long enough that a cut inside the last user
+    # still leaves the file as long as the header's minimum size.
+    TRJ_USERS = [f"user_{i}_" + "x" * 57 for i in range(3)]  # 64 bytes each
+
+    @pytest.mark.parametrize(
+        "cut, problem",
+        [
+            (lambda data: data[:10], "truncated header"),
+            (lambda data: data[: 16 + 2 * 116 + 2], "truncated id length of user 2"),
+            (lambda data: data[: 16 + 2 * 116 + 4 + 30], "truncated id of user 2"),
+            (lambda data: data[:-5], "truncated values of user 2"),
+            (lambda data: data[:4] + (10**6).to_bytes(4, "little") + data[8:], "truncated: the header's 1000000 users"),
+            (lambda data: data + b"\x00", "trailing bytes"),
+        ],
+        ids=["header", "id-length", "id", "payload", "header-count", "trailing"],
+    )
+    def test_damaged_file_names_file_and_part(self, tmp_path, cut, problem):
+        path = tmp_path / "traj.bin"
+        values = np.arange(3 * 3 * 2, dtype=np.float64).reshape(3, 3, 2)
+        write_trajectories(path, self.TRJ_USERS, values)
+        assert len(path.read_bytes()) == 16 + 3 * 116
+        path.write_bytes(cut(path.read_bytes()))
+        with pytest.raises(ValueError, match=f"traj.bin: {problem}"):
+            read_trajectories(path)
+
 
 class TestBuildPipelinePieces:
     def test_build_trajectories_and_groups(self):
