@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import sys
 import time
 from collections import Counter
@@ -434,18 +435,23 @@ def _execute(stage: Stage, kwargs: dict, held=None):
 
     A corpus-reading stage gets the loaded corpus in place of its ``corpus``
     path: from ``held``, the (corpus, embeddings path) pair the previous stage
-    left, else from disk. Its ``embeddings`` input, if another file, replaces
-    the corpus's after a row-id check. Returns the stage's result and the pair
-    it leaves for the next stage."""
+    left, else from disk. Its ``embeddings`` input, if another file, is loaded
+    with the bundle's posts in place of the bundle's own embeddings, which are
+    not read; its row ids must equal those of the bundle's id sidecar. Returns
+    the stage's result and the pair it leaves for the next stage."""
     if stage.name in READS_CORPUS:
-        bundle = kwargs["corpus"]
-        corpus, attached = held or (load_corpus_bundle(bundle), Path(bundle) / "embeddings.emb")
-        wanted = Path(kwargs.pop("embeddings", None) or attached)
-        if wanted != attached:
-            matrix = corpus_mod.read_embeddings(wanted)
-            if corpus.embeddings is None or matrix.row_ids != corpus.embeddings.row_ids:
+        bundle = Path(kwargs["corpus"])
+        own = bundle / "embeddings.emb"
+        wanted = Path(kwargs.pop("embeddings", None) or (held[1] if held else own))
+        if held and held[1] == wanted:
+            corpus = held[0]
+        elif wanted == own:
+            corpus = load_corpus_bundle(bundle)
+        else:
+            corpus = load_corpus(bundle / "posts.ndjson", embeddings_path=wanted, window=_read_window(bundle / "window.json"))
+            own_ids = corpus_mod.sidecar_path(own)
+            if not own_ids.is_file() or corpus.embeddings.row_ids != own_ids.read_text(encoding="utf-8").splitlines():
                 raise CorpusError(f"{wanted}: row ids differ from those of the corpus bundle {bundle}")
-            corpus.embeddings = matrix
         kwargs["corpus"] = corpus
         held = corpus, wanted
     result = stage.fn(**kwargs)
@@ -519,6 +525,8 @@ def run_pipeline(config: dict, config_dir: Path | None = None) -> dict:
                     "name": name,
                     "seed": stage_seed(root_seed, name),
                     "wall_time_s": round(time.time() - started, 3),
+                    # The process's peak so far, so it never falls: a stage that raises it set the peak.
+                    "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
                     "inputs": {k: v for k, v in paths.items() if v is not None},
                     "outputs": outputs,
                     "output_hashes": {k: sha256_file(v) for k, v in outputs.items() if Path(v).is_file()},
@@ -556,6 +564,9 @@ def render_report(manifest: dict) -> str:
         return stages.get(stage, {}).get("outputs", {}).get(name)
 
     sections = [f"# toxtraj run report\n\nroot seed: {manifest['root_seed']}\n"]
+    sections.append("## Stages\n")
+    rows = [[s["name"], s.get("peak_rss_mb")] for s in manifest["stages"]]
+    sections.append(_tsv_block(["stage", "peak_rss_mb"], rows))
 
     if "merge" in stages:
         summary = stages["merge"]["summary"]

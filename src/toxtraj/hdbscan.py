@@ -5,8 +5,9 @@ reachability graph -> condensed cluster tree -> excess-of-mass selection.
 A recursive driver re-clusters every sufficiently large cluster on its own
 members, producing a multi-level cluster tree.
 
-The MST is built with dense Prim's scan below DENSE_MST_LIMIT points and
-Boruvka over a k-d tree above it; both paths yield the same total weight.
+Core distances come from one k-d tree query at every size. The MST is
+built with Prim's scan over the implicit dense graph, O(n^2) time and O(n)
+memory, at every size.
 """
 from __future__ import annotations
 
@@ -16,8 +17,6 @@ from typing import Optional
 
 import numpy as np
 from scipy.spatial import cKDTree
-
-DENSE_MST_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -143,28 +142,58 @@ def core_distances(points: np.ndarray, min_samples: int) -> np.ndarray:
         raise ValueError(f"min_samples ({min_samples}) exceeds point count ({n})")
     if min_samples == 1:
         return np.zeros(n, dtype=np.float64)
-    if n <= DENSE_MST_LIMIT:
-        cores = np.empty(n, dtype=np.float64)
-        chunk = max(1, (1 << 22) // max(n, 1))
-        for start in range(0, n, chunk):
-            block = points[start : start + chunk]
-            d2 = ((block[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
-            part = np.partition(d2, min_samples - 1, axis=1)[:, min_samples - 1]
-            cores[start : start + chunk] = np.sqrt(part)
-        return cores
-    tree = cKDTree(points)
-    dists, _ = tree.query(points, k=min_samples)
-    return np.ascontiguousarray(dists[:, -1], dtype=np.float64)
+    _, idx = cKDTree(points).query(points, k=min_samples)
+    # cKDTree's own distances can differ from numpy's sum of squares by 1-2 ulp.
+    return np.sqrt(((points - points[idx[:, -1]]) ** 2).sum(axis=1))
 
 
-def _mst_prim_dense(points: np.ndarray, cores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Prim's algorithm over the implicit mutual-reachability graph.
+class _UnionFind:
+    __slots__ = ("parent", "rank")
 
-    Reachability weights tie frequently (shared core distances), so edge
-    comparisons use the full key (w, min(u, v), max(u, v)); under that total
-    order the minimum spanning tree is unique.
+    def __init__(self, n: int):
+        self.parent = np.arange(n, dtype=np.int64)
+        self.rank = np.zeros(n, dtype=np.int64)
+
+    def find(self, x: int) -> int:
+        root = x
+        parent = self.parent
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self.rank[ra] < self.rank[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        if self.rank[ra] == self.rank[rb]:
+            self.rank[ra] += 1
+        return True
+
+
+def mutual_reachability_mst(
+    points: np.ndarray, cores: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """MST (endpoints, weights) of the complete mutual-reachability graph.
+
+    Prim's algorithm over the implicit graph. Reachability weights tie
+    frequently (shared core distances), so edge comparisons use the full key
+    (w, min(u, v), max(u, v)); under that total order the minimum spanning
+    tree is unique. Each edge is emitted as (tree vertex, vertex added).
     """
+    points = np.asarray(points, dtype=np.float64)
+    cores = np.asarray(cores, dtype=np.float64)
+    if points.shape[0] != cores.shape[0]:
+        raise ValueError("cores must be computed from the same points")
+    if not np.all(np.isfinite(points)) or not np.all(np.isfinite(cores)):
+        raise ValueError("non-finite coordinates or core distances")
     n = points.shape[0]
+    if n < 2:
+        return np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.float64)
     idx = np.arange(n)
     in_tree = np.zeros(n, dtype=bool)
     best_weight = np.full(n, np.inf)
@@ -202,114 +231,6 @@ def _mst_prim_dense(points: np.ndarray, cores: np.ndarray) -> tuple[np.ndarray, 
         in_tree[nxt] = True
         current = nxt
     return endpoints, weights
-
-
-class _UnionFind:
-    __slots__ = ("parent", "rank")
-
-    def __init__(self, n: int):
-        self.parent = np.arange(n, dtype=np.int64)
-        self.rank = np.zeros(n, dtype=np.int64)
-
-    def find(self, x: int) -> int:
-        root = x
-        parent = self.parent
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        return True
-
-
-def _edge_key(w: float, u: int, v: int) -> tuple:
-    return (w, min(u, v), max(u, v))
-
-
-def _mst_boruvka_kdtree(points: np.ndarray, cores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Boruvka rounds over a k-d tree.
-
-    For each point, Euclidean neighbors are scanned in increasing distance;
-    since mutual reachability dominates Euclidean distance, the scan can stop
-    once the next neighbor distance exceeds the best candidate weight. Edge
-    ties are broken by lexicographic endpoint order, which makes the edge
-    order total and Boruvka cycle-free.
-    """
-    n = points.shape[0]
-    tree = cKDTree(points)
-    uf = _UnionFind(n)
-    endpoints: list[tuple[int, int]] = []
-    weights: list[float] = []
-    n_components = n
-    while n_components > 1:
-        roots = np.array([uf.find(i) for i in range(n)], dtype=np.int64)
-        best_for_component: dict[int, tuple] = {}
-        for a in range(n):
-            root_a = roots[a]
-            best: tuple | None = None
-            k = 16
-            offset = 0
-            while True:
-                k = min(k, n)
-                dists, idx = tree.query(points[a], k=k)
-                dists = np.atleast_1d(dists)
-                idx = np.atleast_1d(idx)
-                stop = k == n
-                for j in range(offset, k):
-                    b = int(idx[j])
-                    d = float(dists[j])
-                    if best is not None and d > best[0]:
-                        stop = True
-                        break
-                    if roots[b] == root_a:
-                        continue
-                    w = max(d, cores[a], cores[b])
-                    key = _edge_key(w, a, b)
-                    if best is None or key < best:
-                        best = key
-                if stop:
-                    break
-                offset = k
-                k *= 4
-            if best is None:
-                continue
-            existing = best_for_component.get(root_a)
-            if existing is None or best < existing:
-                best_for_component[root_a] = best
-        for w, u, v in sorted(best_for_component.values()):
-            if uf.union(u, v):
-                endpoints.append((u, v))
-                weights.append(w)
-                n_components -= 1
-    return np.asarray(endpoints, dtype=np.int64), np.asarray(weights, dtype=np.float64)
-
-
-def mutual_reachability_mst(
-    points: np.ndarray, cores: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """MST (endpoints, weights) of the complete mutual-reachability graph."""
-    points = np.asarray(points, dtype=np.float64)
-    cores = np.asarray(cores, dtype=np.float64)
-    if points.shape[0] != cores.shape[0]:
-        raise ValueError("cores must be computed from the same points")
-    if not np.all(np.isfinite(points)) or not np.all(np.isfinite(cores)):
-        raise ValueError("non-finite coordinates or core distances")
-    n = points.shape[0]
-    if n < 2:
-        return np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.float64)
-    if n <= DENSE_MST_LIMIT:
-        return _mst_prim_dense(points, cores)
-    return _mst_boruvka_kdtree(points, cores)
 
 
 def _single_linkage(endpoints: np.ndarray, weights: np.ndarray, n: int):

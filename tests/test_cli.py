@@ -2,6 +2,7 @@ import copy
 import json
 import os
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -258,6 +259,35 @@ class TestPipeline:
         assert "Weekly topic runs" not in report
         assert "Trajectory-pair comparisons" in report
         assert "Weekly mean toxicity by group" in report
+
+    def test_merge_reads_only_the_reduced_embeddings(self, tmp_path, monkeypatch):
+        small_scenario(tmp_path, n_users=24)
+        execute, read = cli_mod._execute, corpus_mod.read_embeddings
+        stage, calls = [None], Counter()
+
+        def tracked_execute(s, kwargs, held=None):
+            stage[0] = s.name
+            return execute(s, kwargs, held)
+
+        def counted_read(path):
+            calls[stage[0], Path(path).name] += 1
+            return read(path)
+
+        monkeypatch.setattr(cli_mod, "_execute", tracked_execute)
+        monkeypatch.setattr(corpus_mod, "read_embeddings", counted_read)
+        run_pipeline(pipeline_config(tmp_path, out_name="reads", perms=19))
+        assert [key for key in calls if key[0] == "merge"] == [("merge", "reduced.emb")]
+        assert calls["merge", "reduced.emb"] == 1
+
+    def test_manifest_records_peak_rss_per_stage(self, tmp_path):
+        small_scenario(tmp_path, n_users=24)
+        manifest = run_pipeline(pipeline_config(tmp_path, out_name="rss", perms=19))
+        peaks = [stage["peak_rss_mb"] for stage in manifest["stages"]]
+        assert len(peaks) == 9 and all(peak > 0 for peak in peaks)
+        assert peaks == sorted(peaks)
+        report = render_report(manifest)
+        for stage in manifest["stages"]:
+            assert f"{stage['name']}\t{stage['peak_rss_mb']}" in report
 
 
 class TestConfigSnapshot:

@@ -11,8 +11,6 @@ from reference_hdbscan import (
 from toxtraj.hdbscan import (
     ClusterTree,
     HdbscanParams,
-    _mst_boruvka_kdtree,
-    _mst_prim_dense,
     core_distances,
     mutual_reachability_mst,
     recursive_cluster,
@@ -50,6 +48,30 @@ class TestCoreDistances:
     def test_min_samples_exceeds_n(self):
         with pytest.raises(ValueError):
             core_distances(np.zeros((3, 2)), 4)
+
+    def test_bit_exact_against_dense_numpy(self):
+        def dense(points, min_samples):
+            n, d = points.shape
+            chunk = max(1, (1 << 22) // (n * d))
+            cores = np.empty(n)
+            for start in range(0, n, chunk):
+                block = points[start : start + chunk]
+                d2 = ((block[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+                cores[start : start + chunk] = np.sqrt(np.partition(d2, min_samples - 1, axis=1)[:, min_samples - 1])
+            return cores
+
+        rng = np.random.default_rng(21)
+        cases = []
+        for d in (5, 16, 64):
+            centers = rng.normal(scale=4.0, size=(4, d))
+            blobs = centers[rng.integers(4, size=500)] + rng.normal(size=(500, d))
+            grid = rng.integers(0, 8, size=(500, d)) / 2
+            cases += [(pts, ms) for pts in (blobs, grid) for ms in (2, 10, 60)]
+        # Here the k-d tree's own distances differ from numpy's by 1-2 ulp on about a quarter of the points.
+        centers = rng.normal(scale=4.0, size=(6, 16))
+        cases.append((centers[rng.integers(6, size=4200)] + rng.normal(size=(4200, 16)), 10))
+        for pts, ms in cases:
+            assert np.array_equal(core_distances(pts, ms), dense(pts, ms)), (pts.shape, ms)
 
 
 class TestMst:
@@ -89,18 +111,21 @@ class TestMst:
             expected = minimum_spanning_tree(np.array(m)).sum()
             assert sum(e[0] for e in edges) == pytest.approx(expected, abs=1e-9)
 
-    def test_boruvka_matches_dense(self):
+    def test_mst_matches_reference_prim(self):
         rng = np.random.default_rng(3)
+        blobs = []
         for n, ms in [(120, 5), (400, 20), (250, 1)]:
             centers = rng.uniform(-6, 6, size=(3, 4))
-            pts = np.vstack([centers[rng.integers(3)] + 0.4 * rng.normal(size=4) for _ in range(n)])
-            cores = core_distances(pts, ms)
-            e1, w1 = _mst_prim_dense(pts, cores)
-            e2, w2 = _mst_boruvka_kdtree(pts, cores)
-            assert w1.sum() == pytest.approx(w2.sum(), abs=1e-9)
-            s1 = {(min(u, v), max(u, v)) for u, v in e1.tolist()}
-            s2 = {(min(u, v), max(u, v)) for u, v in e2.tolist()}
-            assert s1 == s2
+            blobs.append((np.vstack([centers[rng.integers(3)] + 0.4 * rng.normal(size=4) for _ in range(n)]), ms))
+        # Tie-heavy: 25 grid positions, so many points coincide and weights repeat.
+        grids = [(rng.integers(0, 5, size=(n, 2)).astype(float), ms) for n, ms in [(60, 1), (150, 4), (200, 12)]]
+        for pts, ms in blobs + grids:
+            endpoints, weights = mutual_reachability_mst(pts, core_distances(pts, ms))
+            rows = [list(p) for p in pts]
+            ref = reference_prim(reference_mutual_reachability(rows, reference_core_distances(rows, ms)))
+            assert weights.sum() == pytest.approx(sum(e[0] for e in ref), abs=1e-9)
+            mine = {(min(u, v), max(u, v)) for u, v in endpoints.tolist()}
+            assert mine == {(min(u, v), max(u, v)) for _, u, v in ref}
 
     def test_mreach_dominates_euclidean(self):
         rng = np.random.default_rng(4)
