@@ -21,16 +21,11 @@ class KnnModel:
     points: np.ndarray  # (m, k) training vectors
     labels: np.ndarray  # (m,) topic ids
     k: int
-    unit: Optional[np.ndarray] = None  # row-normalized copies of points
-
-    def __post_init__(self):
-        if self.unit is None:
-            norms = np.linalg.norm(self.points, axis=1, keepdims=True)
-            self.unit = self.points / norms
+    unit: np.ndarray  # row-normalized copies of points
 
 
 def fit_knn(points: np.ndarray, labels: Sequence[int], k: int = DEFAULT_K) -> KnnModel:
-    """Store labeled training vectors; cosine needs every norm nonzero."""
+    """Store labeled training vectors; cosine needs every norm finite and nonzero."""
     points = np.asarray(points, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if points.ndim != 2 or points.shape[0] != labels.shape[0]:
@@ -40,13 +35,14 @@ def fit_knn(points: np.ndarray, labels: Sequence[int], k: int = DEFAULT_K) -> Kn
         raise ValueError("k must be positive")
     if m < k:
         raise ValueError(f"need at least k = {k} training points, got {m}")
-    if labels.size == 0 or np.unique(labels).size < 1:
-        raise ValueError("at least one distinct label is required")
-    norms = np.linalg.norm(points, axis=1)
+    non_finite = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if non_finite.size:
+        raise ValueError(f"training point {int(non_finite[0])} has non-finite values")
+    norms = np.linalg.norm(points, axis=1, keepdims=True)
     if np.any(norms == 0.0):
-        bad = int(np.flatnonzero(norms == 0.0)[0])
+        bad = int(np.flatnonzero(norms[:, 0] == 0.0)[0])
         raise ValueError(f"training point {bad} has zero norm; cosine undefined")
-    return KnnModel(points=points, labels=labels, k=k)
+    return KnnModel(points=points, labels=labels, k=k, unit=points / norms)
 
 
 def _vote(model: KnnModel, sims: np.ndarray) -> int:
@@ -55,7 +51,12 @@ def _vote(model: KnnModel, sims: np.ndarray) -> int:
     Neighbor ties at the k-boundary resolve by training index; vote ties by
     higher summed similarity, then smaller topic id.
     """
-    order = np.lexsort((np.arange(sims.size), -sims))[: model.k]
+    k = model.k
+    # Sort only the similarities at or above the k-th largest: the first k of
+    # them in (-sim, index) order are the first k of all m in that order.
+    kth = np.partition(sims, sims.size - k)[sims.size - k]
+    top = np.flatnonzero(sims >= kth)
+    order = top[np.lexsort((top, -sims[top]))][:k]
     top_labels = model.labels[order]
     top_sims = sims[order]
     best = None
@@ -69,6 +70,8 @@ def _vote(model: KnnModel, sims: np.ndarray) -> int:
 
 def predict_topic(model: KnnModel, point: np.ndarray) -> int:
     point = np.asarray(point, dtype=np.float64)
+    if not np.isfinite(point).all():
+        raise ValueError("query point has non-finite values; cosine undefined")
     norm = np.linalg.norm(point)
     if norm == 0.0:
         raise ValueError("query point has zero norm; cosine undefined")
@@ -141,16 +144,20 @@ class TrajectoryLabeling:
 def label_trajectory(model: KnnModel, trajectory: np.ndarray) -> TrajectoryLabeling:
     """Per-timestep topic prediction with collapsed (topic, range) runs.
 
-    Zero-norm rows cannot be scored; they are reported as unlabeled."""
+    All-zero rows cannot be scored; they are reported as unlabeled. A row
+    predict_topic refuses raises ValueError naming its step."""
     trajectory = np.asarray(trajectory, dtype=np.float64)
     sequence: list[Optional[int]] = []
     unlabeled: list[int] = []
     for step, row in enumerate(trajectory):
-        if np.linalg.norm(row) == 0.0:
+        if not row.any():
             sequence.append(None)
             unlabeled.append(step)
-        else:
+            continue
+        try:
             sequence.append(predict_topic(model, row))
+        except ValueError as exc:
+            raise ValueError(f"trajectory step {step}: {exc}") from exc
     runs: list[tuple[Optional[int], int, int]] = []
     for step, topic in enumerate(sequence):
         if runs and runs[-1][0] == topic:

@@ -14,6 +14,12 @@ import numpy as np
 from .util import parallel_map, substream
 
 DEFAULT_PERMUTATIONS = 4999
+# Permutations whose group sums one indicator-matrix product forms.
+PERMUTATION_BLOCK = 64
+# A batched F within this of F_obs, relative and on top of the rounding bound
+# in _block_f, or with SSW within this of zero relative to SST, is recomputed
+# by _f_from_counts.
+TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -40,19 +46,22 @@ class PermanovaResult:
         }
 
 
-def _as_matrix(group) -> np.ndarray:
+def _as_matrix(group, name: str) -> np.ndarray:
     arr = np.asarray(group, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise ValueError("each group must be a non-empty 2-D array of vectors")
+    non_finite = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+    if non_finite.size:
+        raise ValueError(f"{name} row {int(non_finite[0])} has non-finite values")
     return arr
 
 
 def ss_decomposition(group_a, group_b) -> tuple[float, float]:
     """Between- and within-group sums of squares about the group centroids."""
-    a = _as_matrix(group_a)
-    b = _as_matrix(group_b)
+    a = _as_matrix(group_a, "group_a")
+    b = _as_matrix(group_b, "group_b")
     if a.shape[1] != b.shape[1]:
         raise ValueError("groups must have equal vector dimension")
     n_a, n_b = a.shape[0], b.shape[0]
@@ -91,6 +100,45 @@ def _f_from_counts(x: np.ndarray, idx_a: np.ndarray, total_sum: np.ndarray, sst:
     return ssb / (ssw / (n - 2))
 
 
+def _block_f(xs, idx, total_sum, sst, abs_sum, f_obs) -> tuple[np.ndarray, np.ndarray]:
+    """F for each row of draws ``idx`` (B, k), and which rows are too close to
+    call against ``f_obs``.
+
+    The group sums come from one (B, n) 0/1 indicator product with ``xs``;
+    everything after them is _f_from_counts's arithmetic on arrays. The sums
+    differ from _f_from_counts's only in summation order, and either order is
+    within n·eps·sum|x| of the exact sum per column. A row is unsure, and goes
+    back to _f_from_counts, when that difference could move its F to the
+    other side of ``f_obs``, when SSW is not clearly positive, or when F_obs
+    is not finite; every other row compares with ``f_obs`` as
+    _f_from_counts's F would.
+    """
+    b, k = idx.shape
+    if not math.isfinite(f_obs):
+        return np.zeros(b), np.ones(b, dtype=bool)
+    n = xs.shape[0]
+    ind = np.zeros((b, n))
+    ind[np.arange(b)[:, None], idx] = 1.0
+    sum_a = ind @ xs
+    grand = total_sum / n
+    dev_a = sum_a / k - grand
+    dev_b = (total_sum - sum_a) / (n - k) - grand
+    ssb = k * (dev_a**2).sum(axis=1) + (n - k) * (dev_b**2).sum(axis=1)
+    ssw = sst - ssb
+    # How far the other summation order can move SSB: each column's sum by
+    # up to e, each deviation by 2e/k or 2e/(n - k). With SSW > 2·dssb the
+    # move in F is at most 2·(n - 2)·SST·dssb / SSW².
+    e = 2.0 * n * np.finfo(np.float64).eps * abs_sum
+    dssb = 4.0 * ((np.abs(dev_a) + np.abs(dev_b)) @ e) + 4.0 * (1.0 / k + 1.0 / (n - k)) * float(e @ e)
+    f = np.zeros(b)
+    unsure = ~(ssw > TIE_RTOL * sst + 2.0 * dssb)
+    ok = ~unsure
+    f[ok] = ssb[ok] / (ssw[ok] / (n - 2))
+    df = (n - 2) * sst * dssb[ok] / ssw[ok] ** 2
+    unsure[ok] = np.abs(f[ok] - f_obs) <= TIE_RTOL * f_obs + 2.0 * df
+    return f, unsure
+
+
 def permanova_test(
     group_a,
     group_b,
@@ -106,8 +154,8 @@ def permanova_test(
     """
     if n_permutations < 1:
         raise ValueError("at least 1 permutation is required")
-    a = _as_matrix(group_a)
-    b = _as_matrix(group_b)
+    a = _as_matrix(group_a, "group_a")
+    b = _as_matrix(group_b, "group_b")
     if a.shape[1] != b.shape[1]:
         raise ValueError("groups must have equal vector dimension")
     n_a = a.shape[0]
@@ -125,14 +173,16 @@ def permanova_test(
     total_sum = xs.sum(axis=0)
     grand = total_sum / n
     sst = float(((xs - grand) ** 2).sum())
+    abs_sum = np.abs(xs).sum(axis=0)
 
     def count_chunk(chunk: range) -> int:
         count = 0
-        for i in chunk:
-            rng = substream(seed, "permanova", i)
-            idx_a = rng.permutation(n)[:k]
-            if _f_from_counts(xs, idx_a, total_sum, sst) >= f_obs:
-                count += 1
+        for start in range(chunk.start, chunk.stop, PERMUTATION_BLOCK):
+            block = range(start, min(start + PERMUTATION_BLOCK, chunk.stop))
+            idx = np.stack([substream(seed, "permanova", i).permutation(n)[:k] for i in block])
+            f, unsure = _block_f(xs, idx, total_sum, sst, abs_sum, f_obs)
+            count += int(np.count_nonzero(f[~unsure] >= f_obs))
+            count += sum(_f_from_counts(xs, idx_a, total_sum, sst) >= f_obs for idx_a in idx[unsure])
         return count
 
     if workers <= 1:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_force_knn_cosine
 from toxtraj.knn import (
@@ -26,6 +28,25 @@ def planted_topics(n_topics=20, per_topic=100, seed=0, spread=0.05):
     return np.vstack(points), np.asarray(labels)
 
 
+@st.composite
+def tied_cases(draw):
+    """Training points on signed axes scaled by 1, 2 or 4, with integer-grid
+    queries: many similarities are equal, at the k-boundary and between votes.
+
+    Power-of-two multiples of axis vectors keep every similarity exact in both
+    the model and the oracle, so a tie is a tie in both. k <= 5 keeps every
+    tied vote's summed similarity to at most two terms, which both add in the
+    same order.
+    """
+    dim = draw(st.integers(2, 3))
+    row = st.tuples(st.integers(0, dim - 1), st.sampled_from([-1.0, 1.0]), st.sampled_from([1.0, 2.0, 4.0]))
+    rows = draw(st.lists(row, min_size=1, max_size=24))
+    labels = draw(st.lists(st.integers(0, 3), min_size=len(rows), max_size=len(rows)))
+    k = draw(st.integers(1, min(len(rows), 5)))
+    query = draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).filter(any))
+    return rows, labels, k, query
+
+
 class TestFitKnn:
     def test_planted_157_topics(self):
         points, labels = planted_topics(n_topics=157, per_topic=100, seed=1)
@@ -47,6 +68,13 @@ class TestFitKnn:
         points = np.vstack([np.zeros((1, 5)), np.ones((20, 5))])
         with pytest.raises(ValueError, match="zero norm"):
             fit_knn(points, [0] * 21, k=3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_training_point_rejected(self, bad):
+        points = np.ones((20, 5))
+        points[7, 3] = bad
+        with pytest.raises(ValueError, match="training point 7 has non-finite"):
+            fit_knn(points, [0] * 20, k=3)
 
 
 class TestPredict:
@@ -89,6 +117,33 @@ class TestPredict:
         model = fit_knn(points, labels, k=15)
         with pytest.raises(ValueError, match="zero norm"):
             predict_topic(model, np.zeros(5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        points, labels = planted_topics(seed=8)
+        model = fit_knn(points, labels, k=15)
+        query = np.ones(5)
+        query[1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            predict_topic(model, query)
+
+    @given(case=tied_cases())
+    @example(
+        # Four copies of one direction, k = 3: the boundary falls inside the
+        # tie, and only the two smallest indices (labels 5, 5) may vote.
+        case=([(0, 1.0, 1.0), (0, 1.0, 2.0), (0, 1.0, 4.0), (0, 1.0, 1.0), (1, 1.0, 1.0)],
+              [5, 5, 2, 2, 2], 3, [1, 0])
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_ties_match_brute_force_oracle(self, case):
+        rows, labels, k, query = case
+        dim = len(query)
+        points = np.zeros((len(rows), dim))
+        for i, (axis, sign, scale) in enumerate(rows):
+            points[i, axis] = sign * scale
+        model = fit_knn(points, labels, k=k)
+        query = np.asarray(query, dtype=np.float64)
+        assert predict_topic(model, query) == brute_force_knn_cosine(points, labels, k, query)
 
     def test_k1_self_prediction(self):
         points, labels = planted_topics(n_topics=5, per_topic=30, seed=9, spread=0.4)
@@ -179,6 +234,14 @@ class TestLabelTrajectory:
         assert len(result.sequence) == 27
         assert result.runs[0][1] == 0
         assert result.runs[-1][2] == 26
+
+    def test_non_finite_row_names_its_step(self):
+        points, labels = planted_topics(n_topics=3, per_topic=40, seed=18)
+        model = fit_knn(points, labels, k=15)
+        traj = np.ones((5, 5))
+        traj[3, 0] = np.nan
+        with pytest.raises(ValueError, match="trajectory step 3: .*non-finite"):
+            label_trajectory(model, traj)
 
     def test_zero_rows_flagged_unlabeled(self):
         points, labels = planted_topics(n_topics=3, per_topic=40, seed=18)

@@ -3,8 +3,56 @@ import math
 import numpy as np
 import pytest
 
-from toxtraj.permanova import PermanovaResult, permanova_test, pseudo_f, ss_decomposition
+from toxtraj.permanova import PERMUTATION_BLOCK, PermanovaResult, permanova_test, pseudo_f, ss_decomposition
 from toxtraj.synth import generate_null_pair
+from toxtraj.util import substream
+
+
+def scalar_exceed(a, b, n_permutations, seed):
+    """#{F_perm >= F_obs}, one permutation at a time: the smaller group's
+    size drawn from substream(seed, "permanova", i) over the rows in
+    lexicographic order, F from the SST = SSB + SSW identity."""
+    x = np.vstack([a, b])
+    n = x.shape[0]
+    xs = x[np.lexsort(x.T[::-1])]
+    k = min(len(a), len(b))
+    f_obs = pseudo_f(*ss_decomposition(a, b), n)
+    total = xs.sum(axis=0)
+    grand = total / n
+    sst = float(((xs - grand) ** 2).sum())
+    exceed = 0
+    for i in range(n_permutations):
+        s = xs[substream(seed, "permanova", i).permutation(n)[:k]].sum(axis=0)
+        ssb = k * float(((s / k - grand) ** 2).sum()) + (n - k) * float((((total - s) / (n - k) - grand) ** 2).sum())
+        ssw = sst - ssb
+        if ssw <= 0.0:
+            f = math.inf if ssb > 0.0 else 0.0
+        else:
+            f = ssb / (ssw / (n - 2))
+        exceed += f >= f_obs
+    return exceed
+
+
+def _equivalence_cases():
+    rng = np.random.default_rng(20)
+    base = np.random.default_rng(0).normal(size=(3, 3)) + 1e6
+    uneven = rng.normal(size=(15, 4))
+    r0, r1 = [0.1, 0.7], [0.3, 0.2]
+    return {
+        # 18 of the 20 arrangements split the rows 2 + 1 against 1 + 2, as
+        # observed: their F equals F_obs but for rounding, which depends on
+        # the order the drawn rows are summed in.
+        "ties-3+3": (np.array([r0, r0, r1]), np.array([r0, r1, r1]), 3 * PERMUTATION_BLOCK),
+        # Exact 0/1 rows: the 3 + 0 arrangements have SSW exactly 0.
+        "exact-rows-3+3": (np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0]]),
+                           np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]]), PERMUTATION_BLOCK),
+        # Repeated rows far from the origin: the rounding of tied
+        # arrangements' F exceeds 1e-9 relative.
+        "shifted-1e6": (base[[2, 0, 1, 2, 2, 2, 2]], base[[2, 2, 2, 1]], 2 * PERMUTATION_BLOCK),
+        "zero-within": (np.zeros((3, 2)), np.ones((4, 2)), PERMUTATION_BLOCK),
+        "unequal-4+11": (uneven[:4] + 0.5, uneven[4:], 2 * PERMUTATION_BLOCK),
+        "not-a-block-multiple": (uneven[:7], uneven[7:], 2 * PERMUTATION_BLOCK + 7),
+    }
 
 
 class TestSsDecomposition:
@@ -128,6 +176,24 @@ class TestPermanovaTest:
         result = permanova_test(a, b, n_permutations=19, seed=13)
         assert result.degenerate
         assert math.isinf(result.pseudo_f)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_names_group_and_row(self, bad):
+        a, b = generate_null_pair(6, 3, 2, seed=14)
+        b = np.array(b, dtype=np.float64)
+        b[4, 1] = bad
+        with pytest.raises(ValueError, match="group_b row 4 has non-finite"):
+            permanova_test(a, b, n_permutations=99, seed=15)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    @pytest.mark.parametrize("case", sorted(_equivalence_cases()))
+    def test_matches_scalar_permutation_loop(self, case, workers):
+        a, b, n_permutations = _equivalence_cases()[case]
+        result = permanova_test(a, b, n_permutations=n_permutations, seed=16, workers=workers)
+        exceed = scalar_exceed(a, b, n_permutations, seed=16)
+        assert round(result.p_value * (1 + n_permutations)) - 1 == exceed
+        assert result.p_value == (1 + exceed) / (1 + n_permutations)
 
     def test_null_rejection_rate_small_sweep(self):
         # Smaller companion to the acceptance calibration.
