@@ -167,6 +167,7 @@ def run_merge(tree, corpus, out, scorer, alpha, seed, reps, n_in, n_out, workers
         "outputs": {"topics": str(out)},
         "level_counts": level_counts(topics),
         "n_outliers": topics.n_outliers,
+        "n_auto_merged": topics.n_auto_merged,
     }
 
 
@@ -573,6 +574,8 @@ def render_report(manifest: dict) -> str:
         sections.append("## Surviving cluster counts by level\n")
         sections.append(_tsv_block(["level", "clusters"], [list(item) for item in summary["level_counts"].items()]))
         sections.append(f"\noutliers: {summary['n_outliers']}\n")
+        if "n_auto_merged" in summary:  # absent from manifests of earlier versions
+            sections.append(f"auto-merged, too small to sample: {summary['n_auto_merged']}\n")
 
     if listed("permanova", "permanova"):
         doc = json.loads(Path(listed("permanova", "permanova")).read_text())

@@ -9,7 +9,6 @@ scorer, or a batch file exchange with an outside rater.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 from typing import Optional, Protocol
 
@@ -20,7 +19,6 @@ from .hdbscan import ClusterTree, ClusterTreeNode, HdbscanParams
 from .stats import mann_whitney_u
 from .util import parallel_map, sha256_bytes, substream
 
-logger = logging.getLogger(__name__)
 
 DEFAULT_REPS = 30
 DEFAULT_N_IN = 30
@@ -226,6 +224,9 @@ class TopicTree:
     n_outliers: int = 0
     alpha: float = DEFAULT_ALPHA
     seed: int = 0
+    # Nodes the merge pass merged unscored, too small (or under a too-small
+    # parent) to sample coherence. A count of that pass, not saved.
+    n_auto_merged: int = 0
 
     def surviving(self) -> list[TopicNode]:
         return [n for n in self.nodes.values() if not n.merged]
@@ -384,8 +385,8 @@ def merge_pass(
 
     Bottom-up: each node at level >= 2 is tested against its direct parent;
     a merged node's members revert to the parent and its subtree is
-    discarded (flagged merged). Nodes too small to sample are auto-merged
-    with a warning.
+    discarded (flagged merged). Nodes too small to sample, or whose parent
+    is, are auto-merged and counted in ``n_auto_merged``.
     """
     if isinstance(tree, TopicTree):
         source_nodes = {nid: n for nid, n in tree.nodes.items() if not n.merged}
@@ -431,15 +432,13 @@ def merge_pass(
         node.coherence_scores = node_scores
 
     # Decide bottom-up (deepest first), then discard subtrees of merged nodes.
+    n_auto_merged = 0
     for node in sorted(topic_nodes.values(), key=lambda n: -n.level):
         if node.level < 2 or node.parent not in topic_nodes:
             continue
         parent = topic_nodes[node.parent]
         if node.coherence_scores is None or parent.coherence_scores is None:
-            logger.warning(
-                "node %d auto-merged: node or parent too small to sample coherence",
-                node.node_id,
-            )
+            n_auto_merged += 1
             node.merged = True
             continue
         node.merged = test_subcluster(node.coherence_scores, parent.coherence_scores, alpha) == MERGE
@@ -465,6 +464,7 @@ def merge_pass(
         n_outliers=n_outliers,
         alpha=alpha,
         seed=seed,
+        n_auto_merged=n_auto_merged,
     )
 
 

@@ -4,6 +4,10 @@ Deliberately simple and independent of the package implementation: dense
 distance matrix, O(n^2) Prim with a per-vertex best-edge list, dict-based
 dendrogram, recursive condense/selection. Plain Python lists throughout; only
 suitable for small n.
+
+``dense_prim_mst`` is the exception: numpy Prim over the implicit graph, which
+computes each weight with the package's own expression and so gives the same
+bits. It serves as the bit-exact MST oracle up to a few thousand points.
 """
 from __future__ import annotations
 
@@ -57,6 +61,65 @@ def reference_prim(m):
             if cand < best[k]:
                 best[k] = cand
     return edges
+
+
+def dense_prim_mst(
+    points: np.ndarray, cores: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dense numpy Prim: the package's MST before its Boruvka rewrite, kept
+    verbatim as a bit-exact oracle. O(n^2) time, O(n) memory.
+
+    Prim's algorithm over the implicit graph. Reachability weights tie
+    frequently (shared core distances), so edge comparisons use the full key
+    (w, min(u, v), max(u, v)); under that total order the minimum spanning
+    tree is unique. Each edge is emitted as (tree vertex, vertex added).
+    """
+    points = np.asarray(points, dtype=np.float64)
+    cores = np.asarray(cores, dtype=np.float64)
+    if points.shape[0] != cores.shape[0]:
+        raise ValueError("cores must be computed from the same points")
+    if not np.all(np.isfinite(points)) or not np.all(np.isfinite(cores)):
+        raise ValueError("non-finite coordinates or core distances")
+    n = points.shape[0]
+    if n < 2:
+        return np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.float64)
+    idx = np.arange(n)
+    in_tree = np.zeros(n, dtype=bool)
+    best_weight = np.full(n, np.inf)
+    best_from = np.zeros(n, dtype=np.int64)
+    endpoints = np.empty((n - 1, 2), dtype=np.int64)
+    weights = np.empty(n - 1, dtype=np.float64)
+    current = 0
+    in_tree[0] = True
+    for step in range(n - 1):
+        dist = np.sqrt(((points - points[current]) ** 2).sum(axis=1))
+        mreach = np.maximum(dist, np.maximum(cores, cores[current]))
+        new_lo = np.minimum(current, idx)
+        new_hi = np.maximum(current, idx)
+        old_lo = np.minimum(best_from, idx)
+        old_hi = np.maximum(best_from, idx)
+        better = (mreach < best_weight) | (
+            (mreach == best_weight)
+            & ((new_lo < old_lo) | ((new_lo == old_lo) & (new_hi < old_hi)))
+        )
+        improved = (~in_tree) & better
+        best_weight[improved] = mreach[improved]
+        best_from[improved] = current
+        outside = np.flatnonzero(~in_tree)
+        min_w = best_weight[outside].min()
+        ties = outside[best_weight[outside] == min_w]
+        if ties.size == 1:
+            nxt = int(ties[0])
+        else:
+            lo = np.minimum(best_from[ties], ties)
+            hi = np.maximum(best_from[ties], ties)
+            nxt = int(ties[np.lexsort((hi, lo))[0]])
+        endpoints[step, 0] = best_from[nxt]
+        endpoints[step, 1] = nxt
+        weights[step] = best_weight[nxt]
+        in_tree[nxt] = True
+        current = nxt
+    return endpoints, weights
 
 
 def reference_single_linkage(edges, n):

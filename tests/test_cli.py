@@ -154,6 +154,14 @@ class TestPipeline:
         # Stable under re-rendering.
         assert render_report(manifest) == report
 
+    def test_report_prints_auto_merged_count(self, tmp_path):
+        small_scenario(tmp_path, n_users=24)
+        manifest = run_pipeline(pipeline_config(tmp_path, out_name="auto", perms=19))
+        merge = next(stage for stage in manifest["stages"] if stage["name"] == "merge")
+        n_auto = merge["summary"]["n_auto_merged"]
+        assert isinstance(n_auto, int) and n_auto >= 0
+        assert f"auto-merged, too small to sample: {n_auto}\n" in render_report(manifest)
+
     def test_rerun_without_reduce_ignores_stale_reduced(self, tmp_path):
         small_scenario(tmp_path, n_users=24)
         out_dir = tmp_path / "stale"

@@ -18,7 +18,7 @@ from toxtraj.coherence import (
     reference_coherence_score,
 )
 from toxtraj.coherence import test_subcluster as subcluster_decision
-from toxtraj.hdbscan import HdbscanParams, recursive_cluster
+from toxtraj.hdbscan import ClusterTreeNode, HdbscanParams, recursive_cluster
 from toxtraj.stats import mean_ci
 from toxtraj.synth import (
     generate_hierarchical_blobs,
@@ -176,6 +176,23 @@ class TestMergePass:
             assert np.unique(child_rows).size == child_rows.size
             reverted = np.setdiff1d(parent.member_rows, child_rows)
             assert child_rows.size + reverted.size == parent.member_rows.size
+
+    def test_counts_nodes_too_small_to_sample(self):
+        _, corpus, tree = planted_tree(seed=9)
+        assert merge_pass(tree, corpus, ReferenceCoherenceScorer(), seed=9).n_auto_merged == 0
+        parent = tree.nodes[0]
+        tiny = ClusterTreeNode(
+            node_id=max(tree.nodes) + 1, level=parent.level + 1, parent=parent.node_id,
+            member_rows=parent.member_rows[:10], params_used=PARAMS,
+        )
+        tree.nodes[tiny.node_id] = tiny
+        topics = merge_pass(tree, corpus, ReferenceCoherenceScorer(), seed=9)
+        assert topics.n_auto_merged == 1
+        assert topics.nodes[tiny.node_id].merged
+        assert topics.nodes[tiny.node_id].coherence_scores is None
+        assert level_counts(topics) == {1: 3, 2: 6}
+        # A count of the pass, not part of topics.json.
+        assert "n_auto_merged" not in json.dumps(topics.to_json())
 
     def test_workers_do_not_change_result(self):
         _, corpus, tree = planted_tree(seed=14)

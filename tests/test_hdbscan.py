@@ -1,8 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.csgraph import minimum_spanning_tree
+from scipy.spatial import cKDTree
 
 from reference_hdbscan import (
+    dense_prim_mst,
     reference_core_distances,
     reference_hdbscan,
     reference_mutual_reachability,
@@ -134,6 +140,110 @@ class TestMst:
         endpoints, weights = mutual_reachability_mst(pts, cores)
         for (u, v), w in zip(endpoints.tolist(), weights.tolist()):
             assert w >= np.linalg.norm(pts[u] - pts[v]) - 1e-12
+
+
+def reference_instances():
+    """The blob and grid instances of TestMst.test_mst_matches_reference_prim."""
+    rng = np.random.default_rng(3)
+    blobs = []
+    for n, ms in [(120, 5), (400, 20), (250, 1)]:
+        centers = rng.uniform(-6, 6, size=(3, 4))
+        blobs.append((np.vstack([centers[rng.integers(3)] + 0.4 * rng.normal(size=4) for _ in range(n)]), ms))
+    grids = [(rng.integers(0, 5, size=(n, 2)).astype(float), ms) for n, ms in [(60, 1), (150, 4), (200, 12)]]
+    return blobs + grids
+
+
+def assert_same_mst(mine, ref):
+    """Endpoints, orientation included, and weight bits are equal."""
+
+    def canonical(endpoints, weights):
+        order = np.lexsort((endpoints[:, 1], endpoints[:, 0]))
+        return endpoints[order], weights[order].view(np.int64)
+
+    (mine_edges, mine_bits), (ref_edges, ref_bits) = canonical(*mine), canonical(*ref)
+    assert np.array_equal(mine_edges, ref_edges)
+    assert np.array_equal(mine_bits, ref_bits)
+
+
+def assert_matches_dense_prim(points, min_samples):
+    cores = core_distances(points, min_samples)
+    assert_same_mst(mutual_reachability_mst(points, cores), dense_prim_mst(points, cores))
+
+
+@st.composite
+def small_grids(draw):
+    dim = draw(st.integers(1, 3))
+    side = draw(st.integers(2, 5))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, side - 1)] * dim), min_size=65, max_size=150))
+    scale = draw(st.sampled_from([1.0, 0.5]))
+    return np.array(rows, dtype=float) * scale, draw(st.integers(1, len(rows)))
+
+
+class TestMstExact:
+    """The Boruvka MST against dense Prim, bit for bit, on inputs with n > 64,
+    where the 64-neighbour lists do not cover every edge."""
+
+    def test_oriented_edges_match_reference_prim(self):
+        for pts, ms in reference_instances():
+            endpoints, _ = mutual_reachability_mst(pts, core_distances(pts, ms))
+            rows = [list(p) for p in pts]
+            ref = reference_prim(reference_mutual_reachability(rows, reference_core_distances(rows, ms)))
+            assert set(map(tuple, endpoints.tolist())) == {(i, j) for _, i, j in ref}
+
+    def test_separated_blobs(self):
+        rng = np.random.default_rng(31)
+        centers = np.array([[0.0, 0.0, 0.0], [1000.0, 0.0, 0.0], [0.0, 1000.0, 0.0]])
+        blob = np.repeat(np.arange(3), [100, 150, 120])
+        pts = centers[blob] + rng.normal(size=(blob.size, 3))
+        # Every listed neighbour of a point lies in its own blob, so no blob
+        # has a listed edge out of it once it is one component.
+        _, idx = cKDTree(pts).query(pts, k=65)
+        assert np.all(blob[idx] == blob[:, None])
+        for ms in (1, 5, 40):
+            assert_matches_dense_prim(pts, ms)
+
+    def test_integer_grids(self):
+        rng = np.random.default_rng(32)
+        for n, dim, side, ms in [(300, 2, 6, 1), (300, 2, 6, 4), (250, 3, 3, 10), (400, 1, 20, 30), (200, 2, 12, 7)]:
+            assert_matches_dense_prim(rng.integers(0, side, size=(n, dim)).astype(float), ms)
+        assert_matches_dense_prim(rng.integers(0, 12, size=(300, 2)) / 2.0, 5)
+
+    def test_min_samples_above_64(self):
+        rng = np.random.default_rng(33)
+        centers = rng.uniform(-8, 8, size=(3, 4))
+        blobs = centers[rng.integers(3, size=350)] + rng.normal(size=(350, 4))
+        for ms in (65, 70, 120, 350):
+            assert_matches_dense_prim(blobs, ms)
+        assert_matches_dense_prim(rng.integers(0, 4, size=(300, 2)).astype(float), 80)
+
+    @given(case=small_grids())
+    @settings(max_examples=60, deadline=None)
+    def test_small_grids(self, case):
+        pts, ms = case
+        assert_matches_dense_prim(pts, ms)
+
+    @pytest.mark.parametrize("ms", [4, 60])
+    def test_duplicate_heavy_exact_and_small(self, ms):
+        # 4,000 points on 9 positions: each point ties with hundreds at distance 0.
+        pts = np.random.default_rng(34).integers(0, 3, size=(4000, 2)).astype(float)
+        cores = core_distances(pts, ms)
+        tracemalloc.start()
+        try:
+            mst = mutual_reachability_mst(pts, cores)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
+        assert_same_mst(mst, dense_prim_mst(pts, cores))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_is_named(self, bad):
+        pts = np.random.default_rng(35).normal(size=(80, 3))
+        pts[17, 1] = bad
+        with pytest.raises(ValueError, match=r"^point 17 has non-finite values$"):
+            core_distances(pts, 5)
+        with pytest.raises(ValueError, match=r"^point 17 has non-finite values$"):
+            mutual_reachability_mst(pts, np.ones(80))
 
 
 class TestCondenseExtract:
