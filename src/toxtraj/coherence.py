@@ -15,7 +15,7 @@ from typing import Optional, Protocol
 import numpy as np
 
 from .corpus import Corpus
-from .hdbscan import ClusterTree, ClusterTreeNode, HdbscanParams
+from .hdbscan import ClusterTree, ClusterTreeNode
 from .stats import mann_whitney_u
 from .util import parallel_map, sha256_bytes, substream
 
@@ -215,18 +215,37 @@ class TopicNode(ClusterTreeNode):
     label: Optional[str] = None
     mean_toxicity: Optional[float] = None
 
+    def to_json(self) -> dict:
+        return {
+            **super().to_json(),
+            "coherence_scores": self.coherence_scores,
+            "merged": self.merged,
+            "label": self.label,
+            "mean_toxicity": self.mean_toxicity,
+        }
+
+    @classmethod
+    def from_json(cls, doc: dict) -> "TopicNode":
+        node = super().from_json(doc)
+        node.coherence_scores = doc.get("coherence_scores")
+        node.merged = doc.get("merged", False)
+        node.label = doc.get("label")
+        node.mean_toxicity = doc.get("mean_toxicity")
+        return node
+
 
 @dataclass
-class TopicTree:
+class TopicTree(ClusterTree):
     nodes: dict[int, TopicNode]
-    n_points: int
-    params: HdbscanParams
     n_outliers: int = 0
     alpha: float = DEFAULT_ALPHA
     seed: int = 0
     # Nodes the merge pass merged unscored, too small (or under a too-small
     # parent) to sample coherence. A count of that pass, not saved.
     n_auto_merged: int = 0
+
+    node_type = TopicNode
+    json_fields = ("n_outliers", "alpha", "seed")
 
     def surviving(self) -> list[TopicNode]:
         return [n for n in self.nodes.values() if not n.merged]
@@ -236,72 +255,12 @@ class TopicTree:
         parents_with_kids = {n.parent for n in survivors if n.parent is not None}
         return [n for n in survivors if n.node_id not in parents_with_kids]
 
-    def children(self, node_id: int) -> list[TopicNode]:
-        return [n for n in self.nodes.values() if n.parent == node_id]
-
     def topic_of_rows(self) -> np.ndarray:
         """Per-row id of the deepest surviving node containing the row (-1: outlier)."""
         assignment = np.full(self.n_points, -1, dtype=np.int64)
         for node in sorted(self.surviving(), key=lambda n: (n.level, n.node_id)):
             assignment[node.member_rows] = node.node_id
         return assignment
-
-    def to_json(self) -> dict:
-        return {
-            "n_points": self.n_points,
-            "n_outliers": self.n_outliers,
-            "alpha": self.alpha,
-            "seed": self.seed,
-            "params": self.params.to_json(),
-            "nodes": [
-                {
-                    "node_id": n.node_id,
-                    "level": n.level,
-                    "parent": n.parent,
-                    "member_count": n.member_count,
-                    "member_rows": n.member_rows.tolist(),
-                    "params": n.params_used.to_json(),
-                    "coherence_scores": n.coherence_scores,
-                    "merged": n.merged,
-                    "label": n.label,
-                    "mean_toxicity": n.mean_toxicity,
-                }
-                for n in sorted(self.nodes.values(), key=lambda n: n.node_id)
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "TopicTree":
-        nodes = {}
-        for nd in doc["nodes"]:
-            nodes[nd["node_id"]] = TopicNode(
-                node_id=nd["node_id"],
-                level=nd["level"],
-                parent=nd["parent"],
-                member_rows=np.asarray(nd["member_rows"], dtype=np.int64),
-                params_used=HdbscanParams.from_json(nd["params"]),
-                coherence_scores=nd.get("coherence_scores"),
-                merged=nd.get("merged", False),
-                label=nd.get("label"),
-                mean_toxicity=nd.get("mean_toxicity"),
-            )
-        return cls(
-            nodes=nodes,
-            n_points=doc["n_points"],
-            params=HdbscanParams.from_json(doc["params"]),
-            n_outliers=doc.get("n_outliers", 0),
-            alpha=doc.get("alpha", DEFAULT_ALPHA),
-            seed=doc.get("seed", 0),
-        )
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh)
-
-    @classmethod
-    def load(cls, path) -> "TopicTree":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
 
 
 def build_request(
@@ -347,20 +306,6 @@ def build_request(
     )
 
 
-def coherence_distribution(
-    node: ClusterTreeNode,
-    corpus: Corpus,
-    scorer: CoherenceScorer,
-    reps: int = DEFAULT_REPS,
-    n_in: int = DEFAULT_N_IN,
-    n_out: int = DEFAULT_N_OUT,
-    seed: int = 0,
-) -> list[int]:
-    """reps independent coherence scores for one node."""
-    requests = [build_request(node, corpus, rep, n_in, n_out, seed) for rep in range(reps)]
-    return [int(scorer.score(req)) for req in requests]
-
-
 def test_subcluster(child_scores, parent_scores, alpha: float = DEFAULT_ALPHA) -> str:
     """Keep the subcluster iff its coherence is significantly higher than
     the parent's (one-sided Mann-Whitney, strict p < alpha)."""
@@ -371,7 +316,7 @@ def test_subcluster(child_scores, parent_scores, alpha: float = DEFAULT_ALPHA) -
 
 
 def merge_pass(
-    tree: ClusterTree | TopicTree,
+    tree: ClusterTree,
     corpus: Corpus,
     scorer: CoherenceScorer,
     alpha: float = DEFAULT_ALPHA,
@@ -383,31 +328,22 @@ def merge_pass(
 ) -> TopicTree:
     """Score every node, then merge subclusters that fail the coherence gate.
 
-    Bottom-up: each node at level >= 2 is tested against its direct parent;
-    a merged node's members revert to the parent and its subtree is
-    discarded (flagged merged). Nodes too small to sample, or whose parent
-    is, are auto-merged and counted in ``n_auto_merged``.
+    Every node of ``tree`` starts unscored and unmerged, so a TopicTree from
+    an earlier pass is rescored from scratch. Bottom-up: each node at level
+    >= 2 is tested against its direct parent; a merged node's members revert
+    to the parent and its subtree is discarded (flagged merged). Nodes too
+    small to sample, or whose parent is, are auto-merged and counted in
+    ``n_auto_merged``.
     """
-    if isinstance(tree, TopicTree):
-        source_nodes = {nid: n for nid, n in tree.nodes.items() if not n.merged}
-    else:
-        source_nodes = tree.nodes
     n_points = tree.n_points
     params = tree.params
     if corpus.embeddings is None or corpus.embeddings.n != n_points:
         raise ValueError("corpus embeddings must cover exactly the clustered rows")
 
-    topic_nodes: dict[int, TopicNode] = {}
-    for nid, node in source_nodes.items():
-        topic_nodes[nid] = TopicNode(
-            node_id=node.node_id,
-            level=node.level,
-            parent=node.parent,
-            member_rows=node.member_rows,
-            params_used=node.params_used,
-            coherence_scores=getattr(node, "coherence_scores", None),
-            label=getattr(node, "label", None),
-        )
+    topic_nodes = {
+        nid: TopicNode(node.node_id, node.level, node.parent, node.member_rows, node.params_used)
+        for nid, node in tree.nodes.items()
+    }
 
     # Score every node that is large enough; external scorers resolve the
     # whole batch up front so runs are replayable.

@@ -11,14 +11,12 @@ import json
 import logging
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-
-from .util import sha256_bytes
 
 logger = logging.getLogger(__name__)
 
@@ -29,24 +27,6 @@ DEFAULT_T0 = 1681689600
 DEFAULT_T_END = 1698451140
 DEFAULT_DAILY_GRID = 194
 DEFAULT_WEEK_LEN_DAYS = 7
-
-TOXICITY_PROMPT_TEMPLATE = """Task Description:
-You will be given a "text" in your language.
-Your task is to assign a holistic toxicity score on a 5-point Likert scale to the text.
-Toxicity can take different forms, such as identity attack, bias, microaggression, violence, self-harm, insult, or sexual content.
-
-Note:
-- This dataset may contain extremely toxic content.
-- Evaluate the text based on how toxic it would be perceived by a native speaker of the language.
-- The text may be truncated.
-
-Input:
-Text: "{text}"
-
-Output Format:
-Respond with a single integer toxicity score [1-5]. Do not include anything else.
-"""
-
 
 class CorpusError(ValueError):
     """Raised for malformed or inconsistent corpus inputs."""
@@ -402,49 +382,3 @@ def load_corpus_bundle(bundle_dir) -> Corpus:
         embeddings_path=emb_path if emb_path.exists() else None,
         window=window,
     )
-
-
-def toxicity_task_id(post_id: str, text: str) -> str:
-    return sha256_bytes(f"{post_id}\x1f{text}".encode("utf-8"))[:16]
-
-
-def write_toxicity_requests(posts: Iterable[PostRecord], path) -> int:
-    """Emit rating requests for posts that have text but no toxicity yet."""
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for p in posts:
-            if p.text is None or p.toxicity is not None:
-                continue
-            doc = {
-                "task_id": toxicity_task_id(p.post_id, p.text),
-                "post_id": p.post_id,
-                "text": p.text,
-                "prompt": TOXICITY_PROMPT_TEMPLATE.format(text=p.text),
-            }
-            fh.write(json.dumps(doc, ensure_ascii=False) + "\n")
-            count += 1
-    return count
-
-
-def apply_toxicity_responses(corpus: Corpus, path) -> int:
-    """Fold {task_id, toxicity_raw} response lines back onto the corpus."""
-    expected = {
-        toxicity_task_id(p.post_id, p.text): p
-        for p in corpus.posts
-        if p.text is not None
-    }
-    applied = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            doc = json.loads(line)
-            task_id = doc.get("task_id")
-            if task_id not in expected:
-                raise CorpusError(f"line {line_no}: unknown task_id {task_id!r}")
-            post = expected[task_id]
-            post.toxicity_raw = int(doc["toxicity_raw"])
-            post.toxicity = normalize_toxicity(post.toxicity_raw)
-            applied += 1
-    return applied

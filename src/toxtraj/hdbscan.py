@@ -86,23 +86,47 @@ class ClusterTreeNode:
     def member_count(self) -> int:
         return int(self.member_rows.size)
 
+    def to_json(self) -> dict:
+        return {
+            "node_id": self.node_id,
+            "level": self.level,
+            "parent": self.parent,
+            "member_count": self.member_count,
+            "member_rows": self.member_rows.tolist(),
+            "params": self.params_used.to_json(),
+        }
+
+    @classmethod
+    def from_json(cls, doc: dict) -> "ClusterTreeNode":
+        return cls(
+            node_id=doc["node_id"],
+            level=doc["level"],
+            parent=doc["parent"],
+            member_rows=np.asarray(doc["member_rows"], dtype=np.int64),
+            params_used=HdbscanParams.from_json(doc["params"]),
+        )
+
 
 @dataclass
 class ClusterTree:
-    """Multi-level cluster tree from recursive re-clustering."""
+    """Multi-level cluster tree from recursive re-clustering.
+
+    A subclass names its node class in ``node_type`` and the extra fields it
+    saves, written between ``n_points`` and ``params``, in ``json_fields``.
+    """
 
     nodes: dict[int, ClusterTreeNode]
     n_points: int
     params: HdbscanParams
+
+    node_type = ClusterTreeNode
+    json_fields = ()
 
     def roots(self) -> list[ClusterTreeNode]:
         return [n for n in self.nodes.values() if n.parent is None]
 
     def children(self, node_id: int) -> list[ClusterTreeNode]:
         return [n for n in self.nodes.values() if n.parent == node_id]
-
-    def max_level(self) -> int:
-        return max((n.level for n in self.nodes.values()), default=0)
 
     def outlier_rows(self) -> np.ndarray:
         covered = np.zeros(self.n_points, dtype=bool)
@@ -113,33 +137,19 @@ class ClusterTree:
     def to_json(self) -> dict:
         return {
             "n_points": self.n_points,
+            **{name: getattr(self, name) for name in self.json_fields},
             "params": self.params.to_json(),
-            "nodes": [
-                {
-                    "node_id": n.node_id,
-                    "level": n.level,
-                    "parent": n.parent,
-                    "member_count": n.member_count,
-                    "member_rows": n.member_rows.tolist(),
-                    "params": n.params_used.to_json(),
-                }
-                for n in sorted(self.nodes.values(), key=lambda n: n.node_id)
-            ],
+            "nodes": [n.to_json() for n in sorted(self.nodes.values(), key=lambda n: n.node_id)],
         }
 
     @classmethod
     def from_json(cls, doc: dict) -> "ClusterTree":
-        params = HdbscanParams.from_json(doc["params"])
-        nodes = {}
-        for nd in doc["nodes"]:
-            nodes[nd["node_id"]] = ClusterTreeNode(
-                node_id=nd["node_id"],
-                level=nd["level"],
-                parent=nd["parent"],
-                member_rows=np.asarray(nd["member_rows"], dtype=np.int64),
-                params_used=HdbscanParams.from_json(nd["params"]),
-            )
-        return cls(nodes=nodes, n_points=doc["n_points"], params=params)
+        return cls(
+            nodes={nd["node_id"]: cls.node_type.from_json(nd) for nd in doc["nodes"]},
+            n_points=doc["n_points"],
+            params=HdbscanParams.from_json(doc["params"]),
+            **{name: doc[name] for name in cls.json_fields if name in doc},
+        )
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -2,7 +2,6 @@
 reducer, plus an external pass-through for vectors reduced elsewhere."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,25 +36,6 @@ class ReducerModel:
             gram = self.components @ self.components.T
             if not np.allclose(gram, np.eye(self.output_dim), atol=1e-8):
                 raise ValueError("pca components must be row-orthonormal")
-
-    def to_json(self) -> dict:
-        doc = {"kind": self.kind, "input_dim": self.input_dim, "output_dim": self.output_dim}
-        if self.kind == "pca":
-            doc["mean"] = self.mean.tolist()
-            doc["components"] = self.components.tolist()
-        return doc
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "ReducerModel":
-        mean = np.asarray(doc["mean"], dtype=np.float64) if "mean" in doc else None
-        comps = np.asarray(doc["components"], dtype=np.float64) if "components" in doc else None
-        return cls(
-            kind=doc["kind"],
-            input_dim=doc["input_dim"],
-            output_dim=doc["output_dim"],
-            mean=mean,
-            components=comps,
-        )
 
 
 def external_model(dim: int) -> ReducerModel:
@@ -145,13 +125,3 @@ def transform(model: ReducerModel, matrix: EmbeddingMatrix | np.ndarray) -> Embe
     if is_matrix:
         return EmbeddingMatrix(values=out, row_ids=list(matrix.row_ids))
     return out
-
-
-def save_model(model: ReducerModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_json(), fh, indent=2)
-
-
-def load_model(path) -> ReducerModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ReducerModel.from_json(json.load(fh))

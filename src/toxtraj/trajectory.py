@@ -236,14 +236,6 @@ class UserTrajectory:
     daily: np.ndarray  # (G, k)
     weekly: np.ndarray  # (G // 7, k)
 
-    @property
-    def flattened_daily(self) -> np.ndarray:
-        return self.daily.reshape(-1)
-
-    @property
-    def flattened_weekly(self) -> np.ndarray:
-        return self.weekly.reshape(-1)
-
 
 def interpolate_daily(
     timestamps: np.ndarray, embeddings: np.ndarray, window: StudyWindow

@@ -12,7 +12,7 @@ from toxtraj.coherence import (
     PendingExternalScores,
     ReferenceCoherenceScorer,
     TopicTree,
-    coherence_distribution,
+    build_request,
     level_counts,
     merge_pass,
     reference_coherence_score,
@@ -28,6 +28,11 @@ from toxtraj.synth import (
 )
 
 PARAMS = HdbscanParams(min_cluster_size=60, min_samples=15)
+
+
+def sampled_scores(node, corpus, scorer, seed):
+    """30 coherence scores for one node, sampled as the merge pass samples them."""
+    return [int(scorer.score(build_request(node, corpus, rep, 30, 30, seed))) for rep in range(30)]
 
 
 def planted_tree(seed=0, scenario=None, separable=True):
@@ -69,14 +74,14 @@ class TestCoherenceDistribution:
     def test_length_and_range(self):
         _, corpus, tree = planted_tree(seed=3)
         node = next(n for n in tree.nodes.values() if n.level == 2)
-        scores = coherence_distribution(node, corpus, ReferenceCoherenceScorer(), seed=3)
+        scores = sampled_scores(node, corpus, ReferenceCoherenceScorer(), seed=3)
         assert len(scores) == 30
         assert all(s in (1, 2, 3, 4, 5) for s in scores)
 
     def test_constant_scorer_zero_halfwidth(self):
         _, corpus, tree = planted_tree(seed=4)
         node = next(n for n in tree.nodes.values() if n.level == 1)
-        scores = coherence_distribution(node, corpus, ConstantCoherenceScorer(3), seed=0)
+        scores = sampled_scores(node, corpus, ConstantCoherenceScorer(3), seed=0)
         assert scores == [3] * 30
         _, halfwidth = mean_ci(scores)
         assert halfwidth == 0.0
@@ -84,7 +89,7 @@ class TestCoherenceDistribution:
     def test_planted_node_high_mean_tight_ci(self):
         _, corpus, tree = planted_tree(seed=5)
         node = next(n for n in tree.nodes.values() if n.level == 2)
-        scores = coherence_distribution(node, corpus, ReferenceCoherenceScorer(), seed=5)
+        scores = sampled_scores(node, corpus, ReferenceCoherenceScorer(), seed=5)
         mean, halfwidth = mean_ci(scores)
         assert mean >= 4.5
         assert halfwidth <= 0.3
@@ -92,8 +97,8 @@ class TestCoherenceDistribution:
     def test_deterministic_given_seed(self):
         _, corpus, tree = planted_tree(seed=6)
         node = next(n for n in tree.nodes.values() if n.level == 2)
-        a = coherence_distribution(node, corpus, ReferenceCoherenceScorer(), seed=42)
-        b = coherence_distribution(node, corpus, ReferenceCoherenceScorer(), seed=42)
+        a = sampled_scores(node, corpus, ReferenceCoherenceScorer(), seed=42)
+        b = sampled_scores(node, corpus, ReferenceCoherenceScorer(), seed=42)
         assert a == b
 
     def test_node_too_small(self):
@@ -107,7 +112,7 @@ class TestCoherenceDistribution:
             params_used=node.params_used,
         )
         with pytest.raises(ValueError, match="member"):
-            coherence_distribution(small, corpus, ReferenceCoherenceScorer(), seed=0)
+            sampled_scores(small, corpus, ReferenceCoherenceScorer(), seed=0)
 
 
 class TestMergeGate:
@@ -193,6 +198,19 @@ class TestMergePass:
         assert level_counts(topics) == {1: 3, 2: 6}
         # A count of the pass, not part of topics.json.
         assert "n_auto_merged" not in json.dumps(topics.to_json())
+
+    def test_remerge_starts_unscored(self):
+        # Scores carried over from an earlier pass would let nodes too small
+        # for this pass's samples through the gate unrescored.
+        _, corpus, tree = planted_tree(seed=3)
+        scorer = ReferenceCoherenceScorer()
+        fresh = merge_pass(tree, corpus, scorer, seed=3, n_in=457)
+        second = merge_pass(merge_pass(tree, corpus, scorer, seed=3, n_in=10), corpus, scorer, seed=3, n_in=457)
+        level2 = [nid for nid, n in tree.nodes.items() if n.level == 2]
+        assert len(level2) == 6
+        assert fresh.n_auto_merged == 6
+        assert second.n_auto_merged == fresh.n_auto_merged
+        assert json.dumps(second.to_json()) == json.dumps(fresh.to_json())
 
     def test_workers_do_not_change_result(self):
         _, corpus, tree = planted_tree(seed=14)

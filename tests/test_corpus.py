@@ -11,7 +11,6 @@ from toxtraj.corpus import (
     CorpusError,
     PostRecord,
     StudyWindow,
-    apply_toxicity_responses,
     load_corpus,
     load_corpus_bundle,
     normalize_toxicity,
@@ -20,7 +19,6 @@ from toxtraj.corpus import (
     study_window,
     write_embeddings,
     write_posts,
-    write_toxicity_requests,
 )
 
 T0 = DEFAULT_T0
@@ -249,36 +247,3 @@ class TestBundleRoundTrip:
         write_posts(path, posts)
         corpus = load_corpus(path)
         assert [p.toxicity for p in corpus.posts] == [37.25, 0.125]
-
-
-class TestToxicityExchange:
-    def test_request_response_round_trip(self, tmp_path):
-        docs = [
-            {"post_id": "a", "user_id": "u", "timestamp": T0 + 1, "text": "first"},
-            {"post_id": "b", "user_id": "u", "timestamp": T0 + 2, "text": "second"},
-            {"post_id": "c", "user_id": "u", "timestamp": T0 + 3},
-        ]
-        posts_path = tmp_path / "posts.ndjson"
-        write_lines(posts_path, docs)
-        corpus = load_corpus(posts_path)
-        req_path = tmp_path / "requests.ndjson"
-        n = write_toxicity_requests(corpus.posts, req_path)
-        assert n == 2  # post without text is skipped
-        requests = [json.loads(line) for line in req_path.read_text().splitlines()]
-        assert all("prompt" in r and r["text"] in r["prompt"] for r in requests)
-        resp_path = tmp_path / "responses.ndjson"
-        with open(resp_path, "w") as fh:
-            for r in requests:
-                fh.write(json.dumps({"task_id": r["task_id"], "toxicity_raw": 4}) + "\n")
-        applied = apply_toxicity_responses(corpus, resp_path)
-        assert applied == 2
-        assert corpus.post("a").toxicity == 75.0
-
-    def test_unknown_task_id_rejected(self, tmp_path):
-        posts_path = tmp_path / "posts.ndjson"
-        write_lines(posts_path, [{"post_id": "a", "user_id": "u", "timestamp": T0, "text": "x"}])
-        corpus = load_corpus(posts_path)
-        resp_path = tmp_path / "responses.ndjson"
-        resp_path.write_text(json.dumps({"task_id": "bogus", "toxicity_raw": 2}) + "\n")
-        with pytest.raises(CorpusError, match="bogus"):
-            apply_toxicity_responses(corpus, resp_path)

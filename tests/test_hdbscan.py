@@ -360,7 +360,7 @@ class TestRecursiveCluster:
         assert len(level2) == 6
         for node in level1:
             assert len(tree.children(node.node_id)) == 2
-        assert tree.max_level() == 2
+        assert max(n.level for n in tree.nodes.values()) == 2
 
     def test_structureless_blob_depth_one(self):
         rng = np.random.default_rng(11)
@@ -371,7 +371,7 @@ class TestRecursiveCluster:
             ]
         )
         tree = recursive_cluster(pts, HdbscanParams(min_cluster_size=40, min_samples=10))
-        assert tree.max_level() == 1
+        assert max(n.level for n in tree.nodes.values()) == 1
 
     def test_child_members_subset_of_parent(self):
         pts, _, _ = generate_hierarchical_blobs(three_by_two_scenario(), seed=3)
@@ -398,7 +398,7 @@ class TestRecursiveCluster:
     def test_max_depth_limits_recursion(self):
         pts, _, _ = generate_hierarchical_blobs(three_by_two_scenario(), seed=5)
         tree = recursive_cluster(pts, HdbscanParams(min_cluster_size=60, min_samples=15), max_depth=1)
-        assert tree.max_level() == 1
+        assert max(n.level for n in tree.nodes.values()) == 1
 
     def test_tree_json_round_trip(self, tmp_path):
         pts, _, _ = generate_hierarchical_blobs(three_by_two_scenario(), seed=6)

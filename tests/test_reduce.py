@@ -6,8 +6,6 @@ from toxtraj.reduce import (
     ReducerModel,
     external_model,
     fit_on_sample,
-    load_model,
-    save_model,
     transform,
 )
 
@@ -143,16 +141,6 @@ class TestTransform:
 
 
 class TestModelSerialization:
-    def test_json_round_trip(self, tmp_path):
-        data = np.random.default_rng(16).normal(size=(100, 5))
-        model = fit_on_sample(data, fraction=0.8, output_dim=2, seed=4)
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        loaded = load_model(path)
-        np.testing.assert_array_equal(loaded.components, model.components)
-        np.testing.assert_array_equal(loaded.mean, model.mean)
-        assert loaded.kind == "pca"
-
     def test_invalid_kind(self):
         with pytest.raises(ValueError, match="kind"):
             ReducerModel(kind="umap", input_dim=5, output_dim=5)

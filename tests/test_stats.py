@@ -1,25 +1,25 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
-from scipy.special import betainc as scipy_betainc
 
 from oracles import closed_form_ols, tiefree_u_pvalue
+import toxtraj
 from toxtraj.stats import (
-    betainc_reg,
     cohens_kappa,
     mann_whitney_u,
     mean_ci,
     norm_cdf,
-    norm_sf,
     ols_trend,
     pearson_r,
     t_cdf,
-    t_ppf,
-    t_sf,
 )
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -31,33 +31,13 @@ class TestSpecialFunctions:
         assert abs(norm_cdf(0.0) - 0.5) < 1e-15
         assert abs(norm_cdf(1.959963984540054) - 0.975) < 1e-12
         assert abs(norm_cdf(-1.6448536269514722) - 0.05) < 1e-12
-        assert abs(norm_sf(3.0) - 0.0013498980316300933) < 1e-14
-
-    def test_betainc_against_scipy(self):
-        rng = np.random.default_rng(0)
-        for _ in range(300):
-            a = float(rng.uniform(0.1, 50))
-            b = float(rng.uniform(0.1, 50))
-            x = float(rng.uniform(0, 1))
-            assert abs(betainc_reg(a, b, x) - scipy_betainc(a, b, x)) < 1e-12
+        assert abs(norm_cdf(-3.0) - 0.0013498980316300933) < 1e-14
 
     def test_t_cdf_tabulated(self):
         # t-table quantiles: CDF at the 97.5% critical value is 0.975.
         for df, crit in [(1, 12.706204736432095), (4, 2.7764451051977987), (10, 2.228138851986273), (30, 2.0422724563012373)]:
             assert abs(t_cdf(crit, df) - 0.975) < 1e-10
         assert abs(t_cdf(0.0, 7) - 0.5) < 1e-15
-
-    def test_t_sf_against_scipy(self):
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            t = float(rng.uniform(-8, 8))
-            df = int(rng.integers(1, 200))
-            assert abs(t_sf(t, df) - sps.t.sf(t, df)) < 1e-12
-
-    def test_t_ppf_roundtrip(self):
-        for q in (0.6, 0.9, 0.975, 0.995):
-            for df in (1, 3, 29):
-                assert abs(t_cdf(t_ppf(q, df), df) - q) < 1e-11
 
 
 class TestOlsTrend:
@@ -101,6 +81,13 @@ class TestOlsTrend:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             ols_trend([0, 1], [0, 1])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_is_named(self, bad):
+        # A NaN p would compare false against alpha and file the user under
+        # no trend; it must be an error instead.
+        with pytest.raises(ValueError, match="non-finite"):
+            ols_trend([0, 1, 2, 3], [1.0, bad, 2.0, 3.0])
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(3)
@@ -187,6 +174,10 @@ class TestMannWhitney:
     def test_empty_input(self):
         with pytest.raises(ValueError):
             mann_whitney_u([], [1.0])
+
+    def test_non_finite_is_named(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            mann_whitney_u([math.nan, 1, 2], [2, 3, 4])
 
     @given(
         st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=12),
@@ -299,3 +290,25 @@ class TestMeanCi:
     def test_too_small(self):
         with pytest.raises(ValueError):
             mean_ci([1.0])
+
+    def test_non_finite_is_named(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            mean_ci([1, 2, math.nan])
+
+
+def test_scipy_stats_is_never_imported():
+    # scipy.stats costs a process about 33 MB of RSS and 0.6 s to import;
+    # the kernel needs only scipy.special, which scipy.spatial loads anyway.
+    code = (
+        "import sys\n"
+        "import toxtraj.cli\n"
+        "from toxtraj.stats import mann_whitney_u, mean_ci, ols_trend\n"
+        "ols_trend([0, 1, 2, 3], [1.0, 3.0, 2.0, 4.0])\n"
+        "mann_whitney_u([1, 2, 3, 9], [2, 3, 4, 5])\n"
+        "mean_ci([1.0, 2.0, 4.0])\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n"
+    )
+    src = str(Path(toxtraj.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

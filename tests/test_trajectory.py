@@ -315,8 +315,8 @@ class TestBuildPipelinePieces:
         sample = next(iter(trajectories.values()))
         assert sample.daily.shape == (194, 5)
         assert sample.weekly.shape == (27, 5)
-        assert sample.flattened_daily.shape == (970,)
-        assert sample.flattened_weekly.shape == (135,)
+        assert sample.daily.reshape(-1).shape == (970,)
+        assert sample.weekly.reshape(-1).shape == (135,)
         np.testing.assert_allclose(
             sample.weekly[0], sample.daily[:7].mean(axis=0), atol=1e-12
         )
