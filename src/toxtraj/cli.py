@@ -93,7 +93,7 @@ def stage_seed(root_seed: int, stage: str) -> int:
 
 def _read_window(path) -> StudyWindow:
     """The window stored at ``path`` (a window.json), or the default one."""
-    return StudyWindow.from_json(json.loads(Path(path).read_text())) if path else StudyWindow()
+    return StudyWindow.load(path) if path else StudyWindow()
 
 
 def run_ingest(posts, embeddings, window, out, t0, t_end) -> dict:
@@ -184,7 +184,7 @@ def run_groups(corpus, out, min_posts, alpha) -> dict:
 def run_trajectories(corpus, out, workers) -> dict:
     trajectories, report = build_trajectories(corpus, workers=workers)
     user_ids = sorted(trajectories)
-    paths = np.stack([trajectories[u].daily for u in user_ids]) if user_ids else np.empty((0, corpus.window.n_daily_grid, 5))
+    paths = np.stack([trajectories[u] for u in user_ids]) if user_ids else np.empty((0, corpus.window.n_daily_grid, 5))
     write_trajectories(out, user_ids, paths)
     return {"outputs": {"trajectories": str(out)}, **report}
 

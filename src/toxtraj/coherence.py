@@ -212,26 +212,7 @@ class TopicNode(ClusterTreeNode):
 
     coherence_scores: Optional[list[int]] = None
     merged: bool = False
-    label: Optional[str] = None
     mean_toxicity: Optional[float] = None
-
-    def to_json(self) -> dict:
-        return {
-            **super().to_json(),
-            "coherence_scores": self.coherence_scores,
-            "merged": self.merged,
-            "label": self.label,
-            "mean_toxicity": self.mean_toxicity,
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "TopicNode":
-        node = super().from_json(doc)
-        node.coherence_scores = doc.get("coherence_scores")
-        node.merged = doc.get("merged", False)
-        node.label = doc.get("label")
-        node.mean_toxicity = doc.get("mean_toxicity")
-        return node
 
 
 @dataclass

@@ -18,6 +18,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .util import JsonRecord
+
 logger = logging.getLogger(__name__)
 
 EMB_MAGIC = b"EMB1"
@@ -53,8 +55,10 @@ def parse_utc(text: str) -> int:
 
 
 @dataclass(frozen=True)
-class StudyWindow:
+class StudyWindow(JsonRecord):
     """Observation window and the fixed interpolation grids."""
+
+    json_indent = 2
 
     t0: int = DEFAULT_T0
     t_end: int = DEFAULT_T_END
@@ -83,18 +87,6 @@ class StudyWindow:
 
     def contains(self, timestamp: int) -> bool:
         return self.t0 <= timestamp <= self.t_end
-
-    def to_json(self) -> dict:
-        return {
-            "t0": self.t0,
-            "t_end": self.t_end,
-            "n_daily_grid": self.n_daily_grid,
-            "week_len_days": self.week_len_days,
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "StudyWindow":
-        return cls(**doc)
 
 
 def study_window(
@@ -132,7 +124,6 @@ class PostRecord:
     toxicity_raw: Optional[int] = None
     toxicity: Optional[float] = None
     embedding_row: Optional[int] = None
-    topic_id: Optional[int] = None
 
     def sort_key(self):
         return (self.user_id, self.timestamp, self.post_id)
@@ -187,9 +178,6 @@ class Corpus:
 
     def __len__(self) -> int:
         return len(self.posts)
-
-    def post(self, post_id: str) -> PostRecord:
-        return self._by_id[post_id]
 
     def by_user(self) -> dict[str, list[PostRecord]]:
         users: dict[str, list[PostRecord]] = {}
@@ -367,7 +355,7 @@ def save_corpus(corpus: Corpus, out_dir) -> dict:
         write_embeddings(emb_path, corpus.embeddings.values, corpus.embeddings.row_ids)
         paths["embeddings"] = str(emb_path)
     window_path = out / "window.json"
-    window_path.write_text(json.dumps(corpus.window.to_json(), indent=2) + "\n")
+    corpus.window.save(window_path)
     paths["window"] = str(window_path)
     return paths
 
@@ -375,7 +363,7 @@ def save_corpus(corpus: Corpus, out_dir) -> dict:
 def load_corpus_bundle(bundle_dir) -> Corpus:
     """Load a corpus bundle produced by save_corpus."""
     bundle = Path(bundle_dir)
-    window = StudyWindow.from_json(json.loads((bundle / "window.json").read_text()))
+    window = StudyWindow.load(bundle / "window.json")
     emb_path = bundle / "embeddings.emb"
     return load_corpus(
         bundle / "posts.ndjson",

@@ -15,13 +15,14 @@ builds.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.spatial import cKDTree
+
+from .util import JsonRecord, field_names
 
 # Nearest neighbours listed per point before round 1, ties at the last one included.
 _NEIGHBOURS = 64
@@ -37,7 +38,7 @@ _HOPS = 3
 
 
 @dataclass(frozen=True)
-class HdbscanParams:
+class HdbscanParams(JsonRecord):
     min_cluster_size: int
     min_samples: int
     metric: str = "euclidean"
@@ -49,17 +50,6 @@ class HdbscanParams:
             raise ValueError("min_samples must be at least 1")
         if self.metric != "euclidean":
             raise ValueError("only the euclidean metric is supported")
-
-    def to_json(self) -> dict:
-        return {
-            "min_cluster_size": self.min_cluster_size,
-            "min_samples": self.min_samples,
-            "metric": self.metric,
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "HdbscanParams":
-        return cls(**doc)
 
 
 @dataclass
@@ -76,6 +66,9 @@ class ClusterLabeling:
 
 @dataclass
 class ClusterTreeNode:
+    """One cluster of the tree. A subclass's own fields are saved under their
+    names after ``params``, and a missing one loads as its default."""
+
     node_id: int
     level: int
     parent: Optional[int]
@@ -94,6 +87,7 @@ class ClusterTreeNode:
             "member_count": self.member_count,
             "member_rows": self.member_rows.tolist(),
             "params": self.params_used.to_json(),
+            **{name: getattr(self, name) for name in self._extra_fields()},
         }
 
     @classmethod
@@ -104,11 +98,16 @@ class ClusterTreeNode:
             parent=doc["parent"],
             member_rows=np.asarray(doc["member_rows"], dtype=np.int64),
             params_used=HdbscanParams.from_json(doc["params"]),
+            **{name: doc[name] for name in cls._extra_fields() if name in doc},
         )
+
+    @classmethod
+    def _extra_fields(cls) -> tuple[str, ...]:
+        return field_names(cls)[len(field_names(ClusterTreeNode)):]
 
 
 @dataclass
-class ClusterTree:
+class ClusterTree(JsonRecord):
     """Multi-level cluster tree from recursive re-clustering.
 
     A subclass names its node class in ``node_type`` and the extra fields it
@@ -150,15 +149,6 @@ class ClusterTree:
             params=HdbscanParams.from_json(doc["params"]),
             **{name: doc[name] for name in cls.json_fields if name in doc},
         )
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh)
-
-    @classmethod
-    def load(cls, path) -> "ClusterTree":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
 
 
 def _check_points(points: np.ndarray) -> None:
@@ -469,19 +459,13 @@ def condense_and_extract(
         return ClusterLabeling(labels=labels, stabilities={})
     if endpoints.shape[0] != n - 1:
         raise ValueError(f"MST must have {n - 1} edges, got {endpoints.shape[0]}")
-    children, dist, _size = _single_linkage(endpoints, weights, n)
+    children, dist, size = _single_linkage(endpoints, weights, n)
 
     # Walk the dendrogram top-down (ids descend from the root), tracking for
     # every node either the condensed cluster it still belongs to or the
     # lambda at which its subtree fell out.
     with np.errstate(divide="ignore"):
         lam_split = np.where(dist > 0.0, 1.0 / dist, np.inf)
-    subtree_size = np.empty(n - 1, dtype=np.int64)
-    for i in range(n - 1):
-        a, b = children[i]
-        sa = 1 if a < n else subtree_size[a - n]
-        sb = 1 if b < n else subtree_size[b - n]
-        subtree_size[i] = sa + sb
 
     NONE = -1
     state_cluster = np.full(2 * n - 1, NONE, dtype=np.int64)
@@ -498,8 +482,8 @@ def condense_and_extract(
         stability_rows.append([])
         return len(cluster_parent) - 1
 
-    def fall_out(subtree: int, cl: int, lam: float) -> None:
-        # Every point under the detached subtree leaves cluster cl at lam.
+    def fall_out(subtree: int, cl: int) -> None:
+        # Every point under the detached subtree exits from cluster cl.
         for leaf in _leaves_under(subtree, children, n):
             point_cluster[leaf] = cl
 
@@ -509,8 +493,7 @@ def condense_and_extract(
             continue  # subtree already detached and emitted
         i = node - n
         a, b = children[i]
-        sa = 1 if a < n else subtree_size[a - n]
-        sb = 1 if b < n else subtree_size[b - n]
+        sa, sb = size[a], size[b]
         lam = lam_split[i]
         if sa >= min_cluster_size and sb >= min_cluster_size:
             for child, s_child in ((a, sa), (b, sb)):
@@ -526,7 +509,7 @@ def condense_and_extract(
                     if child < n:
                         point_cluster[child] = cl
                     else:
-                        fall_out(child, cl, lam)
+                        fall_out(child, cl)
 
     n_clusters = len(cluster_parent)
     stability = np.zeros(n_clusters, dtype=np.float64)

@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .util import substream
+from .util import JsonRecord, substream
 
 DEFAULT_K = 15
 
@@ -128,17 +128,14 @@ def evaluate_f1(model: KnnModel, points: np.ndarray, labels: Sequence[int]) -> d
 
 
 @dataclass
-class TrajectoryLabeling:
+class TrajectoryLabeling(JsonRecord):
     sequence: list[Optional[int]]
     runs: list[tuple[Optional[int], int, int]]  # (topic, first step, last step)
     unlabeled_steps: list[int]
 
-    def to_json(self) -> dict:
-        return {
-            "sequence": self.sequence,
-            "runs": [list(r) for r in self.runs],
-            "unlabeled_steps": self.unlabeled_steps,
-        }
+    @classmethod
+    def from_json(cls, doc: dict) -> "TrajectoryLabeling":
+        return cls(**{**doc, "runs": [tuple(r) for r in doc["runs"]]})
 
 
 def label_trajectory(model: KnnModel, trajectory: np.ndarray) -> TrajectoryLabeling:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import parallel_map, substream
+from .util import JsonRecord, parallel_map, substream
 
 DEFAULT_PERMUTATIONS = 4999
 # Permutations whose group sums one indicator-matrix product forms.
@@ -23,7 +23,7 @@ TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
-class PermanovaResult:
+class PermanovaResult(JsonRecord):
     pseudo_f: float
     p_value: float
     eta_squared: float
@@ -33,17 +33,9 @@ class PermanovaResult:
     df: tuple[int, int]
     degenerate: bool = False
 
-    def to_json(self) -> dict:
-        return {
-            "pseudo_f": self.pseudo_f,
-            "p_value": self.p_value,
-            "eta_squared": self.eta_squared,
-            "ss_between": self.ss_between,
-            "ss_within": self.ss_within,
-            "n_permutations": self.n_permutations,
-            "df": list(self.df),
-            "degenerate": self.degenerate,
-        }
+    @classmethod
+    def from_json(cls, doc: dict) -> "PermanovaResult":
+        return cls(**{**doc, "df": tuple(doc["df"])})
 
 
 def _as_matrix(group, name: str) -> np.ndarray:
@@ -185,12 +177,10 @@ def permanova_test(
             count += sum(_f_from_counts(xs, idx_a, total_sum, sst) >= f_obs for idx_a in idx[unsure])
         return count
 
-    if workers <= 1:
-        exceed = count_chunk(range(n_permutations))
-    else:
-        bounds = np.linspace(0, n_permutations, workers + 1, dtype=int)
-        chunks = [range(bounds[i], bounds[i + 1]) for i in range(workers)]
-        exceed = sum(parallel_map(count_chunk, chunks, workers=workers))
+    n_chunks = max(workers, 1)
+    bounds = np.linspace(0, n_permutations, n_chunks + 1, dtype=int)
+    chunks = [range(bounds[i], bounds[i + 1]) for i in range(n_chunks)]
+    exceed = sum(parallel_map(count_chunk, chunks, workers=workers))
 
     p_value = (1 + exceed) / (1 + n_permutations)
     denom = ss_between + ss_within

@@ -9,21 +9,20 @@ ground truth.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .corpus import Corpus, EmbeddingMatrix, PostRecord, StudyWindow
-from .util import substream
+from .util import JsonRecord, substream
 
 EMBED_DIM = 5
 SEPARABLE_MARGIN = 10.0  # minimum center separation, in units of sigma
 
 
 @dataclass
-class ParentBlobSpec:
+class ParentBlobSpec(JsonRecord):
     """One level-1 blob made of Gaussian sub-blobs joined by a sparse bridge."""
 
     center: tuple
@@ -37,30 +36,17 @@ class ParentBlobSpec:
         center = np.asarray(self.center, dtype=np.float64)
         return np.asarray([center + np.asarray(off, dtype=np.float64) for off in self.child_offsets])
 
-    def to_json(self) -> dict:
-        return {
-            "center": list(self.center),
-            "child_offsets": [list(o) for o in self.child_offsets],
-            "sigma": self.sigma,
-            "n_per_child": self.n_per_child,
-            "bridge_points": self.bridge_points,
-            "bridge_jitter": self.bridge_jitter,
-        }
-
     @classmethod
     def from_json(cls, doc: dict) -> "ParentBlobSpec":
-        return cls(
-            center=tuple(doc["center"]),
-            child_offsets=[tuple(o) for o in doc["child_offsets"]],
-            sigma=doc["sigma"],
-            n_per_child=doc["n_per_child"],
-            bridge_points=doc.get("bridge_points", 0),
-            bridge_jitter=doc.get("bridge_jitter", 0.15),
-        )
+        return cls(**{
+            **doc,
+            "center": tuple(doc["center"]),
+            "child_offsets": [tuple(o) for o in doc["child_offsets"]],
+        })
 
 
 @dataclass
-class TrendMix:
+class TrendMix(JsonRecord):
     """User-class fractions and the planted toxicity dynamics."""
 
     increasing: float = 0.2
@@ -74,22 +60,9 @@ class TrendMix:
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"trend fractions must sum to 1, got {total}")
 
-    def to_json(self) -> dict:
-        return {
-            "increasing": self.increasing,
-            "decreasing": self.decreasing,
-            "flat": self.flat,
-            "drift": self.drift,
-            "noise_sd": self.noise_sd,
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "TrendMix":
-        return cls(**doc)
-
 
 @dataclass
-class DivergenceSpec:
+class DivergenceSpec(JsonRecord):
     """Planted topic drift: one trend class switches centroid mid-window."""
 
     group: str  # "increasing" | "decreasing" | "flat"
@@ -97,26 +70,17 @@ class DivergenceSpec:
     target_center: tuple
     switch_tau: float = 0.5
 
-    def to_json(self) -> dict:
-        return {
-            "group": self.group,
-            "start_center": list(self.start_center),
-            "target_center": list(self.target_center),
-            "switch_tau": self.switch_tau,
-        }
-
     @classmethod
     def from_json(cls, doc: dict) -> "DivergenceSpec":
-        return cls(
-            group=doc["group"],
-            start_center=tuple(doc["start_center"]),
-            target_center=tuple(doc["target_center"]),
-            switch_tau=doc.get("switch_tau", 0.5),
-        )
+        return cls(**{
+            **doc,
+            "start_center": tuple(doc["start_center"]),
+            "target_center": tuple(doc["target_center"]),
+        })
 
 
 @dataclass
-class ScenarioConfig:
+class ScenarioConfig(JsonRecord):
     n_users: int = 100
     posts_per_user: tuple = (50, 80)
     window: StudyWindow = field(default_factory=StudyWindow)
@@ -127,41 +91,18 @@ class ScenarioConfig:
     separable: bool = True
     seed: int = 0
 
-    def to_json(self) -> dict:
-        return {
-            "n_users": self.n_users,
-            "posts_per_user": list(self.posts_per_user),
-            "window": self.window.to_json(),
-            "hierarchy": [spec.to_json() for spec in self.hierarchy],
-            "trend_mix": self.trend_mix.to_json(),
-            "divergence": self.divergence.to_json() if self.divergence else None,
-            "embedding_sigma": self.embedding_sigma,
-            "separable": self.separable,
-            "seed": self.seed,
-        }
+    json_indent = 2
 
     @classmethod
     def from_json(cls, doc: dict) -> "ScenarioConfig":
-        return cls(
-            n_users=doc["n_users"],
-            posts_per_user=tuple(doc["posts_per_user"]),
-            window=StudyWindow.from_json(doc["window"]),
-            hierarchy=[ParentBlobSpec.from_json(s) for s in doc["hierarchy"]],
-            trend_mix=TrendMix.from_json(doc["trend_mix"]),
-            divergence=DivergenceSpec.from_json(doc["divergence"]) if doc.get("divergence") else None,
-            embedding_sigma=doc.get("embedding_sigma", 0.5),
-            separable=doc.get("separable", True),
-            seed=doc.get("seed", 0),
-        )
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-
-    @classmethod
-    def load(cls, path) -> "ScenarioConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        return cls(**{
+            **doc,
+            "posts_per_user": tuple(doc["posts_per_user"]),
+            "window": StudyWindow.from_json(doc["window"]),
+            "hierarchy": [ParentBlobSpec.from_json(s) for s in doc["hierarchy"]],
+            "trend_mix": TrendMix.from_json(doc["trend_mix"]),
+            "divergence": DivergenceSpec.from_json(doc["divergence"]) if doc.get("divergence") else None,
+        })
 
 
 def _quantize(values: np.ndarray) -> np.ndarray:

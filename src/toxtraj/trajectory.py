@@ -9,7 +9,6 @@ the last), and weekly trajectories average non-overlapping 7-day blocks.
 """
 from __future__ import annotations
 
-import json
 import os
 import struct
 from dataclasses import dataclass, field
@@ -19,7 +18,7 @@ import numpy as np
 
 from .corpus import Corpus, StudyWindow
 from .stats import ols_trend
-from .util import parallel_map
+from .util import JsonRecord, parallel_map
 
 DEFAULT_MIN_POSTS = 50
 SIGNIFICANCE_ALPHA = 0.05
@@ -39,7 +38,7 @@ def is_significant(p_value: float, alpha: float = SIGNIFICANCE_ALPHA) -> bool:
 
 
 @dataclass
-class UserGroupAssignment:
+class UserGroupAssignment(JsonRecord):
     user_id: str
     group: str
     slope: float
@@ -48,24 +47,9 @@ class UserGroupAssignment:
     matched_to: Optional[str] = None
     degenerate: bool = False
 
-    def to_json(self) -> dict:
-        return {
-            "user_id": self.user_id,
-            "group": self.group,
-            "slope": self.slope,
-            "p_value": self.p_value,
-            "mean_toxicity": self.mean_toxicity,
-            "matched_to": self.matched_to,
-            "degenerate": self.degenerate,
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "UserGroupAssignment":
-        return cls(**doc)
-
 
 @dataclass
-class GroupingResult:
+class GroupingResult(JsonRecord):
     """All active-user assignments plus the matched reference groups."""
 
     assignments: dict[str, UserGroupAssignment]
@@ -115,15 +99,6 @@ class GroupingResult:
             reference_increasing=list(doc.get("reference_increasing", [])),
             reference_decreasing=list(doc.get("reference_decreasing", [])),
         )
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh)
-
-    @classmethod
-    def load(cls, path) -> "GroupingResult":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
 
 
 def select_active_users(corpus: Corpus, min_posts: int = DEFAULT_MIN_POSTS) -> list[tuple[str, int]]:
@@ -230,13 +205,6 @@ def build_groups(
     return result
 
 
-@dataclass
-class UserTrajectory:
-    user_id: str
-    daily: np.ndarray  # (G, k)
-    weekly: np.ndarray  # (G // 7, k)
-
-
 def interpolate_daily(
     timestamps: np.ndarray, embeddings: np.ndarray, window: StudyWindow
 ) -> np.ndarray:
@@ -281,20 +249,17 @@ def weekly_average(daily: np.ndarray, week_len_days: int = 7) -> np.ndarray:
     return used.reshape(n_weeks, week_len_days, daily.shape[1]).mean(axis=1)
 
 
-def build_trajectories(
-    corpus: Corpus, window: StudyWindow | None = None, workers: int = 1
-) -> tuple[dict[str, UserTrajectory], dict]:
-    """Interpolate every user with at least one embedded in-window post.
+def build_trajectories(corpus: Corpus, workers: int = 1) -> tuple[dict[str, np.ndarray], dict]:
+    """Interpolate every user with at least one embedded in-window post onto
+    the corpus window's daily grid.
 
-    Returns (trajectories by user, report) where the report counts users
+    Returns (daily trajectory by user, report) where the report counts users
     skipped for having no embedded posts.
     """
     if corpus.embeddings is None:
         raise ValueError("corpus has no embeddings attached")
-    window = window or corpus.window
     values = corpus.embeddings.values
-    items = []
-    skipped = []
+    user_ids, items, skipped = [], [], []
     for user_id, posts in sorted(corpus.by_user().items()):
         embedded = [p for p in posts if p.embedding_row is not None]
         if not embedded:
@@ -302,18 +267,11 @@ def build_trajectories(
             continue
         ts = np.array([p.timestamp for p in embedded], dtype=np.int64)
         emb = values[[p.embedding_row for p in embedded]]
-        items.append((user_id, ts, emb))
-
-    def interp(item):
-        user_id, ts, emb = item
-        daily = interpolate_daily(ts, emb, window)
-        return UserTrajectory(
-            user_id=user_id, daily=daily, weekly=weekly_average(daily, window.week_len_days)
-        )
-
-    trajectories = parallel_map(interp, items, workers=workers)
+        user_ids.append(user_id)
+        items.append((ts, emb))
+    dailies = parallel_map(lambda item: interpolate_daily(*item, corpus.window), items, workers=workers)
     report = {"n_users": len(items), "n_skipped_no_embeddings": len(skipped)}
-    return {t.user_id: t for t in trajectories}, report
+    return dict(zip(user_ids, dailies)), report
 
 
 def group_average_trajectory(trajectories: list[np.ndarray]) -> np.ndarray:

@@ -1,9 +1,14 @@
-"""Shared plumbing: seeded RNG substreams, deterministic parallel map, hashing."""
+"""Shared plumbing: seeded RNG substreams, deterministic parallel map,
+hashing, and the JSON codec every persisted record uses."""
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
+import json
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence
+from pathlib import Path
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -50,6 +55,48 @@ def parallel_map(fn: Callable, items: Sequence, workers: int = 1) -> list:
         for future, i in futures.items():
             results[i] = future.result()
     return results
+
+
+class JsonRecord:
+    """JSON persistence for a dataclass.
+
+    ``to_json`` writes the fields in declaration order, nested records and
+    lists (tuples become lists) included; ``from_json`` is ``cls(**doc)``. A
+    class whose format is more than its fields overrides the pair and keeps
+    ``save``/``load``. ``save`` indents by ``json_indent``; an indented file
+    ends in a newline, a compact one does not.
+    """
+
+    json_indent: Optional[int] = None
+
+    def to_json(self) -> dict:
+        return {name: _encode(getattr(self, name)) for name in field_names(type(self))}
+
+    @classmethod
+    def from_json(cls, doc: dict):
+        return cls(**doc)
+
+    def save(self, path) -> None:
+        text = json.dumps(self.to_json(), indent=self.json_indent)
+        Path(path).write_text(text + "\n" if self.json_indent else text, encoding="utf-8")
+
+    @classmethod
+    def load(cls, path):
+        return cls.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+
+
+@functools.cache
+def field_names(cls) -> tuple[str, ...]:
+    """A dataclass's field names in declaration order."""
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def _encode(value):
+    if isinstance(value, JsonRecord):
+        return value.to_json()
+    if isinstance(value, (list, tuple)):
+        return [_encode(v) for v in value]
+    return value
 
 
 def sha256_bytes(data: bytes) -> str:

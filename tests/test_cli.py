@@ -162,6 +162,13 @@ class TestPipeline:
         assert isinstance(n_auto, int) and n_auto >= 0
         assert f"auto-merged, too small to sample: {n_auto}\n" in render_report(manifest)
 
+    def test_topics_json_nodes_carry_no_label(self, tmp_path):
+        small_scenario(tmp_path, n_users=24)
+        manifest = run_pipeline(pipeline_config(tmp_path, out_name="nolabel", perms=19))
+        nodes = json.loads((Path(manifest["out_dir"]) / "topics.json").read_text())["nodes"]
+        assert nodes
+        assert not [n["node_id"] for n in nodes if "label" in n]
+
     def test_rerun_without_reduce_ignores_stale_reduced(self, tmp_path):
         small_scenario(tmp_path, n_users=24)
         out_dir = tmp_path / "stale"

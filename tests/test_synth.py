@@ -142,8 +142,8 @@ class TestUserStreams:
         )
         corpus, truth = generate_user_streams(config)
         trajectories, _ = build_trajectories(corpus)
-        inc = [trajectories[u].daily.reshape(-1) for u, cls in sorted(truth.items()) if cls == "increasing"]
-        flat = [trajectories[u].daily.reshape(-1) for u, cls in sorted(truth.items()) if cls == "flat"]
+        inc = [trajectories[u].reshape(-1) for u, cls in sorted(truth.items()) if cls == "increasing"]
+        flat = [trajectories[u].reshape(-1) for u, cls in sorted(truth.items()) if cls == "flat"]
         result = permanova_test(np.asarray(inc), np.asarray(flat), n_permutations=499, seed=1)
         assert result.p_value == pytest.approx(1 / 500)
 

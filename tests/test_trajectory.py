@@ -312,14 +312,13 @@ class TestBuildPipelinePieces:
         corpus, truth = generate_user_streams(config)
         trajectories, report = build_trajectories(corpus)
         assert report["n_users"] == 30
-        sample = next(iter(trajectories.values()))
-        assert sample.daily.shape == (194, 5)
-        assert sample.weekly.shape == (27, 5)
-        assert sample.daily.reshape(-1).shape == (970,)
-        assert sample.weekly.reshape(-1).shape == (135,)
-        np.testing.assert_allclose(
-            sample.weekly[0], sample.daily[:7].mean(axis=0), atol=1e-12
-        )
+        daily = next(iter(trajectories.values()))
+        weekly = weekly_average(daily, 7)
+        assert daily.shape == (194, 5)
+        assert weekly.shape == (27, 5)
+        assert daily.reshape(-1).shape == (970,)
+        assert weekly.reshape(-1).shape == (135,)
+        np.testing.assert_allclose(weekly[0], daily[:7].mean(axis=0), atol=1e-12)
         grouping = build_groups(corpus, min_posts=50)
         sizes = grouping.group_sizes()
         assert sum(sizes.values()) == len(grouping.assignments)
@@ -334,7 +333,7 @@ class TestBuildPipelinePieces:
         t4, _ = build_trajectories(corpus, workers=4)
         assert set(t1) == set(t4)
         for user in t1:
-            np.testing.assert_array_equal(t1[user].daily, t4[user].daily)
+            np.testing.assert_array_equal(t1[user], t4[user])
 
     def test_grouping_round_trip(self, tmp_path):
         config = ScenarioConfig(n_users=20, posts_per_user=(50, 55), seed=5)
