@@ -580,12 +580,14 @@ def render_report(manifest: dict) -> str:
     if listed("permanova", "permanova"):
         doc = json.loads(Path(listed("permanova", "permanova")).read_text())
         sections.append("## Trajectory-pair comparisons\n")
-        stats = ("pseudo_f", "p_value", "eta_squared")
+        # exceed is absent from the files of earlier versions.
+        stats = {"pseudo_f": ".4g", "p_value": ".4g", "exceed": "d", "eta_squared": ".4g"}
         rows = [
-            [row["freq"], row["pair"], *(["skipped", "", ""] if "skipped" in row else (f"{row[k]:.4g}" for k in stats))]
+            [row["freq"], row["pair"], *(["skipped", "", "", ""] if "skipped" in row else
+                                         (format(row[k], spec) if k in row else None for k, spec in stats.items()))]
             for row in doc["rows"]
         ]
-        sections.append(_tsv_block(["freq", "pair", "pseudo_f", "p", "eta_sq"], rows))
+        sections.append(_tsv_block(["freq", "pair", "pseudo_f", "p", "exceed", "eta_sq"], rows))
 
     if listed("assign", "labeled"):
         doc = json.loads(Path(listed("assign", "labeled")).read_text())

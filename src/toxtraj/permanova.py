@@ -2,7 +2,9 @@
 
 The pseudo-F statistic SS_between / (SS_within / (N - 2)) is referred to a
 null distribution built by reshuffling user-level group labels; the p-value
-counts the identity arrangement, so p >= 1 / (n_permutations + 1).
+counts the identity arrangement, so p >= 1 / (n_permutations + 1). The
+permutations come in blocks of PERMUTATION_BLOCK, each drawn from its own
+counter-based stream keyed by (seed, block index).
 """
 from __future__ import annotations
 
@@ -14,7 +16,8 @@ import numpy as np
 from .util import JsonRecord, parallel_map, substream
 
 DEFAULT_PERMUTATIONS = 4999
-# Permutations whose group sums one indicator-matrix product forms.
+# Permutations drawn from one random stream, whose group sums one
+# indicator-matrix product forms; worker chunks split only between blocks.
 PERMUTATION_BLOCK = 64
 # A batched F within this of F_obs, relative and on top of the rounding bound
 # in _block_f, or with SSW within this of zero relative to SST, is recomputed
@@ -26,6 +29,7 @@ TIE_RTOL = 1e-9
 class PermanovaResult(JsonRecord):
     pseudo_f: float
     p_value: float
+    exceed: int
     eta_squared: float
     ss_between: float
     ss_within: float
@@ -140,9 +144,11 @@ def permanova_test(
 ) -> PermanovaResult:
     """Permutation test of group separation in trajectory space.
 
-    Labels are reshuffled preserving group sizes; each permutation draws its
-    own counter-based stream from (seed, index), so results do not depend on
-    worker count. p = (1 + #{F_perm >= F_obs}) / (1 + n_permutations).
+    Labels are reshuffled preserving group sizes. Block b holds permutations
+    [64b, 64b + 64): substream(seed, "permanova", "block", b) shuffles each
+    of its rows of row indices, Fisher-Yates, and keeps the first k. Workers
+    split the blocks, never a block, so results do not depend on worker count.
+    exceed = #{F_perm >= F_obs}; p = (1 + exceed) / (1 + n_permutations).
     """
     if n_permutations < 1:
         raise ValueError("at least 1 permutation is required")
@@ -166,19 +172,21 @@ def permanova_test(
     grand = total_sum / n
     sst = float(((xs - grand) ** 2).sum())
     abs_sum = np.abs(xs).sum(axis=0)
+    rows = np.tile(np.arange(n), (PERMUTATION_BLOCK, 1))
 
-    def count_chunk(chunk: range) -> int:
+    def count_chunk(blocks: range) -> int:
         count = 0
-        for start in range(chunk.start, chunk.stop, PERMUTATION_BLOCK):
-            block = range(start, min(start + PERMUTATION_BLOCK, chunk.stop))
-            idx = np.stack([substream(seed, "permanova", i).permutation(n)[:k] for i in block])
+        for block in blocks:
+            size = min(PERMUTATION_BLOCK, n_permutations - block * PERMUTATION_BLOCK)
+            idx = substream(seed, "permanova", "block", block).permuted(rows[:size], axis=1)[:, :k]
             f, unsure = _block_f(xs, idx, total_sum, sst, abs_sum, f_obs)
             count += int(np.count_nonzero(f[~unsure] >= f_obs))
             count += sum(_f_from_counts(xs, idx_a, total_sum, sst) >= f_obs for idx_a in idx[unsure])
         return count
 
-    n_chunks = max(workers, 1)
-    bounds = np.linspace(0, n_permutations, n_chunks + 1, dtype=int)
+    n_blocks = -(-n_permutations // PERMUTATION_BLOCK)
+    n_chunks = min(max(workers, 1), n_blocks)
+    bounds = np.linspace(0, n_blocks, n_chunks + 1, dtype=int)
     chunks = [range(bounds[i], bounds[i + 1]) for i in range(n_chunks)]
     exceed = sum(parallel_map(count_chunk, chunks, workers=workers))
 
@@ -188,6 +196,7 @@ def permanova_test(
     return PermanovaResult(
         pseudo_f=f_obs,
         p_value=p_value,
+        exceed=exceed,
         eta_squared=eta_squared,
         ss_between=ss_between,
         ss_within=ss_within,

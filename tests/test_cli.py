@@ -162,6 +162,22 @@ class TestPipeline:
         assert isinstance(n_auto, int) and n_auto >= 0
         assert f"auto-merged, too small to sample: {n_auto}\n" in render_report(manifest)
 
+    def test_report_prints_permanova_exceed(self, tmp_path):
+        small_scenario(tmp_path, n_users=24)
+        manifest = run_pipeline(pipeline_config(tmp_path, out_name="exceed", perms=19))
+        rows = [row for row in json.loads((tmp_path / "exceed" / "permanova.json").read_text())["rows"]
+                if "skipped" not in row]
+        report = render_report(manifest)
+        assert "freq\tpair\tpseudo_f\tp\texceed\teta_sq\n" in report
+        assert rows
+        for row in rows:
+            assert row["p_value"] == (1 + row["exceed"]) / 20
+            assert f"\t{row['p_value']:.4g}\t{row['exceed']}\t{row['eta_squared']:.4g}\n" in report
+        # A permanova.json written before exceed existed leaves its cell empty.
+        path = tmp_path / "exceed" / "permanova.json"
+        path.write_text(json.dumps({"rows": [{k: v for k, v in row.items() if k != "exceed"} for row in rows]}))
+        assert f"\t{rows[0]['p_value']:.4g}\t\t{rows[0]['eta_squared']:.4g}\n" in render_report(manifest)
+
     def test_topics_json_nodes_carry_no_label(self, tmp_path):
         small_scenario(tmp_path, n_users=24)
         manifest = run_pipeline(pipeline_config(tmp_path, out_name="nolabel", perms=19))

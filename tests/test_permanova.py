@@ -1,17 +1,22 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
+from toxtraj import permanova
 from toxtraj.permanova import PERMUTATION_BLOCK, PermanovaResult, permanova_test, pseudo_f, ss_decomposition
 from toxtraj.synth import generate_null_pair
 from toxtraj.util import substream
 
 
 def scalar_exceed(a, b, n_permutations, seed):
-    """#{F_perm >= F_obs}, one permutation at a time: the smaller group's
-    size drawn from substream(seed, "permanova", i) over the rows in
-    lexicographic order, F from the SST = SSB + SSW identity."""
+    """#{F_perm >= F_obs}, one permutation at a time. Block j holds
+    permutations [64j, 64j + 64): one substream(seed, "permanova", "block", j)
+    shuffles each of its rows of 0..n-1, and permutation i keeps the first k
+    entries of its row, k the smaller group's size, as indices into the rows
+    in lexicographic order. F comes from the SST = SSB + SSW identity."""
     x = np.vstack([a, b])
     n = x.shape[0]
     xs = x[np.lexsort(x.T[::-1])]
@@ -21,16 +26,32 @@ def scalar_exceed(a, b, n_permutations, seed):
     grand = total / n
     sst = float(((xs - grand) ** 2).sum())
     exceed = 0
-    for i in range(n_permutations):
-        s = xs[substream(seed, "permanova", i).permutation(n)[:k]].sum(axis=0)
-        ssb = k * float(((s / k - grand) ** 2).sum()) + (n - k) * float((((total - s) / (n - k) - grand) ** 2).sum())
-        ssw = sst - ssb
-        if ssw <= 0.0:
-            f = math.inf if ssb > 0.0 else 0.0
-        else:
-            f = ssb / (ssw / (n - 2))
-        exceed += f >= f_obs
+    for j, start in enumerate(range(0, n_permutations, 64)):
+        size = min(64, n_permutations - start)
+        draws = substream(seed, "permanova", "block", j).permuted(np.tile(np.arange(n), (size, 1)), axis=1)
+        for row in draws:
+            s = xs[row[:k]].sum(axis=0)
+            ssb = k * float(((s / k - grand) ** 2).sum()) + (n - k) * float((((total - s) / (n - k) - grand) ** 2).sum())
+            ssw = sst - ssb
+            if ssw <= 0.0:
+                f = math.inf if ssb > 0.0 else 0.0
+            else:
+                f = ssb / (ssw / (n - 2))
+            exceed += f >= f_obs
     return exceed
+
+
+def recorded_draws(monkeypatch):
+    """The (B, k) index block of every _block_f call, in call order."""
+    blocks = []
+    block_f = permanova._block_f
+
+    def recording(xs, idx, *args):
+        blocks.append(np.array(idx))
+        return block_f(xs, idx, *args)
+
+    monkeypatch.setattr(permanova, "_block_f", recording)
+    return blocks
 
 
 def _equivalence_cases():
@@ -192,8 +213,35 @@ class TestPermanovaTest:
         a, b, n_permutations = _equivalence_cases()[case]
         result = permanova_test(a, b, n_permutations=n_permutations, seed=16, workers=workers)
         exceed = scalar_exceed(a, b, n_permutations, seed=16)
+        assert result.exceed == exceed
         assert round(result.p_value * (1 + n_permutations)) - 1 == exceed
         assert result.p_value == (1 + exceed) / (1 + n_permutations)
+
+    def test_draws_are_uniform_over_k_subsets(self, monkeypatch):
+        # 6 rows, 3 drawn: each of the 20 subsets has probability 1/20.
+        blocks = recorded_draws(monkeypatch)
+        a, b = generate_null_pair(3, 2, 2, seed=17)
+        permanova_test(a, b, n_permutations=10_000, seed=18)
+        draws = np.sort(np.vstack(blocks), axis=1)
+        assert draws.shape == (10_000, 3)
+        subsets = {s: i for i, s in enumerate(itertools.combinations(range(6), 3))}
+        counts = np.bincount([subsets[tuple(row)] for row in draws.tolist()], minlength=20)
+        assert stats.chisquare(counts).pvalue > 1e-3
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_consecutive_blocks_draw_differently(self, monkeypatch, seed):
+        blocks = recorded_draws(monkeypatch)
+        a, b = generate_null_pair(3, 2, 2, seed=19)
+        permanova_test(a, b, n_permutations=3 * PERMUTATION_BLOCK, seed=seed)
+        assert [blk.shape for blk in blocks] == [(PERMUTATION_BLOCK, 3)] * 3
+        for first, second in zip(blocks, blocks[1:]):
+            assert not np.array_equal(first, second)
+
+    def test_more_workers_than_blocks(self):
+        a, b = generate_null_pair(9, 4, 3, seed=20)
+        serial = permanova_test(a, b, n_permutations=70, seed=21, workers=1)
+        assert permanova_test(a, b, n_permutations=70, seed=21, workers=8) == serial
+        assert serial.p_value == (1 + serial.exceed) / 71
 
     def test_null_rejection_rate_small_sweep(self):
         # Smaller companion to the acceptance calibration.

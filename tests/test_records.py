@@ -22,7 +22,7 @@ RECORDS = [
     HdbscanParams(min_cluster_size=12, min_samples=4),
     WINDOW,
     PermanovaResult(
-        pseudo_f=2.5, p_value=0.01, eta_squared=0.2, ss_between=3.0, ss_within=12.0,
+        pseudo_f=2.5, p_value=0.01, exceed=0, eta_squared=0.2, ss_between=3.0, ss_within=12.0,
         n_permutations=99, df=(1, 18), degenerate=False,
     ),
     TrajectoryLabeling(
