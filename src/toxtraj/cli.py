@@ -539,9 +539,9 @@ def run_pipeline(config: dict, config_dir: Path | None = None) -> dict:
     except Exception as exc:
         manifest["failed_stage"] = name
         manifest["error"] = str(exc)
-        (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
         raise RuntimeError(f"stage {name!r} failed: {exc}") from exc
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    finally:
+        (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
     return manifest
 
 
@@ -607,16 +607,20 @@ def render_report(manifest: dict) -> str:
     if listed("groups", "groups") and listed("ingest", "posts"):
         grouping = GroupingResult.load(listed("groups", "groups"))
         window = _read_window(listed("ingest", "window"))
-        by_user = load_corpus(listed("ingest", "posts"), window=window).by_user()
+        corpus = load_corpus(listed("ingest", "posts"), window=window)
         week_seconds = window.week_len_days * 86400
         sections.append("## Weekly mean toxicity by group\n")
         names = [GROUP_INCREASING, REF_INCREASING, GROUP_DECREASING, REF_DECREASING]
         columns = []
         for name in names:
-            scored = [p for u in grouping.members(name) for p in by_user.get(u, []) if p.toxicity is not None]
-            weeks = [min((p.timestamp - window.t0) // week_seconds, window.n_weeks - 1) for p in scored]
-            sums = np.bincount(np.array(weeks, dtype=np.int64), [p.toxicity for p in scored], window.n_weeks)
-            counts = np.bincount(np.array(weeks, dtype=np.int64), minlength=window.n_weeks)
+            # Members in member order, each one's posts in canonical order.
+            segments = map(corpus.segment, grouping.members(name))
+            at = np.array([i for s in segments for i in range(s.start, s.stop)], dtype=np.int64)
+            tox = corpus.posts.toxicity[at]
+            scored = ~np.isnan(tox)
+            weeks = np.minimum((corpus.posts.timestamp[at][scored] - window.t0) // week_seconds, window.n_weeks - 1)
+            sums = np.bincount(weeks, tox[scored], window.n_weeks)
+            counts = np.bincount(weeks, minlength=window.n_weeks)
             columns.append(["" if c == 0 else f"{s / c:.2f}" for s, c in zip(sums, counts)])
         rows = [[week, *cells] for week, cells in enumerate(zip(*columns))]
         sections.append(_tsv_block(["week"] + names, rows))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional, Protocol
 
 import numpy as np
@@ -154,17 +155,28 @@ class ExternalCoherenceScorer:
         self._responses: Optional[dict[str, int]] = None
 
     def _load_responses(self) -> dict[str, int]:
+        """task_id -> score; a bad line raises ValueError naming its number."""
         responses: dict[str, int] = {}
         with open(self.responses_path, "r", encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
-                doc = json.loads(line)
-                score = int(doc["coherence"])
-                if score not in (1, 2, 3, 4, 5):
-                    raise ValueError(f"response line {line_no}: coherence must be 1..5")
-                responses[doc["task_id"]] = score
+                where = f"response line {line_no}"
+                try:
+                    doc = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{where}: invalid JSON ({exc.msg})") from None
+                if not isinstance(doc, dict):
+                    raise ValueError(f"{where}: expected a JSON object")
+                task_id, score = doc.get("task_id"), doc.get("coherence")
+                if not isinstance(task_id, str):
+                    raise ValueError(f"{where}: task_id must be a string, got {task_id!r}")
+                if isinstance(score, bool) or score not in (1, 2, 3, 4, 5):
+                    raise ValueError(f"{where}: coherence must be an integer in 1..5, got {score!r}")
+                if task_id in responses:
+                    raise ValueError(f"{where}: task_id {task_id!r} repeats an earlier line")
+                responses[task_id] = int(score)
         return responses
 
     def write_requests(self, requests: list[CoherenceRequest]) -> None:
@@ -188,8 +200,6 @@ class ExternalCoherenceScorer:
     def resolve(self, requests: list[CoherenceRequest]) -> None:
         """Write requests, then load and hash-check responses if present."""
         self.write_requests(requests)
-        from pathlib import Path
-
         if not Path(self.responses_path).exists():
             raise PendingExternalScores(self.requests_path, self.responses_path, len(requests))
         responses = self._load_responses()
@@ -273,8 +283,7 @@ def build_request(
     complement = np.flatnonzero(mask)
     out_rows = np.sort(rng.choice(complement, size=n_out, replace=False))
     values = corpus.embeddings.values
-    texts = [corpus.post_for_row(int(r)).text for r in in_rows]
-    out_texts = [corpus.post_for_row(int(r)).text for r in out_rows]
+    text = corpus.posts.text
     return CoherenceRequest(
         node_id=node.node_id,
         rep=rep,
@@ -282,8 +291,8 @@ def build_request(
         out_rows=out_rows,
         in_points=values[in_rows],
         out_points=values[out_rows],
-        in_texts=texts,
-        out_texts=out_texts,
+        in_texts=[text[i] for i in corpus.post_of_row[in_rows].tolist()],
+        out_texts=[text[i] for i in corpus.post_of_row[out_rows].tolist()],
     )
 
 
@@ -328,24 +337,19 @@ def merge_pass(
 
     # Score every node that is large enough; external scorers resolve the
     # whole batch up front so runs are replayable.
-    scoreable = [
-        n for n in topic_nodes.values() if n.member_rows.size >= n_in and n_points - n.member_rows.size >= n_out
-    ]
-    all_requests: list[CoherenceRequest] = []
-    request_index: dict[tuple[int, int], CoherenceRequest] = {}
-    for node in sorted(scoreable, key=lambda n: n.node_id):
-        for rep in range(reps):
-            req = build_request(node, corpus, rep, n_in, n_out, seed)
-            all_requests.append(req)
-            request_index[(node.node_id, rep)] = req
+    scoreable = sorted(
+        (n for n in topic_nodes.values() if n.member_rows.size >= n_in and n_points - n.member_rows.size >= n_out),
+        key=lambda n: n.node_id,
+    )
+    requests = {n.node_id: [build_request(n, corpus, rep, n_in, n_out, seed) for rep in range(reps)] for n in scoreable}
     if isinstance(scorer, ExternalCoherenceScorer):
-        scorer.resolve(all_requests)
+        scorer.resolve([req for node_requests in requests.values() for req in node_requests])
 
     def score_node(node: TopicNode) -> list[int]:
-        return [int(scorer.score(request_index[(node.node_id, rep)])) for rep in range(reps)]
+        return [int(scorer.score(req)) for req in requests[node.node_id]]
 
-    scores = parallel_map(score_node, sorted(scoreable, key=lambda n: n.node_id), workers=workers)
-    for node, node_scores in zip(sorted(scoreable, key=lambda n: n.node_id), scores):
+    scores = parallel_map(score_node, scoreable, workers=workers)
+    for node, node_scores in zip(scoreable, scores):
         node.coherence_scores = node_scores
 
     # Decide bottom-up (deepest first), then discard subtrees of merged nodes.
@@ -363,22 +367,16 @@ def merge_pass(
         if node.parent in topic_nodes and topic_nodes[node.parent].merged:
             node.merged = True
 
-    covered = np.zeros(n_points, dtype=bool)
     for node in topic_nodes.values():
-        if node.parent is None:
-            covered[node.member_rows] = True
-    n_outliers = int(n_points - covered.sum())
-
-    for node in topic_nodes.values():
-        tox = [corpus.post_for_row(int(r)).toxicity for r in node.member_rows]
-        tox = [t for t in tox if t is not None]
-        node.mean_toxicity = float(np.mean(tox)) if tox else None
+        tox = corpus.posts.toxicity[corpus.post_of_row[node.member_rows]]
+        tox = tox[~np.isnan(tox)]
+        node.mean_toxicity = float(tox.mean()) if tox.size else None
 
     return TopicTree(
         nodes=topic_nodes,
         n_points=n_points,
         params=params,
-        n_outliers=n_outliers,
+        n_outliers=int(tree.outlier_rows().size),
         alpha=alpha,
         seed=seed,
         n_auto_merged=n_auto_merged,

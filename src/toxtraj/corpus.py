@@ -1,20 +1,29 @@
-"""Post corpus: data model, ingestion, validation, and persistence.
+"""Post corpus: a columnar post table in canonical order, joined to embeddings.
 
-A corpus is a set of posts (NDJSON on disk), optionally joined to an
-embedding matrix (binary "EMB1" format plus a sidecar of post ids in row
-order). Posts are kept in a canonical order so that every downstream
-sampling step is deterministic.
+``Posts`` holds one column per field: ``post_id``, ``user_id`` and ``text``
+as lists, ``timestamp`` as int64, ``toxicity`` as float64 on 0..100 (NaN: no
+score) and ``toxicity_raw`` as int8 on 1..5 (0: absent). On disk it is
+NDJSON, and ``read_posts`` names the line of any record it rejects.
+
+``Corpus`` does the work every stage shares, once: it drops posts outside the
+study window, rejects duplicate post ids, sorts by (user, time, post id) so
+that every sampling step downstream is deterministic, holds each user as an
+``(offset, length)`` segment, and joins the embedding matrix (binary "EMB1"
+plus a sidecar of post ids in row order) both ways.
 """
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import logging
 import math
 import struct
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -85,8 +94,9 @@ class StudyWindow(JsonRecord):
         g = self.n_daily_grid
         return np.arange(g, dtype=np.float64) / (g - 1)
 
-    def contains(self, timestamp: int) -> bool:
-        return self.t0 <= timestamp <= self.t_end
+    def contains(self, timestamp):
+        """Whether each timestamp (an int or an array) lies in the window."""
+        return (self.t0 <= timestamp) & (timestamp <= self.t_end)
 
 
 def study_window(
@@ -114,19 +124,39 @@ def study_window(
 
 
 @dataclass
-class PostRecord:
-    """One post with its annotations and embedding link."""
+class Posts:
+    """A post table: one column per field, one entry per post."""
 
-    post_id: str
-    user_id: str
-    timestamp: int
-    text: Optional[str] = None
-    toxicity_raw: Optional[int] = None
-    toxicity: Optional[float] = None
-    embedding_row: Optional[int] = None
+    post_id: list
+    user_id: list
+    timestamp: np.ndarray
+    toxicity: Optional[np.ndarray] = None
+    toxicity_raw: Optional[np.ndarray] = None
+    text: Optional[list] = None
 
-    def sort_key(self):
-        return (self.user_id, self.timestamp, self.post_id)
+    def __post_init__(self):
+        n = len(self.post_id)
+        self.timestamp = np.asarray(self.timestamp, dtype=np.int64)
+        self.toxicity = np.asarray(np.full(n, np.nan) if self.toxicity is None else self.toxicity, dtype=np.float64)
+        self.toxicity_raw = np.asarray(np.zeros(n) if self.toxicity_raw is None else self.toxicity_raw, dtype=np.int8)
+        self.text = [None] * n if self.text is None else list(self.text)
+        columns = (self.user_id, self.timestamp, self.toxicity, self.toxicity_raw, self.text)
+        if any(len(column) != n for column in columns):
+            raise CorpusError("post columns differ in length")
+
+    def __len__(self) -> int:
+        return len(self.post_id)
+
+    def take(self, index: Sequence[int]) -> "Posts":
+        """The posts at ``index``, in that order."""
+        return Posts(
+            [self.post_id[i] for i in index],
+            [self.user_id[i] for i in index],
+            self.timestamp[index],
+            self.toxicity[index],
+            self.toxicity_raw[index],
+            [self.text[i] for i in index],
+        )
 
 
 @dataclass
@@ -158,80 +188,103 @@ class EmbeddingMatrix:
 
 @dataclass
 class Corpus:
-    """Immutable-after-load post collection with optional embeddings."""
+    """Posts in canonical order, users as segments, joined to embeddings.
 
-    posts: list[PostRecord]
+    ``posts`` keeps the posts inside ``window``, sorted by (user_id,
+    timestamp, post_id) in Python's order; a duplicate id among all posts is
+    an error. User ``users[u]`` owns ``user_length[u]`` posts from position
+    ``user_offset[u]``. ``row_of_post`` gives a post's embedding row (-1:
+    none) and ``post_of_row`` a row's post; every row id must name a post.
+    """
+
+    posts: Posts
     window: StudyWindow
     embeddings: Optional[EmbeddingMatrix] = None
-    n_dropped_outside_window: int = 0
-    _by_id: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        self.posts = sorted(self.posts, key=PostRecord.sort_key)
-        self._by_id = {p.post_id: p for p in self.posts}
-        if len(self._by_id) != len(self.posts):
-            seen = set()
-            for p in self.posts:
-                if p.post_id in seen:
-                    raise CorpusError(f"duplicate post_id: {p.post_id!r}")
-                seen.add(p.post_id)
+        posts = self.posts
+        if len(set(posts.post_id)) != len(posts):
+            duplicate = next(pid for pid, count in Counter(posts.post_id).items() if count > 1)
+            raise CorpusError(f"duplicate post_id: {duplicate!r}")
+        inside = self.window.contains(posts.timestamp)
+        self.n_dropped_outside_window = int(len(posts) - inside.sum())
+        if self.n_dropped_outside_window:
+            logger.warning("dropped %d post(s) outside the study window", self.n_dropped_outside_window)
+        # Ids are compared as Python strings, never as numpy ones, which
+        # drop trailing NULs.
+        user_id, timestamp, post_id = posts.user_id, posts.timestamp.tolist(), posts.post_id
+        order = sorted(np.flatnonzero(inside).tolist(), key=lambda i: (user_id[i], timestamp[i], post_id[i]))
+        self.posts = posts.take(order)
+        runs = [(user, sum(1 for _ in run)) for user, run in itertools.groupby(self.posts.user_id)]
+        self.users = [user for user, _ in runs]
+        self.user_length = np.array([length for _, length in runs], dtype=np.int64)
+        self.user_offset = np.cumsum(self.user_length) - self.user_length
+        self.row_of_post = np.full(len(self.posts), -1, dtype=np.int64)
+        self.post_of_row = np.empty(0, dtype=np.int64)
+        if self.embeddings is not None:
+            position = {pid: i for i, pid in enumerate(self.posts.post_id)}
+            row_ids = self.embeddings.row_ids
+            post_of_row = [position.get(rid, -1) for rid in row_ids]
+            if -1 in post_of_row:
+                row = post_of_row.index(-1)
+                raise CorpusError(f"embedding row {row} references unknown post_id {row_ids[row]!r}")
+            self.post_of_row = np.array(post_of_row, dtype=np.int64)
+            self.row_of_post[self.post_of_row] = np.arange(len(row_ids))
 
     def __len__(self) -> int:
         return len(self.posts)
 
-    def by_user(self) -> dict[str, list[PostRecord]]:
-        users: dict[str, list[PostRecord]] = {}
-        for p in self.posts:
-            users.setdefault(p.user_id, []).append(p)
-        return users
-
-    def post_for_row(self, row: int) -> PostRecord:
-        if self.embeddings is None:
-            raise CorpusError("corpus has no embeddings attached")
-        return self._by_id[self.embeddings.row_ids[row]]
+    def segment(self, user_id: str) -> slice:
+        """The positions of one user's posts; empty for a user with none."""
+        u = bisect.bisect_left(self.users, user_id)
+        if u == len(self.users) or self.users[u] != user_id:
+            return slice(0, 0)
+        start = int(self.user_offset[u])
+        return slice(start, start + int(self.user_length[u]))
 
 
-def _coerce_post(doc: dict, line_no: int) -> PostRecord:
+def _id_field(doc: dict, key: str, line_no: int) -> str:
+    value = doc[key]
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    raise CorpusError(f"line {line_no}: {key} must be a string or an integer, got {value!r}")
+
+
+def _coerce_post(doc: dict, line_no: int) -> tuple:
+    """One post's values, in the order of the ``Posts`` columns."""
     try:
-        post_id = str(doc["post_id"])
-        user_id = str(doc["user_id"])
+        post_id = _id_field(doc, "post_id", line_no)
+        user_id = _id_field(doc, "user_id", line_no)
         timestamp = doc["timestamp"]
     except KeyError as exc:
         raise CorpusError(f"line {line_no}: missing required key {exc}") from None
-    if not isinstance(timestamp, (int, np.integer)) or isinstance(timestamp, bool):
-        raise CorpusError(f"line {line_no}: timestamp must be an integer, got {timestamp!r}")
+    if not isinstance(timestamp, int) or isinstance(timestamp, bool) or not -(2**63) <= timestamp < 2**63:
+        raise CorpusError(f"line {line_no}: timestamp must be a 64-bit integer, got {timestamp!r}")
     text = doc.get("text")
     if text is not None and not isinstance(text, str):
         raise CorpusError(f"line {line_no}: text must be a string when present")
     raw = doc.get("toxicity_raw")
     toxicity = doc.get("toxicity")
+    if toxicity is not None:
+        if isinstance(toxicity, bool) or not isinstance(toxicity, (int, float)) or not 0.0 <= toxicity <= 100.0:
+            raise CorpusError(f"line {line_no}: toxicity must be a number in [0, 100], got {toxicity!r}")
+        toxicity = float(toxicity)
     if raw is not None:
         try:
             normalized = normalize_toxicity(raw)
         except CorpusError as exc:
             raise CorpusError(f"line {line_no}: {exc}") from None
         if toxicity is not None and not math.isclose(toxicity, normalized, abs_tol=1e-9):
-            raise CorpusError(
-                f"line {line_no}: toxicity {toxicity} inconsistent with toxicity_raw {raw}"
-            )
+            raise CorpusError(f"line {line_no}: toxicity {toxicity} inconsistent with toxicity_raw {raw}")
         toxicity = normalized
-    elif toxicity is not None:
-        toxicity = float(toxicity)
-        if not (0.0 <= toxicity <= 100.0):
-            raise CorpusError(f"line {line_no}: toxicity must lie in [0, 100], got {toxicity}")
-    return PostRecord(
-        post_id=post_id,
-        user_id=user_id,
-        timestamp=int(timestamp),
-        text=text,
-        toxicity_raw=None if raw is None else int(raw),
-        toxicity=toxicity,
-    )
+    return post_id, user_id, timestamp, math.nan if toxicity is None else toxicity, raw or 0, text
 
 
-def read_posts(path) -> list[PostRecord]:
-    """Parse an NDJSON posts file; errors carry the offending line number."""
-    posts = []
+def read_posts(path) -> Posts:
+    """Parse an NDJSON posts file, in file order; errors carry the offending line number."""
+    rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -243,20 +296,24 @@ def read_posts(path) -> list[PostRecord]:
                 raise CorpusError(f"line {line_no}: invalid JSON ({exc.msg})") from None
             if not isinstance(doc, dict):
                 raise CorpusError(f"line {line_no}: expected a JSON object")
-            posts.append(_coerce_post(doc, line_no))
-    return posts
+            rows.append(_coerce_post(doc, line_no))
+    return Posts(*(list(column) for column in zip(*rows))) if rows else Posts([], [], [])
 
 
-def write_posts(path, posts: Iterable[PostRecord]) -> None:
+def write_posts(path, posts: Posts) -> None:
+    columns = (
+        posts.post_id, posts.user_id, posts.timestamp.tolist(),
+        posts.toxicity.tolist(), posts.toxicity_raw.tolist(), posts.text,
+    )
     with open(path, "w", encoding="utf-8") as fh:
-        for p in posts:
-            doc = {"post_id": p.post_id, "user_id": p.user_id, "timestamp": p.timestamp}
-            if p.text is not None:
-                doc["text"] = p.text
-            if p.toxicity_raw is not None:
-                doc["toxicity_raw"] = p.toxicity_raw
-            elif p.toxicity is not None:
-                doc["toxicity"] = p.toxicity
+        for post_id, user_id, timestamp, toxicity, raw, text in zip(*columns):
+            doc = {"post_id": post_id, "user_id": user_id, "timestamp": timestamp}
+            if text is not None:
+                doc["text"] = text
+            if raw:
+                doc["toxicity_raw"] = raw
+            elif not math.isnan(toxicity):
+                doc["toxicity"] = toxicity
             fh.write(json.dumps(doc, ensure_ascii=False) + "\n")
 
 
@@ -305,42 +362,12 @@ def read_embeddings(path) -> EmbeddingMatrix:
     return EmbeddingMatrix(values=values, row_ids=row_ids)
 
 
-def load_corpus(
-    posts_path,
-    embeddings_path=None,
-    window: StudyWindow | None = None,
-) -> Corpus:
-    """Load, filter, sort, and join posts with optional embeddings.
-
-    Posts outside the window are dropped with a counted warning. Every
-    embedding row id must resolve to a surviving post.
-    """
-    window = window or StudyWindow()
+def load_corpus(posts_path, embeddings_path=None, window: StudyWindow | None = None) -> Corpus:
+    """Read posts and, if a path is given, embeddings into a ``Corpus``,
+    which filters, orders and joins them."""
     posts = read_posts(posts_path)
-    seen: set[str] = set()
-    for p in posts:
-        if p.post_id in seen:
-            raise CorpusError(f"duplicate post_id: {p.post_id!r}")
-        seen.add(p.post_id)
-    kept = [p for p in posts if window.contains(p.timestamp)]
-    dropped = len(posts) - len(kept)
-    if dropped:
-        logger.warning("dropped %d post(s) outside the study window", dropped)
-    embeddings = None
-    if embeddings_path is not None:
-        embeddings = read_embeddings(embeddings_path)
-        by_id = {p.post_id: p for p in kept}
-        for row, rid in enumerate(embeddings.row_ids):
-            post = by_id.get(rid)
-            if post is None:
-                raise CorpusError(f"embedding row {row} references unknown post_id {rid!r}")
-            post.embedding_row = row
-    return Corpus(
-        posts=kept,
-        window=window,
-        embeddings=embeddings,
-        n_dropped_outside_window=dropped,
-    )
+    embeddings = None if embeddings_path is None else read_embeddings(embeddings_path)
+    return Corpus(posts, window or StudyWindow(), embeddings)
 
 
 def save_corpus(corpus: Corpus, out_dir) -> dict:

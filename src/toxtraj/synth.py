@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .corpus import Corpus, EmbeddingMatrix, PostRecord, StudyWindow
+from .corpus import Corpus, EmbeddingMatrix, Posts, StudyWindow
 from .util import JsonRecord, substream
 
 EMBED_DIM = 5
@@ -212,21 +212,13 @@ def make_blob_corpus(points: np.ndarray, window: StudyWindow | None = None) -> C
     """Wrap a raw point matrix as a minimal corpus (one post per row)."""
     window = window or StudyWindow()
     n = points.shape[0]
-    posts = []
-    row_ids = []
-    span = window.t_end - window.t0
-    for i in range(n):
-        pid = f"p{i:06d}"
-        posts.append(
-            PostRecord(
-                post_id=pid,
-                user_id=f"u{i:06d}",
-                timestamp=window.t0 + (i * span) // max(n, 1),
-                embedding_row=i,
-            )
-        )
-        row_ids.append(pid)
-    emb = EmbeddingMatrix(values=np.asarray(points, dtype=np.float64), row_ids=row_ids)
+    post_ids = [f"p{i:06d}" for i in range(n)]
+    posts = Posts(
+        post_id=post_ids,
+        user_id=[f"u{i:06d}" for i in range(n)],
+        timestamp=window.t0 + (np.arange(n) * (window.t_end - window.t0)) // max(n, 1),
+    )
+    emb = EmbeddingMatrix(values=np.asarray(points, dtype=np.float64), row_ids=post_ids)
     return Corpus(posts=posts, window=window, embeddings=emb)
 
 
@@ -260,9 +252,9 @@ def generate_user_streams(config: ScenarioConfig) -> tuple[Corpus, dict[str, str
         leaf_centers.extend(spec.child_centers())
     if not leaf_centers:
         leaf_centers = [np.zeros(EMBED_DIM)]
-    posts: list[PostRecord] = []
-    embeddings: list[np.ndarray] = []
-    row_ids: list[str] = []
+    post_ids: list[str] = []
+    user_ids: list[str] = []
+    streams: list[tuple] = []  # per user: timestamps, toxicity, embeddings
     truth: dict[str, str] = {}
     lo, hi = config.posts_per_user
     span = window.t_end - window.t0
@@ -298,26 +290,13 @@ def generate_user_streams(config: ScenarioConfig) -> tuple[Corpus, dict[str, str
         else:
             centers_t = np.tile(home, (n_posts, 1))
         emb = centers_t + config.embedding_sigma * rng.normal(size=(n_posts, EMBED_DIM))
-        for j in range(n_posts):
-            pid = f"{user_id}_{j:04d}"
-            posts.append(
-                PostRecord(
-                    post_id=pid,
-                    user_id=user_id,
-                    timestamp=int(timestamps[j]),
-                    toxicity=float(tox[j]),
-                    embedding_row=len(row_ids),
-                )
-            )
-            row_ids.append(pid)
-        embeddings.append(emb)
-    matrix = EmbeddingMatrix(values=_quantize(np.vstack(embeddings)), row_ids=row_ids)
-    corpus = Corpus(posts=posts, window=window, embeddings=matrix)
-    # Canonical post order permutes rows; re-link posts to their rows.
-    row_of = {pid: r for r, pid in enumerate(row_ids)}
-    for post in corpus.posts:
-        post.embedding_row = row_of[post.post_id]
-    return corpus, truth
+        post_ids += [f"{user_id}_{j:04d}" for j in range(n_posts)]
+        user_ids += [user_id] * n_posts
+        streams.append((timestamps, tox, emb))
+    times, toxicities, embeddings = zip(*streams)
+    posts = Posts(post_ids, user_ids, np.concatenate(times), np.concatenate(toxicities))
+    matrix = EmbeddingMatrix(values=_quantize(np.vstack(embeddings)), row_ids=post_ids)
+    return Corpus(posts=posts, window=window, embeddings=matrix), truth
 
 
 def generate_null_pair(

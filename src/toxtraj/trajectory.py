@@ -103,10 +103,7 @@ class GroupingResult(JsonRecord):
 
 def select_active_users(corpus: Corpus, min_posts: int = DEFAULT_MIN_POSTS) -> list[tuple[str, int]]:
     """Users with at least min_posts posts (boundary inclusive), by user_id."""
-    counts: dict[str, int] = {}
-    for post in corpus.posts:
-        counts[post.user_id] = counts.get(post.user_id, 0) + 1
-    return sorted((u, c) for u, c in counts.items() if c >= min_posts)
+    return [(u, n) for u, n in zip(corpus.users, corpus.user_length.tolist()) if n >= min_posts]
 
 
 def assign_groups(
@@ -119,17 +116,15 @@ def assign_groups(
     Users with a degenerate regression (all posts in one second) fall into
     NoTrend, flagged. Mean toxicity is reported on the 0-100 scale.
     """
-    by_user = corpus.by_user()
     assignments: dict[str, UserGroupAssignment] = {}
     user_ids = [u if isinstance(u, str) else u[0] for u in active_users]
     for user_id in user_ids:
-        posts = [p for p in by_user.get(user_id, []) if p.toxicity is not None]
-        if len(posts) < 3:
-            raise ValueError(
-                f"active user {user_id!r} has {len(posts)} post(s) with toxicity; needs >= 3"
-            )
-        x = np.array([p.timestamp for p in posts], dtype=np.float64)
-        y = np.array([p.toxicity for p in posts], dtype=np.float64)
+        segment = corpus.segment(user_id)
+        scored = ~np.isnan(corpus.posts.toxicity[segment])
+        x = corpus.posts.timestamp[segment][scored].astype(np.float64)
+        y = corpus.posts.toxicity[segment][scored]
+        if y.size < 3:
+            raise ValueError(f"active user {user_id!r} has {y.size} post(s) with toxicity; needs >= 3")
         mean_tox = float(y.mean())
         if np.all(x == x[0]):
             assignments[user_id] = UserGroupAssignment(
@@ -182,26 +177,22 @@ def build_groups(
     """Full grouping: active users, trend split, and matched references."""
     active = select_active_users(corpus, min_posts)
     result = assign_groups(corpus, active, alpha)
-    pool = [
-        (a.user_id, a.mean_toxicity)
-        for a in result.assignments.values()
-        if a.group == GROUP_NO_TREND
-    ]
-    n_inc = sum(1 for a in result.assignments.values() if a.group == GROUP_INCREASING)
-    n_dec = sum(1 for a in result.assignments.values() if a.group == GROUP_DECREASING)
-    if n_inc and result.mean_toxicity_increasing is not None and len(pool) >= n_inc:
-        result.reference_increasing = matched_reference(
-            pool, result.mean_toxicity_increasing, n_inc
-        )
-        for user_id in result.reference_increasing:
-            result.assignments[user_id].matched_to = REF_INCREASING
-    if n_dec and result.mean_toxicity_decreasing is not None and len(pool) >= n_dec:
-        result.reference_decreasing = matched_reference(
-            pool, result.mean_toxicity_decreasing, n_dec
-        )
-        for user_id in result.reference_decreasing:
+    pool = [(a.user_id, a.mean_toxicity) for a in result.assignments.values() if a.group == GROUP_NO_TREND]
+    sizes = result.group_sizes()
+
+    def reference(group: str, target: Optional[float], label: str) -> list[str]:
+        # A user matched to both references keeps the first label.
+        n = sizes[group]
+        if n == 0 or len(pool) < n:
+            return []
+        members = matched_reference(pool, target, n)
+        for user_id in members:
             if result.assignments[user_id].matched_to is None:
-                result.assignments[user_id].matched_to = REF_DECREASING
+                result.assignments[user_id].matched_to = label
+        return members
+
+    result.reference_increasing = reference(GROUP_INCREASING, result.mean_toxicity_increasing, REF_INCREASING)
+    result.reference_decreasing = reference(GROUP_DECREASING, result.mean_toxicity_decreasing, REF_DECREASING)
     return result
 
 
@@ -259,18 +250,16 @@ def build_trajectories(corpus: Corpus, workers: int = 1) -> tuple[dict[str, np.n
     if corpus.embeddings is None:
         raise ValueError("corpus has no embeddings attached")
     values = corpus.embeddings.values
-    user_ids, items, skipped = [], [], []
-    for user_id, posts in sorted(corpus.by_user().items()):
-        embedded = [p for p in posts if p.embedding_row is not None]
-        if not embedded:
-            skipped.append(user_id)
-            continue
-        ts = np.array([p.timestamp for p in embedded], dtype=np.int64)
-        emb = values[[p.embedding_row for p in embedded]]
-        user_ids.append(user_id)
-        items.append((ts, emb))
+    user_ids, items = [], []
+    for user_id in corpus.users:
+        segment = corpus.segment(user_id)
+        rows = corpus.row_of_post[segment]
+        embedded = rows >= 0
+        if embedded.any():
+            user_ids.append(user_id)
+            items.append((corpus.posts.timestamp[segment][embedded], values[rows[embedded]]))
     dailies = parallel_map(lambda item: interpolate_daily(*item, corpus.window), items, workers=workers)
-    report = {"n_users": len(items), "n_skipped_no_embeddings": len(skipped)}
+    report = {"n_users": len(items), "n_skipped_no_embeddings": len(corpus.users) - len(items)}
     return dict(zip(user_ids, dailies)), report
 
 

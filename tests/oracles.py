@@ -5,6 +5,7 @@ enumeration, closed forms, and brute force only.
 """
 from __future__ import annotations
 
+import json
 import math
 from itertools import combinations
 
@@ -129,3 +130,53 @@ def segment_interpolate(tau_points, values, tau_query):
             w = (tau_query - t0) / (t1 - t0)
             return values[i] + w * (values[i + 1] - values[i])
     raise AssertionError("query outside scanned segments")
+
+
+def weekly_group_toxicity(posts_path, groups_path, window_path) -> dict[str, list[str]]:
+    """The cells of a run report's "Weekly mean toxicity by group" table,
+    from the run's files read with plain json.
+
+    Per group, one cell per week: the mean toxicity of the members' scored
+    posts in that week, to two decimals, or "" for none. The last week also
+    takes the days past the last full week. Members are taken in group order
+    (a trend group by user id, a reference group as listed, which is by
+    closeness) and each member's posts in file order, and the sums add in
+    that order.
+    """
+    with open(window_path, encoding="utf-8") as fh:
+        window = json.load(fh)
+    with open(groups_path, encoding="utf-8") as fh:
+        groups = json.load(fh)
+    posts_by_user: dict[str, list[dict]] = {}
+    with open(posts_path, encoding="utf-8") as fh:
+        for line in fh:
+            post = json.loads(line)
+            posts_by_user.setdefault(post["user_id"], []).append(post)
+    n_weeks = window["n_daily_grid"] // window["week_len_days"]
+    week_seconds = window["week_len_days"] * 86400
+
+    def trend_group(name):
+        return sorted(a["user_id"] for a in groups["assignments"] if a["group"] == name)
+
+    members = {
+        "Increasing": trend_group("Increasing"),
+        "IncreasingRef": groups["reference_increasing"],
+        "Decreasing": trend_group("Decreasing"),
+        "DecreasingRef": groups["reference_decreasing"],
+    }
+    cells = {}
+    for name, users in members.items():
+        sums, counts = [0.0] * n_weeks, [0] * n_weeks
+        for user in users:
+            for post in posts_by_user.get(user, []):
+                if "toxicity_raw" in post:
+                    toxicity = (post["toxicity_raw"] - 1) * 25.0
+                elif "toxicity" in post:
+                    toxicity = post["toxicity"]
+                else:
+                    continue
+                week = min((post["timestamp"] - window["t0"]) // week_seconds, n_weeks - 1)
+                sums[week] += toxicity
+                counts[week] += 1
+        cells[name] = ["" if c == 0 else f"{s / c:.2f}" for s, c in zip(sums, counts)]
+    return cells

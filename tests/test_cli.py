@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import weekly_group_toxicity
 from toxtraj.cli import (
     PIPELINE_DEFAULTS,
     main,
@@ -153,6 +154,28 @@ class TestPipeline:
         assert "Weekly mean toxicity by group" in report
         # Stable under re-rendering.
         assert render_report(manifest) == report
+
+    def test_report_weekly_toxicity_matches_oracle(self, tmp_path):
+        small_scenario(tmp_path)
+        config = pipeline_config(tmp_path, out_name="weekly")
+        for name in ("reduce", "cluster", "merge", "trajectories", "permanova", "assign"):
+            config["stages"][name] = {"enabled": False}
+        manifest = run_pipeline(config)
+        run_dir = tmp_path / "weekly"
+        groups = json.loads((run_dir / "groups.json").read_text())
+        # A reference group lists its members by closeness, not by id.
+        assert any(groups[k] != sorted(groups[k]) for k in ("reference_increasing", "reference_decreasing"))
+        expected = weekly_group_toxicity(
+            run_dir / "corpus" / "posts.ndjson", run_dir / "groups.json", run_dir / "corpus" / "window.json"
+        )
+        report = render_report(manifest)
+        block = report.split("## Weekly mean toxicity by group\n")[1].split("```")[1]
+        header, *rows = block.strip("\n").split("\n")
+        assert header.split("\t") == ["week", *expected]
+        assert [row.split("\t") for row in rows] == [
+            [str(week), *cells] for week, cells in enumerate(zip(*expected.values()))
+        ]
+        assert any(cell for cells in expected.values() for cell in cells)
 
     def test_report_prints_auto_merged_count(self, tmp_path):
         small_scenario(tmp_path, n_users=24)

@@ -221,8 +221,7 @@ class TestMergePass:
     def test_mean_toxicity_populated(self):
         pts, _, tree = planted_tree(seed=15)
         corpus = make_blob_corpus(pts)
-        for i, post in enumerate(corpus.posts):
-            post.toxicity = float(i % 101)
+        corpus.posts.toxicity[:] = np.arange(len(corpus)) % 101
         topics = merge_pass(tree, corpus, ReferenceCoherenceScorer(), seed=15)
         for node in topics.surviving():
             assert node.mean_toxicity is not None
@@ -292,3 +291,26 @@ class TestExternalExchange:
         scorer = ExternalCoherenceScorer(req_path, resp_path)
         with pytest.raises(ValueError, match="lack responses"):
             merge_pass(tree, corpus, scorer, seed=20)
+
+
+class TestResponseFile:
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"task_id": "t1", "coherence": 3.7}',
+            '{"task_id": "t1", "coherence": true}',
+            '{"task_id": "t1", "coherence": "4"}',
+            '{"task_id": "t0", "coherence": 4}',
+            "not json",
+            "[1, 2]",
+            '{"task_id": "t1"}',
+            '{"coherence": 3}',
+        ],
+        ids=["fraction", "bool", "string", "repeated-task", "bad-json", "not-object", "no-coherence", "no-task-id"],
+    )
+    def test_bad_line_named(self, tmp_path, line):
+        responses = tmp_path / "responses.ndjson"
+        responses.write_text('{"task_id": "t0", "coherence": 2}\n' + line + "\n")
+        scorer = ExternalCoherenceScorer(tmp_path / "requests.ndjson", responses)
+        with pytest.raises(ValueError, match=r"^response line 2: "):
+            scorer.resolve([])

@@ -1,20 +1,24 @@
 import json
+import math
 from datetime import date, datetime, timezone
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from toxtraj.corpus import (
     DEFAULT_DAILY_GRID,
     DEFAULT_T0,
     DEFAULT_T_END,
     CorpusError,
-    PostRecord,
+    Posts,
     StudyWindow,
     load_corpus,
     load_corpus_bundle,
     normalize_toxicity,
     read_embeddings,
+    read_posts,
     save_corpus,
     study_window,
     write_embeddings,
@@ -93,8 +97,8 @@ class TestLoadCorpus:
         path = tmp_path / "posts.ndjson"
         write_lines(path, make_docs())
         corpus = load_corpus(path)
-        assert [p.post_id for p in corpus.posts] == ["b", "a", "c"]
-        assert corpus.posts[1].toxicity == 50.0
+        assert corpus.posts.post_id == ["b", "a", "c"]
+        assert corpus.posts.toxicity[1] == 50.0
 
     def test_duplicate_post_id_reports_id(self, tmp_path):
         docs = make_docs() + [{"post_id": "a", "user_id": "u9", "timestamp": T0 + 1}]
@@ -129,14 +133,14 @@ class TestLoadCorpus:
         write_lines(p1, docs)
         write_lines(p2, list(reversed(docs)))
         c1, c2 = load_corpus(p1), load_corpus(p2)
-        assert [p.post_id for p in c1.posts] == [p.post_id for p in c2.posts]
+        assert c1.posts.post_id == c2.posts.post_id
 
     def test_toxicity_field_accepted_without_raw(self, tmp_path):
         path = tmp_path / "posts.ndjson"
         write_lines(path, [{"post_id": "a", "user_id": "u", "timestamp": T0, "toxicity": 12.5}])
         corpus = load_corpus(path)
-        assert corpus.posts[0].toxicity == 12.5
-        assert corpus.posts[0].toxicity_raw is None
+        assert corpus.posts.toxicity[0] == 12.5
+        assert corpus.posts.toxicity_raw[0] == 0  # absent
 
     def test_inconsistent_toxicity_pair_rejected(self, tmp_path):
         path = tmp_path / "posts.ndjson"
@@ -174,10 +178,9 @@ class TestEmbeddings:
         emb_path = tmp_path / "emb.bin"
         write_embeddings(emb_path, values, ids)
         corpus = load_corpus(posts_path, embeddings_path=emb_path)
-        for post in corpus.posts:
-            row = post.embedding_row
-            assert corpus.embeddings.row_ids[row] == post.post_id
-            expected_row = list(perm).index(int(post.post_id[1:]))
+        for post_id, row in zip(corpus.posts.post_id, corpus.row_of_post):
+            assert corpus.embeddings.row_ids[row] == post_id
+            expected_row = list(perm).index(int(post_id[1:]))
             np.testing.assert_array_equal(corpus.embeddings.values[row], values[expected_row])
 
     def test_dangling_row_id(self, tmp_path):
@@ -224,26 +227,138 @@ class TestBundleRoundTrip:
         save_corpus(corpus, tmp_path / "bundle")
         again = load_corpus_bundle(tmp_path / "bundle")
         assert len(again) == len(corpus)
-        for p, q in zip(corpus.posts, again.posts):
-            assert (p.post_id, p.user_id, p.timestamp, p.text) == (
-                q.post_id,
-                q.user_id,
-                q.timestamp,
-                q.text,
-            )
-            assert p.toxicity_raw == q.toxicity_raw
-            assert p.toxicity == q.toxicity
+        p, q = corpus.posts, again.posts
+        assert (p.post_id, p.user_id, p.timestamp.tolist(), p.text) == (
+            q.post_id,
+            q.user_id,
+            q.timestamp.tolist(),
+            q.text,
+        )
+        assert p.toxicity_raw.tolist() == q.toxicity_raw.tolist()
+        assert p.toxicity.tolist() == q.toxicity.tolist()
         np.testing.assert_array_equal(
-            corpus.embeddings.values[[p.embedding_row for p in corpus.posts]],
-            again.embeddings.values[[p.embedding_row for p in again.posts]],
+            corpus.embeddings.values[corpus.row_of_post],
+            again.embeddings.values[again.row_of_post],
         )
 
     def test_synthetic_continuous_toxicity_round_trips(self, tmp_path):
-        posts = [
-            PostRecord(post_id="a", user_id="u", timestamp=T0 + 5, toxicity=37.25),
-            PostRecord(post_id="b", user_id="u", timestamp=T0 + 9, toxicity=0.125),
-        ]
+        posts = Posts(post_id=["a", "b"], user_id=["u", "u"], timestamp=[T0 + 5, T0 + 9], toxicity=[37.25, 0.125])
         path = tmp_path / "posts.ndjson"
         write_posts(path, posts)
         corpus = load_corpus(path)
-        assert [p.toxicity for p in corpus.posts] == [37.25, 0.125]
+        assert corpus.posts.toxicity.tolist() == [37.25, 0.125]
+
+
+GOOD = {"post_id": "a", "user_id": "u", "timestamp": T0}
+
+
+class TestReadPostsRejects:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"post_id": None},
+            {"user_id": None},
+            {"post_id": {"id": 1}},
+            {"user_id": ["u"]},
+            {"post_id": 1.5},
+            {"user_id": True},
+            {"toxicity": "12.5"},
+            {"toxicity": True},
+            {"toxicity": "abc"},
+            {"toxicity_raw": 3, "toxicity": "50"},
+            {"timestamp": 2**63},
+        ],
+        ids=[
+            "null-post-id", "null-user-id", "object-post-id", "list-user-id", "float-post-id",
+            "bool-user-id", "string-toxicity", "bool-toxicity", "word-toxicity",
+            "raw-with-string-toxicity", "timestamp-past-int64",
+        ],
+    )
+    def test_bad_value_names_its_line(self, tmp_path, bad):
+        path = tmp_path / "posts.ndjson"
+        write_lines(path, [GOOD, {**GOOD, "post_id": "b", **bad}])
+        with pytest.raises(CorpusError, match=r"^line 2: "):
+            read_posts(path)
+
+    def test_string_and_integer_ids_accepted(self, tmp_path):
+        path = tmp_path / "posts.ndjson"
+        write_lines(path, [GOOD, {"post_id": 7, "user_id": 12, "timestamp": T0}])
+        posts = read_posts(path)
+        assert posts.post_id == ["a", "7"]
+        assert posts.user_id == ["u", "12"]
+
+
+class TestCanonicalOrder:
+    def test_equals_python_sort_with_nul_suffixed_ids(self, tmp_path):
+        # numpy strings drop trailing NULs, so "a\x00" and "a" would tie there.
+        docs = [
+            {"post_id": pid, "user_id": uid, "timestamp": T0 + dt}
+            for pid, uid, dt in [
+                ("a\x00", "u", 5), ("a", "u", 5), ("b", "u\x00", 1), ("c", "u", 1), ("a\x00\x00", "u\x00", 1),
+            ]
+        ]
+        path = tmp_path / "posts.ndjson"
+        write_lines(path, docs)
+        corpus = load_corpus(path)
+        keys = list(zip(corpus.posts.user_id, corpus.posts.timestamp.tolist(), corpus.posts.post_id))
+        assert keys == sorted((d["user_id"], d["timestamp"], d["post_id"]) for d in docs)
+        assert corpus.users == ["u", "u\x00"]
+        assert corpus.user_offset.tolist() == [0, 3]
+        assert corpus.user_length.tolist() == [3, 2]
+        assert corpus.segment("u\x00") == slice(3, 5)
+        assert corpus.segment("nobody") == slice(0, 0)
+
+    def test_duplicate_outside_window_still_rejected(self, tmp_path):
+        docs = make_docs() + [{"post_id": "a", "user_id": "u9", "timestamp": 5}]
+        path = tmp_path / "posts.ndjson"
+        write_lines(path, docs)
+        with pytest.raises(CorpusError, match="duplicate post_id: 'a'"):
+            load_corpus(path)
+
+
+# Characters that NDJSON must escape or carry through: quotes, backslashes,
+# line breaks, NUL, line separators, and text outside the BMP.
+SPECIAL = st.sampled_from(['"', "\\", "\n", "\r", "\t", "\x00", "\u2028", "\u00a0", "\u00e9", "\U0001F600"])
+TEXT = st.text(SPECIAL | st.characters(exclude_categories=("Cs",)), max_size=12)
+# Ids share a long prefix and differ only in their last few characters.
+IDS = st.lists(TEXT.map(lambda tail: "id-" + "x" * 40 + tail), min_size=1, max_size=8, unique=True)
+
+
+@st.composite
+def post_tables(draw):
+    post_id = draw(IDS)
+    n = len(post_id)
+    users = draw(st.lists(TEXT.map(lambda tail: "user-" + tail), min_size=1, max_size=3))
+    raw = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    scores = draw(st.lists(st.floats(0.0, 100.0) | st.none(), min_size=n, max_size=n))
+    return Posts(
+        post_id=post_id,
+        user_id=[users[i % len(users)] for i in range(n)],
+        timestamp=draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n)),
+        toxicity=[(r - 1) * 25.0 if r else (math.nan if s is None else s) for r, s in zip(raw, scores)],
+        toxicity_raw=raw,
+        text=draw(st.lists(st.none() | TEXT, min_size=n, max_size=n)),
+    )
+
+
+class TestNdjsonRoundTrip:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(posts=post_tables(), data=st.data())
+    def test_read_write_same_bytes_and_garbled_line_named(self, tmp_path, posts, data):
+        first, second = tmp_path / "first.ndjson", tmp_path / "second.ndjson"
+        write_posts(first, posts)
+        again = read_posts(first)
+        assert (again.post_id, again.user_id, again.text) == (posts.post_id, posts.user_id, posts.text)
+        np.testing.assert_array_equal(again.timestamp, posts.timestamp)
+        np.testing.assert_array_equal(again.toxicity, posts.toxicity)
+        np.testing.assert_array_equal(again.toxicity_raw, posts.toxicity_raw)
+        write_posts(second, again)
+        assert second.read_bytes() == first.read_bytes()
+
+        lines = first.read_text(encoding="utf-8").split("\n")[:-1]
+        k = data.draw(st.integers(0, len(lines) - 1), label="line")
+        cut = data.draw(st.integers(1, len(lines[k]) - 1), label="cut")
+        lines[k] = lines[k][:cut]
+        first.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        with pytest.raises(CorpusError, match=rf"^line {k + 1}: "):
+            read_posts(first)

@@ -99,9 +99,9 @@ class TestUserStreams:
 
     def test_toxicity_in_range_and_posts_in_window(self):
         corpus, _ = generate_user_streams(self.config())
-        for post in corpus.posts:
-            assert 0.0 <= post.toxicity <= 100.0
-            assert corpus.window.contains(post.timestamp)
+        for toxicity, timestamp in zip(corpus.posts.toxicity, corpus.posts.timestamp):
+            assert 0.0 <= toxicity <= 100.0
+            assert corpus.window.contains(timestamp)
 
     def test_round_trip_through_corpus_files(self, tmp_path):
         corpus, _ = generate_user_streams(self.config(n_users=10))
@@ -113,18 +113,18 @@ class TestUserStreams:
             tmp_path / "posts.ndjson", embeddings_path=tmp_path / "emb.bin", window=corpus.window
         )
         assert len(loaded) == len(corpus)
-        for p, q in zip(corpus.posts, loaded.posts):
-            assert p.post_id == q.post_id
-            assert p.toxicity == q.toxicity
+        assert corpus.posts.post_id == loaded.posts.post_id
+        assert corpus.posts.toxicity.tolist() == loaded.posts.toxicity.tolist()
         np.testing.assert_array_equal(loaded.embeddings.values, corpus.embeddings.values)
 
     def test_deterministic(self):
         c1, t1 = generate_user_streams(self.config())
         c2, t2 = generate_user_streams(self.config())
         assert t1 == t2
-        assert [(p.post_id, p.timestamp, p.toxicity) for p in c1.posts] == [
-            (p.post_id, p.timestamp, p.toxicity) for p in c2.posts
-        ]
+        p1, p2 = c1.posts, c2.posts
+        assert (p1.post_id, p1.timestamp.tolist(), p1.toxicity.tolist()) == (
+            p2.post_id, p2.timestamp.tolist(), p2.toxicity.tolist()
+        )
         np.testing.assert_array_equal(c1.embeddings.values, c2.embeddings.values)
 
     def test_planted_divergence_reaches_p_floor(self):
@@ -197,4 +197,4 @@ class TestScenarioConfig:
         corpus = make_blob_corpus(pts)
         assert corpus.embeddings.n == pts.shape[0]
         for row in (0, 5, len(corpus) - 1):
-            assert corpus.post_for_row(row).embedding_row == row
+            assert corpus.row_of_post[corpus.post_of_row[row]] == row

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import segment_interpolate
-from toxtraj.corpus import Corpus, PostRecord, StudyWindow
+from toxtraj.corpus import Corpus, Posts, StudyWindow
 from toxtraj.synth import ScenarioConfig, TrendMix, generate_user_streams
 from toxtraj.trajectory import (
     GROUP_DECREASING,
@@ -27,19 +27,16 @@ from toxtraj.trajectory import (
 WINDOW = StudyWindow()
 
 
+def corpus_of(rows) -> Corpus:
+    """A corpus of (post_id, user_id, timestamp, toxicity) rows."""
+    post_id, user_id, timestamp, toxicity = map(list, zip(*rows))
+    return Corpus(posts=Posts(post_id, user_id, timestamp, toxicity), window=WINDOW)
+
+
 def corpus_with_counts(counts: dict[str, int]) -> Corpus:
-    posts = []
-    for user, n in counts.items():
-        for j in range(n):
-            posts.append(
-                PostRecord(
-                    post_id=f"{user}_{j}",
-                    user_id=user,
-                    timestamp=WINDOW.t0 + j * 3600,
-                    toxicity=50.0,
-                )
-            )
-    return Corpus(posts=posts, window=WINDOW)
+    return corpus_of(
+        (f"{user}_{j}", user, WINDOW.t0 + j * 3600, 50.0) for user, n in counts.items() for j in range(n)
+    )
 
 
 class TestSelectActiveUsers:
@@ -63,39 +60,33 @@ def trend_user(user_id, slope_per_tau, base, n_posts=60, noise=0.0, seed=0):
     ts = np.sort(rng.integers(WINDOW.t0, WINDOW.t_end, size=n_posts))
     tau = (ts - WINDOW.t0) / span
     tox = np.clip(base + slope_per_tau * tau + (rng.normal(size=n_posts) * noise), 0, 100)
-    return [
-        PostRecord(post_id=f"{user_id}_{j}", user_id=user_id, timestamp=int(ts[j]), toxicity=float(tox[j]))
-        for j in range(n_posts)
-    ]
+    return [(f"{user_id}_{j}", user_id, int(ts[j]), float(tox[j])) for j in range(n_posts)]
 
 
 class TestAssignGroups:
     def test_noise_free_increasing_user(self):
         posts = trend_user("inc", 30.0, 20.0)
-        corpus = Corpus(posts=posts, window=WINDOW)
+        corpus = corpus_of(posts)
         result = assign_groups(corpus, ["inc"])
         assert result.assignments["inc"].group == GROUP_INCREASING
         assert result.assignments["inc"].p_value == 0.0
 
     def test_constant_user_no_trend(self):
         posts = trend_user("flat", 0.0, 42.0)
-        corpus = Corpus(posts=posts, window=WINDOW)
+        corpus = corpus_of(posts)
         result = assign_groups(corpus, ["flat"])
         assert result.assignments["flat"].group == GROUP_NO_TREND
         assert result.assignments["flat"].p_value == 1.0
 
     def test_noise_free_decreasing_user(self):
         posts = trend_user("dec", -25.0, 80.0)
-        corpus = Corpus(posts=posts, window=WINDOW)
+        corpus = corpus_of(posts)
         result = assign_groups(corpus, ["dec"])
         assert result.assignments["dec"].group == GROUP_DECREASING
 
     def test_same_second_user_degenerate(self):
-        posts = [
-            PostRecord(post_id=f"p{j}", user_id="u", timestamp=WINDOW.t0 + 5, toxicity=float(10 + j))
-            for j in range(5)
-        ]
-        corpus = Corpus(posts=posts, window=WINDOW)
+        posts = [(f"p{j}", "u", WINDOW.t0 + 5, float(10 + j)) for j in range(5)]
+        corpus = corpus_of(posts)
         result = assign_groups(corpus, ["u"])
         assert result.assignments["u"].group == GROUP_NO_TREND
         assert result.assignments["u"].degenerate
@@ -105,7 +96,7 @@ class TestAssignGroups:
         posts += trend_user("a", 40.0, 20.0, noise=2.0, seed=1)
         posts += trend_user("b", -40.0, 80.0, noise=2.0, seed=2)
         posts += trend_user("c", 0.0, 50.0, noise=2.0, seed=3)
-        corpus = Corpus(posts=posts, window=WINDOW)
+        corpus = corpus_of(posts)
         result = assign_groups(corpus, ["a", "b", "c"])
         sizes = result.group_sizes()
         assert sum(sizes.values()) == 3
