@@ -450,8 +450,7 @@ def _execute(stage: Stage, kwargs: dict, held=None):
             corpus = load_corpus_bundle(bundle)
         else:
             corpus = load_corpus(bundle / "posts.ndjson", embeddings_path=wanted, window=_read_window(bundle / "window.json"))
-            own_ids = corpus_mod.sidecar_path(own)
-            if not own_ids.is_file() or corpus.embeddings.row_ids != own_ids.read_text(encoding="utf-8").splitlines():
+            if not corpus_mod.sidecar_path(own).is_file() or corpus.embeddings.row_ids != corpus_mod.read_sidecar(own):
                 raise CorpusError(f"{wanted}: row ids differ from those of the corpus bundle {bundle}")
         kwargs["corpus"] = corpus
         held = corpus, wanted

@@ -1,9 +1,18 @@
 """Post corpus: a columnar post table in canonical order, joined to embeddings.
 
 ``Posts`` holds one column per field: ``post_id``, ``user_id`` and ``text``
-as lists, ``timestamp`` as int64, ``toxicity`` as float64 on 0..100 (NaN: no
-score) and ``toxicity_raw`` as int8 on 1..5 (0: absent). On disk it is
-NDJSON, and ``read_posts`` names the line of any record it rejects.
+as lists of strings (text: None where absent), ``timestamp`` as int64,
+``toxicity`` as float64 on 0..100 (NaN: no score) and ``toxicity_raw`` as
+int8 on 1..5 (0: absent). On disk it is NDJSON, and ``read_posts`` names the
+line of any record it rejects.
+
+``read_posts`` takes ``CHUNK_LINES`` lines at a time. It parses each line on
+its own, so that a line is valid exactly when ``json.loads`` of it is (one
+parse over many joined lines would accept a value split across two lines),
+then checks the chunk's columns at once; a chunk that fails any check is
+read again line by line, which names the first bad line. Only one chunk's
+parsed objects are alive at a time, which bounds memory. ``write_posts``
+formats each line directly, in the bytes ``json.dumps`` would give.
 
 ``Corpus`` does the work every stage shares, once: it drops posts outside the
 study window, rejects duplicate post ids, sorts by (user, time, post id) so
@@ -32,6 +41,14 @@ from .util import JsonRecord
 logger = logging.getLogger(__name__)
 
 EMB_MAGIC = b"EMB1"
+
+# Posts are read and written this many lines at a time. A chunk's parsed
+# objects are all alive at once, so larger chunks hold more memory and give
+# the cyclic garbage collector more to traverse.
+CHUNK_LINES = 256
+
+_scan_json = json.JSONDecoder().scan_once
+_quote = json.encoder.encode_basestring
 
 # Study window defaults: 2023-04-17T00:00Z .. 2023-10-27T23:59Z, a 194-day span.
 DEFAULT_T0 = 1681689600
@@ -193,8 +210,9 @@ class Corpus:
     ``posts`` keeps the posts inside ``window``, sorted by (user_id,
     timestamp, post_id) in Python's order; a duplicate id among all posts is
     an error. User ``users[u]`` owns ``user_length[u]`` posts from position
-    ``user_offset[u]``. ``row_of_post`` gives a post's embedding row (-1:
-    none) and ``post_of_row`` a row's post; every row id must name a post.
+    ``user_offset[u]``. ``embeddings`` keeps the rows of those posts, in
+    their order; every row id must name a post. ``row_of_post`` gives a
+    post's embedding row (-1: none) and ``post_of_row`` a row's post.
     """
 
     posts: Posts
@@ -226,10 +244,17 @@ class Corpus:
             row_ids = self.embeddings.row_ids
             post_of_row = [position.get(rid, -1) for rid in row_ids]
             if -1 in post_of_row:
-                row = post_of_row.index(-1)
-                raise CorpusError(f"embedding row {row} references unknown post_id {row_ids[row]!r}")
+                # Rows of posts outside the window go with them.
+                outside = set(itertools.compress(posts.post_id, ~inside))
+                for row, rid in enumerate(row_ids):
+                    if post_of_row[row] == -1 and rid not in outside:
+                        raise CorpusError(f"embedding row {row} references unknown post_id {rid!r}")
+                keep = [i != -1 for i in post_of_row]
+                logger.warning("dropped %d embedding row(s) of posts outside the study window", keep.count(False))
+                self.embeddings = EmbeddingMatrix(self.embeddings.values[keep], list(itertools.compress(row_ids, keep)))
+                post_of_row = list(itertools.compress(post_of_row, keep))
             self.post_of_row = np.array(post_of_row, dtype=np.int64)
-            self.row_of_post[self.post_of_row] = np.arange(len(row_ids))
+            self.row_of_post[self.post_of_row] = np.arange(len(post_of_row))
 
     def __len__(self) -> int:
         return len(self.posts)
@@ -282,43 +307,130 @@ def _coerce_post(doc: dict, line_no: int) -> tuple:
     return post_id, user_id, timestamp, math.nan if toxicity is None else toxicity, raw or 0, text
 
 
+def _parse_lines(lines: list, line_no: int) -> list:
+    """One JSON object per non-blank line, checked by ``_coerce_post``: the
+    definition of a valid post. ``line_no`` is the first line's number.
+    Returns the columns of the posts read."""
+    rows = []
+    for line_no, line in enumerate(lines, start=line_no):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"line {line_no}: invalid JSON ({exc.msg})") from None
+        if not isinstance(doc, dict):
+            raise CorpusError(f"line {line_no}: expected a JSON object")
+        rows.append(_coerce_post(doc, line_no))
+    return list(zip(*rows))
+
+
+def _scan_chunk(lines: list) -> Optional[list]:
+    """The columns of a chunk of lines when every line holds one post of the
+    common shape, else None.
+
+    Each stripped line is parsed on its own, as ``json.loads`` would, and the
+    chunk's columns are then checked at once: string ids, int timestamps
+    within int64, optional string text, and a score in [0, 100], a rating in
+    1..5, or both in agreement. These checks accept a subset of what
+    ``_coerce_post`` accepts and give the same values, so a None costs only a
+    per-line pass, which names the first bad line."""
+    docs = []
+    try:
+        for line in lines:
+            line = line.strip()
+            if line:
+                doc, end = _scan_json(line, 0)
+                if end != len(line):
+                    return None
+                docs.append(doc)
+        post_id = [doc["post_id"] for doc in docs]
+        user_id = [doc["user_id"] for doc in docs]
+        timestamp = [doc["timestamp"] for doc in docs]
+    # No value, invalid or too deeply nested JSON, not an object, or a key missing.
+    except (StopIteration, ValueError, RecursionError, TypeError, KeyError):
+        return None
+    text = [doc.get("text") for doc in docs]
+    score = [doc.get("toxicity") for doc in docs]
+    raw = [doc.get("toxicity_raw") for doc in docs]
+    scored = [s for s in score if s is not None]
+    rated = [r for r in raw if r is not None]
+    if not (
+        set(map(type, post_id)) == set(map(type, user_id)) == {str}
+        and set(map(type, timestamp)) == {int}
+        and -(2**63) <= min(timestamp) and max(timestamp) < 2**63
+        and set(map(type, text)) <= {str, type(None)}
+        and set(map(type, scored)) <= {float, int}
+        and all(0.0 <= s <= 100.0 for s in scored)
+        and set(map(type, rated)) <= {int}
+        and (not rated or 1 <= min(rated) and max(rated) <= 5)
+    ):
+        return None
+    if rated and scored and not all(
+        math.isclose(s, (r - 1) * 25.0, abs_tol=1e-9) for s, r in zip(score, raw) if s is not None and r is not None
+    ):
+        return None
+    toxicity = [(r - 1) * 25.0 if r else math.nan if s is None else float(s) for s, r in zip(score, raw)]
+    return [post_id, user_id, timestamp, toxicity, [r or 0 for r in raw], text]
+
+
 def read_posts(path) -> Posts:
     """Parse an NDJSON posts file, in file order; errors carry the offending line number."""
-    rows = []
+    columns = [[] for _ in range(6)]
+    line_no = 1
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+        while True:
+            lines, failure = [], None
             try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"line {line_no}: invalid JSON ({exc.msg})") from None
-            if not isinstance(doc, dict):
-                raise CorpusError(f"line {line_no}: expected a JSON object")
-            rows.append(_coerce_post(doc, line_no))
-    return Posts(*(list(column) for column in zip(*rows))) if rows else Posts([], [], [])
+                lines.extend(itertools.islice(fh, CHUNK_LINES))
+            except UnicodeDecodeError as exc:
+                # Raised after the lines decoded before it, as a line-by-line read would be.
+                failure = exc
+            for column, values in zip(columns, _scan_chunk(lines) or _parse_lines(lines, line_no)):
+                column.extend(values)
+            if failure is not None:
+                raise failure
+            if len(lines) < CHUNK_LINES:
+                return Posts(*columns)
+            line_no += CHUNK_LINES
 
 
 def write_posts(path, posts: Posts) -> None:
-    columns = (
-        posts.post_id, posts.user_id, posts.timestamp.tolist(),
-        posts.toxicity.tolist(), posts.toxicity_raw.tolist(), posts.text,
-    )
+    """One line per post, each as ``json.dumps(doc, ensure_ascii=False)``
+    writes the post's fields: post_id, user_id, timestamp, text if any, then
+    toxicity_raw if any, else toxicity unless NaN."""
     with open(path, "w", encoding="utf-8") as fh:
-        for post_id, user_id, timestamp, toxicity, raw, text in zip(*columns):
-            doc = {"post_id": post_id, "user_id": user_id, "timestamp": timestamp}
-            if text is not None:
-                doc["text"] = text
-            if raw:
-                doc["toxicity_raw"] = raw
-            elif not math.isnan(toxicity):
-                doc["toxicity"] = toxicity
-            fh.write(json.dumps(doc, ensure_ascii=False) + "\n")
+        for start in range(0, len(posts), CHUNK_LINES):
+            part = slice(start, start + CHUNK_LINES)
+            lines = []
+            for post_id, user_id, timestamp, text, raw, score in zip(
+                posts.post_id[part], posts.user_id[part], posts.timestamp[part].tolist(),
+                posts.text[part], posts.toxicity_raw[part].tolist(), posts.toxicity[part].tolist(),
+            ):
+                line = f'{{"post_id": {_quote(post_id)}, "user_id": {_quote(user_id)}, "timestamp": {timestamp}'
+                if text is not None:
+                    line += ', "text": ' + _quote(text)
+                if raw:
+                    line += f', "toxicity_raw": {raw}'
+                elif score == score:
+                    line += f', "toxicity": {score!r}'
+                lines.append(line + "}\n")
+            fh.write("".join(lines))
 
 
 def sidecar_path(embeddings_path) -> Path:
     return Path(str(embeddings_path) + ".ids")
+
+
+def read_sidecar(embeddings_path) -> list[str]:
+    """The row ids in an embedding file's sidecar, one per line. Lines end at
+    "\n" alone (CRLF reads as "\n"), since a post id may hold any other line
+    separator, such as U+2028 or U+0085."""
+    row_ids = sidecar_path(embeddings_path).read_text(encoding="utf-8").split("\n")
+    if row_ids[-1] == "":
+        row_ids.pop()
+    return row_ids
 
 
 def write_embeddings(path, values: np.ndarray, row_ids: Sequence[str]) -> None:
@@ -329,6 +441,9 @@ def write_embeddings(path, values: np.ndarray, row_ids: Sequence[str]) -> None:
     n, d = values.shape
     if len(row_ids) != n:
         raise CorpusError("row_ids length does not match row count")
+    for row, rid in enumerate(row_ids):
+        if "\n" in rid or "\r" in rid:
+            raise CorpusError(f"row {row}: post_id {rid!r} holds a line break; the id sidecar has one id per line")
     with open(path, "wb") as fh:
         fh.write(EMB_MAGIC)
         fh.write(struct.pack("<II", n, d))
@@ -356,7 +471,7 @@ def read_embeddings(path) -> EmbeddingMatrix:
     ids_file = sidecar_path(path)
     if not ids_file.exists():
         raise CorpusError(f"missing embedding id sidecar: {ids_file}")
-    row_ids = ids_file.read_text(encoding="utf-8").splitlines()
+    row_ids = read_sidecar(path)
     if len(row_ids) != n:
         raise CorpusError(f"sidecar has {len(row_ids)} ids, embedding file has {n} rows")
     return EmbeddingMatrix(values=values, row_ids=row_ids)

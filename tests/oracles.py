@@ -180,3 +180,69 @@ def weekly_group_toxicity(posts_path, groups_path, window_path) -> dict[str, lis
                 counts[week] += 1
         cells[name] = ["" if c == 0 else f"{s / c:.2f}" for s, c in zip(sums, counts)]
     return cells
+
+
+POST_FIELDS = ("post_id", "user_id", "timestamp", "toxicity", "toxicity_raw", "text")
+
+
+def read_posts_per_line(path):
+    """A posts file read one line at a time with plain json and the format's
+    rules: each non-blank stripped line is one object with string or integer
+    ids, an int64 timestamp, optional string text, an optional toxicity in
+    [0, 100] and an optional toxicity_raw in 1..5 that agrees with it.
+
+    Returns ``(columns, None)`` for a valid file, with one list per field in
+    ``POST_FIELDS`` (toxicity NaN and toxicity_raw 0 where absent; a rating
+    sets the toxicity), or ``(None, n)`` naming the first bad line ``n``.
+    """
+    columns = {field: [] for field in POST_FIELDS}
+    with open(path, encoding="utf-8") as fh:
+        for n, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                doc = json.loads(line)
+            except ValueError:
+                return None, n
+            if not isinstance(doc, dict) or not {"post_id", "user_id", "timestamp"} <= doc.keys():
+                return None, n
+            ids = [doc["post_id"], doc["user_id"]]
+            if any(isinstance(v, bool) or not isinstance(v, (str, int)) for v in ids):
+                return None, n
+            timestamp, text = doc["timestamp"], doc.get("text")
+            if isinstance(timestamp, bool) or not isinstance(timestamp, int) or not -(2**63) <= timestamp < 2**63:
+                return None, n
+            if text is not None and not isinstance(text, str):
+                return None, n
+            score, raw = doc.get("toxicity"), doc.get("toxicity_raw")
+            if score is not None:
+                if isinstance(score, bool) or not isinstance(score, (int, float)) or not 0 <= score <= 100:
+                    return None, n
+                score = float(score)
+            if raw is not None:
+                if isinstance(raw, bool) or not isinstance(raw, int) or not 1 <= raw <= 5:
+                    return None, n
+                if score is not None and not math.isclose(score, (raw - 1) * 25.0, abs_tol=1e-9):
+                    return None, n
+                score = (raw - 1) * 25.0
+            values = (str(ids[0]), str(ids[1]), timestamp, math.nan if score is None else score, raw or 0, text)
+            for field, value in zip(POST_FIELDS, values):
+                columns[field].append(value)
+    return columns, None
+
+
+def write_posts_json(path, post_id, user_id, timestamp, toxicity, toxicity_raw, text):
+    """A posts file as ``json.dumps(doc, ensure_ascii=False)`` writes it, one
+    line per post: the ids and timestamp, text if any, then toxicity_raw if
+    non-zero, else toxicity unless NaN."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(len(post_id)):
+            doc = {"post_id": post_id[i], "user_id": user_id[i], "timestamp": int(timestamp[i])}
+            if text[i] is not None:
+                doc["text"] = text[i]
+            if toxicity_raw[i]:
+                doc["toxicity_raw"] = int(toxicity_raw[i])
+            elif not math.isnan(toxicity[i]):
+                doc["toxicity"] = float(toxicity[i])
+            fh.write(json.dumps(doc, ensure_ascii=False) + "\n")

@@ -436,6 +436,42 @@ class TestCliCommands:
             assert main(argv) == 0, capsys.readouterr().err
         assert (tmp_path / "unix" / "window.json").read_text() == (tmp_path / "iso" / "window.json").read_text()
 
+    def test_ingest_window_narrower_than_posts_drops_their_rows(self, tmp_path, capsys):
+        config = ScenarioConfig(n_users=5, posts_per_user=(50, 52), seed=1)
+        corpus, _ = generate_user_streams(config)
+        write_posts(tmp_path / "posts.ndjson", corpus.posts)
+        write_embeddings(tmp_path / "emb.bin", corpus.embeddings.values, corpus.embeddings.row_ids)
+        bundle = tmp_path / "bundle"
+        argv = ["ingest", "--posts", str(tmp_path / "posts.ndjson"), "--embeddings", str(tmp_path / "emb.bin"),
+                "--out", str(bundle), "--t0", "2023-06-01T00:00:00Z"]
+        assert main(argv) == 0, capsys.readouterr().err
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["n_dropped_outside_window"] > 0
+        assert summary["n_posts"] + summary["n_dropped_outside_window"] == len(corpus)
+        kept = corpus_mod.load_corpus_bundle(bundle).posts.post_id
+        row_ids = read_embeddings(bundle / "embeddings.emb").row_ids
+        assert row_ids == [rid for rid in corpus.embeddings.row_ids if rid in set(kept)]
+        argv = ["trajectories", "--corpus", str(bundle), "--embeddings", str(bundle / "embeddings.emb"),
+                "--out", str(tmp_path / "traj.bin")]
+        assert main(argv) == 0, capsys.readouterr().err
+
+    def test_ids_with_line_separators_reach_every_reader(self, tmp_path, capsys):
+        config = ScenarioConfig(n_users=5, posts_per_user=(50, 52), seed=1)
+        corpus, _ = generate_user_streams(config)
+        posts, rename = corpus.posts, (lambda pid: pid + "\u2028\x85\x1e")
+        posts.post_id = [rename(pid) for pid in posts.post_id]
+        row_ids = [rename(rid) for rid in corpus.embeddings.row_ids]
+        write_posts(tmp_path / "posts.ndjson", posts)
+        write_embeddings(tmp_path / "emb.bin", corpus.embeddings.values, row_ids)
+        write_embeddings(tmp_path / "copy.emb", corpus.embeddings.values, row_ids)
+        bundle = tmp_path / "bundle"
+        ingest = ["ingest", "--posts", str(tmp_path / "posts.ndjson"), "--embeddings", str(tmp_path / "emb.bin"),
+                  "--out", str(bundle)]
+        assert main(ingest) == 0, capsys.readouterr().err
+        argv = ["trajectories", "--corpus", str(bundle), "--embeddings", str(tmp_path / "copy.emb"),
+                "--out", str(tmp_path / "traj.bin")]
+        assert main(argv) == 0, capsys.readouterr().err
+
     def test_embeddings_of_other_rows_rejected(self, tmp_path, capsys):
         config = ScenarioConfig(n_users=5, posts_per_user=(50, 52), seed=1)
         corpus, _ = generate_user_streams(config)

@@ -1,13 +1,17 @@
 import json
 import math
 from datetime import date, datetime, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles import POST_FIELDS, read_posts_per_line, write_posts_json
 
+from toxtraj import corpus as corpus_mod
 from toxtraj.corpus import (
+    CHUNK_LINES,
     DEFAULT_DAILY_GRID,
     DEFAULT_T0,
     DEFAULT_T_END,
@@ -20,6 +24,7 @@ from toxtraj.corpus import (
     read_embeddings,
     read_posts,
     save_corpus,
+    sidecar_path,
     study_window,
     write_embeddings,
     write_posts,
@@ -159,6 +164,7 @@ class TestEmbeddings:
         ids = [f"p{i}" for i in range(7)]
         path = tmp_path / "emb.bin"
         write_embeddings(path, values, ids)
+        assert sidecar_path(path).read_bytes() == "".join(f"{rid}\n" for rid in ids).encode()
         loaded = read_embeddings(path)
         assert loaded.row_ids == ids
         assert loaded.values.dtype == np.float64
@@ -189,6 +195,42 @@ class TestEmbeddings:
         emb_path = tmp_path / "emb.bin"
         write_embeddings(emb_path, np.zeros((1, 2)), ["ghost"])
         with pytest.raises(CorpusError, match="ghost"):
+            load_corpus(posts_path, embeddings_path=emb_path)
+
+    def test_ids_with_other_line_separators_round_trip(self, tmp_path):
+        # read_posts takes each of these inside a post_id; only "\n" ends a sidecar line.
+        ids = ["a\u2028b", "c\x85", "\x1cd\x1de\x1e", "f\x0bg\x0ch", "\u2029", ""]
+        path = tmp_path / "emb.bin"
+        write_embeddings(path, np.zeros((len(ids), 2)), ids)
+        assert read_embeddings(path).row_ids == ids
+
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n"])
+    def test_id_with_line_break_rejected(self, tmp_path, brk):
+        path = tmp_path / "emb.bin"
+        with pytest.raises(CorpusError, match=r"^row 2: post_id 'c.*d' holds a line break"):
+            write_embeddings(path, np.zeros((3, 2)), ["a", "b", f"c{brk}d"])
+        assert not path.exists()
+
+    def test_rows_of_posts_outside_window_dropped(self, tmp_path):
+        posts_path = tmp_path / "posts.ndjson"
+        write_lines(posts_path, make_docs() + [{"post_id": "early", "user_id": "u1", "timestamp": T0 - 1}])
+        emb_path = tmp_path / "emb.bin"
+        values = np.arange(8.0).reshape(4, 2)
+        write_embeddings(emb_path, values, ["early", "c", "a", "b"])
+        corpus = load_corpus(posts_path, embeddings_path=emb_path)
+        assert corpus.n_dropped_outside_window == 1
+        assert corpus.embeddings.row_ids == ["c", "a", "b"]
+        np.testing.assert_array_equal(corpus.embeddings.values, values[1:])
+        assert [corpus.embeddings.row_ids[row] for row in corpus.row_of_post] == corpus.posts.post_id
+        save_corpus(corpus, tmp_path / "bundle")
+        assert read_embeddings(tmp_path / "bundle" / "embeddings.emb").row_ids == ["c", "a", "b"]
+
+    def test_unknown_row_named_beside_dropped_rows(self, tmp_path):
+        posts_path = tmp_path / "posts.ndjson"
+        write_lines(posts_path, make_docs() + [{"post_id": "early", "user_id": "u1", "timestamp": T0 - 1}])
+        emb_path = tmp_path / "emb.bin"
+        write_embeddings(emb_path, np.zeros((3, 2)), ["early", "a", "ghost"])
+        with pytest.raises(CorpusError, match="embedding row 2 references unknown post_id 'ghost'"):
             load_corpus(posts_path, embeddings_path=emb_path)
 
     def test_bad_magic(self, tmp_path):
@@ -354,6 +396,8 @@ class TestNdjsonRoundTrip:
         np.testing.assert_array_equal(again.toxicity_raw, posts.toxicity_raw)
         write_posts(second, again)
         assert second.read_bytes() == first.read_bytes()
+        write_posts_json(second, *(getattr(posts, field) for field in POST_FIELDS))
+        assert first.read_bytes() == second.read_bytes()
 
         lines = first.read_text(encoding="utf-8").split("\n")[:-1]
         k = data.draw(st.integers(0, len(lines) - 1), label="line")
@@ -362,3 +406,199 @@ class TestNdjsonRoundTrip:
         first.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         with pytest.raises(CorpusError, match=rf"^line {k + 1}: "):
             read_posts(first)
+
+    def test_bytes_equal_json_dumps_past_one_chunk(self, tmp_path):
+        n = 2 * CHUNK_LINES + 3
+        raw = [i % 6 for i in range(n)]
+        scores = [math.nan, 25.0, 0.0, 100.0, 1e-7, 33.33333333333333, 99.99999999999999]
+        posts = Posts(
+            post_id=[f"p{i}\u2028\"\\" if i % 7 == 0 else f"p{i}" for i in range(n)],
+            user_id=[f"u{i % 5}" for i in range(n)],
+            timestamp=[-(2**63) + i if i % 3 == 0 else T0 - 10**9 * i for i in range(n)],
+            toxicity=[(r - 1) * 25.0 if r else scores[i % len(scores)] for i, r in enumerate(raw)],
+            toxicity_raw=raw,
+            text=[None if i % 4 else f"t\n\r\t\x00\u00e9{i}" for i in range(n)],
+        )
+        mine, oracle = tmp_path / "mine.ndjson", tmp_path / "oracle.ndjson"
+        write_posts(mine, posts)
+        write_posts_json(oracle, *(getattr(posts, field) for field in POST_FIELDS))
+        assert mine.read_bytes() == oracle.read_bytes()
+        assert mine.read_bytes().count(b"\n") == n
+
+
+def assert_reads_as_oracle(path):
+    """read_posts gives the oracle's columns bit for bit, or names its bad line."""
+    columns, bad_line = read_posts_per_line(path)
+    if bad_line is not None:
+        with pytest.raises(CorpusError, match=rf"^line {bad_line}: "):
+            read_posts(path)
+        return
+    posts = read_posts(path)
+    assert (posts.post_id, posts.user_id, posts.text) == (columns["post_id"], columns["user_id"], columns["text"])
+    assert posts.timestamp.tolist() == columns["timestamp"]
+    assert posts.toxicity.tobytes() == np.array(columns["toxicity"], dtype=np.float64).tobytes()
+    assert posts.toxicity_raw.tolist() == columns["toxicity_raw"]
+
+
+def post_doc(i, **extra):
+    return {"post_id": f"p{i}", "user_id": f"u{i % 3}", "timestamp": T0 + i, **extra}
+
+
+def write_text_lines(path, lines, end="\n"):
+    path.write_bytes("".join(line + end for line in lines).encode("utf-8"))
+
+
+NUMBER = st.integers(-(2**64), 2**64) | st.floats(allow_nan=True, allow_infinity=True)
+# One id in ten is an integer, which the reader accepts and turns to a string.
+ID = st.integers(0, 9).flatmap(lambda k: st.integers(-(2**70), 2**70) if k == 0 else st.text(SPECIAL, max_size=3))
+# Values of one field that a valid post may hold, and values it may not.
+GOOD_VALUES = {
+    "post_id": ID,
+    "user_id": ID,
+    "timestamp": st.integers(-(2**63), 2**63 - 1),
+    "text": st.none() | TEXT,
+}
+BAD_VALUES = {
+    "post_id": st.sampled_from([None, 1.5, True, [], {}]),
+    "user_id": st.sampled_from([None, False, ["u"]]),
+    "timestamp": st.sampled_from([2**63, -(2**63) - 1, 1.0, "1", True, None]),
+    "text": st.sampled_from([1, [], {}, False]),
+    "toxicity": NUMBER.filter(lambda v: not 0 <= v <= 100) | st.sampled_from([True, "50"]),
+    "toxicity_raw": st.sampled_from([0, 6, 2.0, True, "3", -1]),
+}
+BLANK_LINES = st.sampled_from(["", "   ", "\t", "\u2028", "\x0c\x1c\x85"])
+# Lines that hold no post: JSON of another kind, or not JSON at all.
+NOT_POSTS = st.sampled_from([
+    "[1, 2]", "3", '"post"', "null", "{}", "{}{}", "{", "\ufeff{}",
+    '{"post_id": "s", "user_id": "u", "timestamp": 1, "x": [1', '2]}, {"post_id": "t", "user_id": "u", "timestamp": 1}',
+    '{"post_id": "n", "user_id": "u", "timestamp": 1, "toxicity": NaN}',
+    '{"post_id": "e", "user_id": "u", "timestamp": 1} {}', '{"post_id": "f", "user_id": "u", "timestamp": 1}]',
+])
+
+
+@st.composite
+def post_lines(draw):
+    """Mostly valid posts of every accepted shape; about one line in thirteen is bad."""
+    doc = {key: draw(values) for key, values in GOOD_VALUES.items()}
+    rating = draw(st.none() | st.integers(1, 5))
+    score = draw(st.none() | st.floats(0.0, 100.0) | st.integers(0, 100))
+    if rating is not None:
+        doc["toxicity_raw"] = rating
+        score = draw(st.sampled_from([None, (rating - 1) * 25.0, rating * 25 - 25]))
+    doc["toxicity"] = score
+    doc = {key: value for key, value in doc.items() if value is not None or draw(st.booleans())}
+    flaw = draw(st.integers(0, 39))
+    if flaw == 0:
+        key = draw(st.sampled_from(sorted(BAD_VALUES)))
+        doc[key] = draw(BAD_VALUES[key])
+    elif flaw == 1:
+        doc.pop(draw(st.sampled_from(["post_id", "user_id", "timestamp"])))
+    elif flaw == 2:
+        return draw(NOT_POSTS)
+    return json.dumps(doc, ensure_ascii=draw(st.booleans()))
+
+
+class TestReadPostsEquivalence:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        lines=st.lists(st.one_of(post_lines(), post_lines(), post_lines(), BLANK_LINES), max_size=24),
+        ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=24, max_size=24),
+        chunk=st.sampled_from([1, 2, 3, 7, CHUNK_LINES]),
+    )
+    def test_same_columns_or_same_line_as_per_line_oracle(self, tmp_path, lines, ends, chunk):
+        path = tmp_path / "posts.ndjson"
+        path.write_bytes("".join(line + end for line, end in zip(lines, ends)).encode("utf-8"))
+        with mock.patch.object(corpus_mod, "CHUNK_LINES", chunk):
+            assert_reads_as_oracle(path)
+
+    def test_value_spanning_two_lines_names_the_first(self, tmp_path):
+        path = tmp_path / "posts.ndjson"
+        write_text_lines(path, [
+            json.dumps(post_doc(0)),
+            '{"post_id": "a", "user_id": "u", "timestamp": 1, "x": [1',
+            '2]}, {"post_id": "b", "user_id": "u", "timestamp": 1}',
+        ])
+        with pytest.raises(CorpusError, match=r"^line 2: invalid JSON"):
+            read_posts(path)
+        assert_reads_as_oracle(path)
+
+    @pytest.mark.parametrize("tail", [" {}", "]", ", 1", " x"])
+    def test_data_after_the_object_named(self, tmp_path, tail):
+        path = tmp_path / "posts.ndjson"
+        write_text_lines(path, [json.dumps(post_doc(0)), json.dumps(post_doc(1)) + tail])
+        with pytest.raises(CorpusError, match=r"^line 2: invalid JSON \(Extra data\)"):
+            read_posts(path)
+
+    @pytest.mark.parametrize("bad_json", [True, False])
+    def test_bad_line_named_before_a_later_undecodable_byte(self, tmp_path, bad_json):
+        # The bad byte lies in the same chunk but past the decoder's first block.
+        lines = [json.dumps(post_doc(i, text="x" * 100)) for i in range(CHUNK_LINES - 1)]
+        if bad_json:
+            lines[1] = "{"
+        path = tmp_path / "posts.ndjson"
+        path.write_bytes("".join(line + "\n" for line in lines).encode() + b"\xff\n")
+        with pytest.raises(CorpusError if bad_json else UnicodeDecodeError, match=r"^line 2: " if bad_json else None):
+            read_posts(path)
+
+    def test_utf8_bom_named(self, tmp_path):
+        path = tmp_path / "posts.ndjson"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps(post_doc(0)).encode() + b"\n")
+        with pytest.raises(CorpusError, match=r"^line 1: invalid JSON \(Unexpected UTF-8 BOM"):
+            read_posts(path)
+        assert_reads_as_oracle(path)
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_crlf_and_bare_cr_end_lines(self, tmp_path, end):
+        path = tmp_path / "posts.ndjson"
+        write_text_lines(path, [json.dumps(post_doc(i)) for i in range(3)], end=end)
+        assert read_posts(path).post_id == ["p0", "p1", "p2"]
+        write_text_lines(path, [json.dumps(post_doc(i)) for i in range(3)] + ["{"], end=end)
+        with pytest.raises(CorpusError, match=r"^line 4: "):
+            read_posts(path)
+        assert_reads_as_oracle(path)
+
+    def test_whitespace_only_lines_skipped_and_counted(self, tmp_path):
+        path = tmp_path / "posts.ndjson"
+        write_text_lines(path, [json.dumps(post_doc(0)), "  \t", "\u2028", "\x0c\x1c\x85\u00a0", json.dumps(post_doc(1)), "[]"])
+        with pytest.raises(CorpusError, match=r"^line 6: expected a JSON object"):
+            read_posts(path)
+        write_text_lines(path, [json.dumps(post_doc(0)), "  \t", "\u2028", json.dumps(post_doc(1))])
+        assert read_posts(path).post_id == ["p0", "p1"]
+
+    def test_raw_line_separator_in_text(self, tmp_path):
+        path = tmp_path / "posts.ndjson"
+        lines = [json.dumps(post_doc(i, text=f"a\u2028b\u2029c\x85{i}"), ensure_ascii=False) for i in range(3)]
+        write_text_lines(path, lines + ['{"post_id": 1.5, "user_id": "u", "timestamp": 1}'])
+        with pytest.raises(CorpusError, match=r"^line 4: "):
+            read_posts(path)
+        write_text_lines(path, lines)
+        assert read_posts(path).text == [f"a\u2028b\u2029c\x85{i}" for i in range(3)]
+        assert_reads_as_oracle(path)
+
+    @pytest.mark.parametrize("bad_index", [0, CHUNK_LINES - 1, CHUNK_LINES, 2 * CHUNK_LINES - 1])
+    @pytest.mark.parametrize("bad", ['{"post_id": "x"', '{"post_id": "x", "user_id": "u", "timestamp": 1, "toxicity": 101}'])
+    def test_bad_line_at_chunk_edges(self, tmp_path, bad_index, bad):
+        lines = [json.dumps(post_doc(i, toxicity=float(i % 100))) for i in range(2 * CHUNK_LINES)]
+        lines[bad_index] = bad
+        path = tmp_path / "posts.ndjson"
+        write_text_lines(path, lines)
+        with pytest.raises(CorpusError, match=rf"^line {bad_index + 1}: "):
+            read_posts(path)
+
+    @pytest.mark.parametrize("n", [CHUNK_LINES - 1, CHUNK_LINES, CHUNK_LINES + 1, 2 * CHUNK_LINES])
+    def test_files_around_the_chunk_size(self, tmp_path, n):
+        path = tmp_path / "posts.ndjson"
+        write_text_lines(path, [json.dumps(post_doc(i, toxicity_raw=1 + i % 5)) for i in range(n)])
+        posts = read_posts(path)
+        assert posts.post_id == [f"p{i}" for i in range(n)]
+        assert_reads_as_oracle(path)
+
+    @pytest.mark.parametrize("score_line, json_line", [(3, 5), (5, 3)])
+    def test_earlier_of_bad_score_and_bad_json_wins(self, tmp_path, score_line, json_line):
+        lines = [json.dumps(post_doc(i)) for i in range(8)]
+        lines[score_line - 1] = json.dumps(post_doc(score_line, toxicity=150.0))
+        lines[json_line - 1] = '{"post_id": '
+        path = tmp_path / "posts.ndjson"
+        write_text_lines(path, lines)
+        with pytest.raises(CorpusError, match=rf"^line {min(score_line, json_line)}: "):
+            read_posts(path)
