@@ -115,18 +115,11 @@ def run_ingest(posts, embeddings, window, out, t0, t_end) -> dict:
     }
 
 
-def run_reduce(embeddings, out, dim, fraction, external, seed) -> dict:
+def run_reduce(embeddings, out, dim, fraction, seed) -> dict:
     matrix = corpus_mod.read_embeddings(embeddings)
-    if external:
-        if matrix.d != dim:
-            raise ValueError(f"external embeddings have d={matrix.d}, expected {dim}")
-        reduced = matrix
-        model = reduce_mod.external_model(dim)
-    else:
-        model = reduce_mod.fit_on_sample(matrix, fraction=fraction, output_dim=dim, seed=seed)
-        reduced = reduce_mod.transform(model, matrix)
-    corpus_mod.write_embeddings(out, reduced.values, reduced.row_ids)
-    return {"outputs": {"embeddings": str(out)}, "kind": model.kind, "dim": dim}
+    model = reduce_mod.fit_on_sample(matrix.values, fraction=fraction, output_dim=dim, seed=seed)
+    corpus_mod.write_embeddings(out, reduce_mod.transform(model, matrix.values), matrix.row_ids)
+    return {"outputs": {"embeddings": str(out)}, "dim": dim}
 
 
 def run_cluster(embeddings, out, min_cluster_size, min_samples, max_depth) -> dict:
@@ -197,33 +190,30 @@ PAIRS = tuple(PAIR_GROUPS)
 FREQS = ("daily", "weekly")
 
 
-def _pair_vectors(user_ids, paths, grouping: GroupingResult, pair: str, freq: str, week_len: int):
+def _member_paths(user_ids, paths, grouping: GroupingResult, group: str) -> np.ndarray:
+    """The paths of ``group``'s members that have a trajectory, in member order."""
     index = {u: i for i, u in enumerate(user_ids)}
-
-    def flatten(group):
-        rows = [paths[index[u]] for u in grouping.members(group) if u in index]
-        if freq == "weekly":
-            rows = [weekly_average(daily, week_len) for daily in rows]
-        return np.asarray([grid.reshape(-1) for grid in rows])
-
-    return tuple(flatten(group) for group in PAIR_GROUPS[pair])
+    return paths[[index[u] for u in grouping.members(group) if u in index]]
 
 
 def run_permanova(trajectories, groups, corpus, out, pairs, freqs, n_permutations, seed, workers) -> dict:
     # ``trajectories`` must hold the daily grid; weekly vectors are derived
     # from it with the week length of ``corpus``'s window.
     week_len = _read_window(corpus and Path(corpus) / "window.json").week_len_days
-    user_ids, paths = read_trajectories(trajectories)
+    user_ids, daily = read_trajectories(trajectories)
     grouping = GroupingResult.load(groups)
+    by_freq = {freq: daily if freq == "daily" else weekly_average(daily, week_len) for freq in freqs}
     rows = []
     for pair in pairs:
         for freq in freqs:
-            a, b = _pair_vectors(user_ids, paths, grouping, pair, freq, week_len)
-            if a.shape[0] == 0 or b.shape[0] == 0:
+            a, b = (_member_paths(user_ids, by_freq[freq], grouping, group) for group in PAIR_GROUPS[pair])
+            if len(a) == 0 or len(b) == 0:
                 rows.append({"pair": pair, "freq": freq, "skipped": "empty group"})
                 continue
+            # One vector per user: its grid, flattened.
             result = permanova_test(
-                a, b, n_permutations=n_permutations, seed=stage_seed(seed, f"permanova-{pair}-{freq}"), workers=workers
+                a.reshape(len(a), -1), b.reshape(len(b), -1), n_permutations=n_permutations,
+                seed=stage_seed(seed, f"permanova-{pair}-{freq}"), workers=workers,
             )
             rows.append({"pair": pair, "freq": freq, **result.to_json()})
     doc = {"rows": rows}
@@ -247,16 +237,15 @@ def run_assign(topics, embeddings, trajectories, groups, corpus, out, k) -> dict
     model = fit_knn(matrix.values[labeled_rows], assignment[labeled_rows], k=k)
     user_ids, paths = read_trajectories(trajectories)
     grouping = GroupingResult.load(groups)
-    index = {u: i for i, u in enumerate(user_ids)}
     topic_toxicity = {
         n.node_id: n.mean_toxicity for n in topics.surviving()
     }
     groups_doc = {}
     for name in (GROUP_INCREASING, GROUP_DECREASING, REF_INCREASING, REF_DECREASING):
-        members = [u for u in grouping.members(name) if u in index]
-        if not members:
+        members = _member_paths(user_ids, paths, grouping, name)
+        if len(members) == 0:
             continue
-        avg_daily = group_average_trajectory([paths[index[u]] for u in members])
+        avg_daily = group_average_trajectory(members)
         avg_weekly = weekly_average(avg_daily, week_len)
         daily_lab = label_trajectory(model, avg_daily)
         weekly_lab = label_trajectory(model, avg_weekly)
@@ -317,8 +306,8 @@ class Port(NamedTuple):
 
 class Param(NamedTuple):
     """A key of the stage's run config, and its subcommand option: ``flag``
-    (default: --key), of ``type`` (default: that of ``default``; a False
-    default makes a switch), ``required`` as an option only."""
+    (default: --key), of ``type`` (default: that of ``default``),
+    ``required`` as an option only."""
 
     key: str
     default: object = None
@@ -371,13 +360,12 @@ STAGES = (
                   Port("window", None, required=False, source=True)),
           outputs=Port("corpus", "--out", path="corpus"),
           params=(Param("t0", type=str), Param("t_end", type=str))),
-    Stage("reduce", "fit-on-sample reduction to k dimensions",
+    Stage("reduce", "fit-on-sample PCA to k dimensions (pre-reduced vectors skip this stage)",
           inputs=(Port("embeddings", "--in"),),
           outputs=Port("embeddings", "--out", path="reduced.emb"),
           params=(Param("dim", PIPELINE_DEFAULTS["reduce_dim"]),
                   Param("fraction", PIPELINE_DEFAULTS["reduce_fraction"]),
-                  SEED,
-                  Param("external", False, help="pass through pre-reduced vectors"))),
+                  SEED)),
     Stage("cluster", "recursive density-based clustering",
           inputs=(Port("embeddings", "--in"),),
           outputs=Port("tree", "--out", path="tree.json"),
@@ -464,13 +452,34 @@ def _execute(stage: Stage, kwargs: dict, held=None):
 # Pipeline runner
 
 
+def _check_config(config: dict) -> None:
+    """Raise ValueError naming the first key of ``config`` that a run would
+    not read: a top-level key, a stage, or a stage's key. A stage reads
+    ``enabled``, its params but the seed and workers that a run sets, and its
+    source inputs that have a flag."""
+    for key in config:
+        if key not in ("seed", "out_dir", "workers", "stages"):
+            raise ValueError(f"unknown config key {key!r}")
+    stages = {stage.name: stage for stage in STAGES}
+    for name, cfg in config.get("stages", {}).items():
+        if name not in stages:
+            raise ValueError(f"unknown stage {name!r}")
+        params = [p.key for p in stages[name].params if p not in (SEED, WORKERS)]
+        sources = [port.name for port in stages[name].inputs if port.source and port.flag]
+        for key in cfg:
+            if key not in ("enabled", *params, *sources):
+                raise ValueError(f"stage {name!r}: unknown config key {key!r}")
+
+
 def run_pipeline(config: dict, config_dir: Path | None = None) -> dict:
     """Execute enabled stages in order; returns the run manifest.
 
     A stage reads only what earlier stages of this run made, apart from its
     ``source`` inputs (see ``Port``); a required input with no path is an error
-    that names it. ``config`` is left unchanged.
+    that names it. A key the run would not read is an error before any stage
+    runs. ``config`` is left unchanged.
     """
+    _check_config(config)
     out_dir = Path(config.get("out_dir", "toxtraj_run"))
     out_dir.mkdir(parents=True, exist_ok=True)
     root_seed = _root_seed(config.get("seed", SEED.default))
@@ -645,8 +654,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(out.flag, dest="out", required=out.required, help=out.help)
         for param in stage.params:
             flag = param.flag or "--" + param.key.replace("_", "-")
-            kind = {"action": "store_true"} if param.default is False else {"type": param.type or type(param.default)}
-            p.add_argument(flag, dest=param.key, default=param.default, required=param.required, help=param.help, **kind)
+            p.add_argument(flag, dest=param.key, default=param.default, type=param.type or type(param.default),
+                           required=param.required, help=param.help)
 
     p = sub.add_parser("run", help="run the configured pipeline end to end")
     p.add_argument("--config", required=True)

@@ -27,6 +27,7 @@ import itertools
 import json
 import logging
 import math
+import re
 import struct
 from collections import Counter
 from dataclasses import dataclass
@@ -49,6 +50,10 @@ CHUNK_LINES = 256
 
 _scan_json = json.JSONDecoder().scan_once
 _quote = json.encoder.encode_basestring
+# json joins an escaped surrogate pair, so a surrogate left in a decoded
+# string came from a lone \uD800-\uDFFF escape; UTF-8 cannot encode it.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 # Study window defaults: 2023-04-17T00:00Z .. 2023-10-27T23:59Z, a 194-day span.
 DEFAULT_T0 = 1681689600
@@ -290,6 +295,9 @@ def _coerce_post(doc: dict, line_no: int) -> tuple:
     text = doc.get("text")
     if text is not None and not isinstance(text, str):
         raise CorpusError(f"line {line_no}: text must be a string when present")
+    for key, value in (("post_id", post_id), ("user_id", user_id), ("text", text)):
+        if value is not None and _SURROGATE.search(value):
+            raise CorpusError(f"line {line_no}: {key} holds a lone surrogate, which UTF-8 cannot encode")
     raw = doc.get("toxicity_raw")
     toxicity = doc.get("toxicity")
     if toxicity is not None:
@@ -333,9 +341,10 @@ def _scan_chunk(lines: list) -> Optional[list]:
     Each stripped line is parsed on its own, as ``json.loads`` would, and the
     chunk's columns are then checked at once: string ids, int timestamps
     within int64, optional string text, and a score in [0, 100], a rating in
-    1..5, or both in agreement. These checks accept a subset of what
-    ``_coerce_post`` accepts and give the same values, so a None costs only a
-    per-line pass, which names the first bad line."""
+    1..5, or both in agreement, and no lone surrogate in an id or text. These
+    checks accept a subset of what ``_coerce_post`` accepts and give the same
+    values, so a None costs only a per-line pass, which names the first bad
+    line."""
     docs = []
     try:
         for line in lines:
@@ -369,6 +378,10 @@ def _scan_chunk(lines: list) -> Optional[list]:
         return None
     if rated and scored and not all(
         math.isclose(s, (r - 1) * 25.0, abs_tol=1e-9) for s, r in zip(score, raw) if s is not None and r is not None
+    ):
+        return None
+    if _SURROGATE_ESCAPE.search("".join(lines)) and any(
+        _SURROGATE.search(value) for value in itertools.chain(post_id, user_id, filter(None, text))
     ):
         return None
     toxicity = [(r - 1) * 25.0 if r else math.nan if s is None else float(s) for s, r in zip(score, raw)]

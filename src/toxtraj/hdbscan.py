@@ -171,34 +171,6 @@ def core_distances(points: np.ndarray, min_samples: int) -> np.ndarray:
     return np.sqrt(((points - points[idx[:, -1]]) ** 2).sum(axis=1))
 
 
-class _UnionFind:
-    __slots__ = ("parent", "rank")
-
-    def __init__(self, n: int):
-        self.parent = np.arange(n, dtype=np.int64)
-        self.rank = np.zeros(n, dtype=np.int64)
-
-    def find(self, x: int) -> int:
-        root = x
-        parent = self.parent
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        return True
-
-
 def mutual_reachability_mst(
     points: np.ndarray, cores: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -407,38 +379,25 @@ def _single_linkage(endpoints: np.ndarray, weights: np.ndarray, n: int):
     larger ids than their children. Equal-weight edges merge in lexicographic
     endpoint order.
     """
-    lo = np.minimum(endpoints[:, 0], endpoints[:, 1])
-    hi = np.maximum(endpoints[:, 0], endpoints[:, 1])
-    order = np.lexsort((hi, lo, weights))
-    uf = _UnionFind(2 * n - 1)
-    node_of_root = np.arange(n, dtype=np.int64)
-    children = np.empty((n - 1, 2), dtype=np.int64)
-    dist = np.empty(n - 1, dtype=np.float64)
-    size = np.empty(2 * n - 1, dtype=np.int64)
-    size[:n] = 1
-    for i, e in enumerate(order):
-        u, v = endpoints[e]
-        ru, rv = uf.find(u), uf.find(v)
-        new_id = n + i
-        children[i, 0] = node_of_root[ru]
-        children[i, 1] = node_of_root[rv]
-        dist[i] = weights[e]
-        size[new_id] = size[node_of_root[ru]] + size[node_of_root[rv]]
-        uf.union(ru, rv)
-        node_of_root[uf.find(ru)] = new_id
-    return children, dist, size
+    order = np.lexsort((endpoints.max(axis=1), endpoints.min(axis=1), weights))
+    # A node is its own parent while it is the root of its component: the
+    # dendrogram node that holds it. A merge points both roots at the new node.
+    parent = list(range(2 * n - 1))
 
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]  # path halving
+        return x
 
-def _leaves_under(node: int, children: np.ndarray, n: int) -> list[int]:
-    out: list[int] = []
-    stack = [node]
-    while stack:
-        t = stack.pop()
-        if t < n:
-            out.append(t)
-        else:
-            stack.extend(children[t - n])
-    return out
+    size = [1] * (2 * n - 1)
+    children = []
+    for node, (u, v) in enumerate(endpoints[order].tolist(), start=n):
+        a, b = find(u), find(v)
+        children.append((a, b))
+        size[node] = size[a] + size[b]
+        parent[a] = parent[b] = node
+    children = np.array(children, dtype=np.int64).reshape(n - 1, 2)
+    return children, np.asarray(weights, dtype=np.float64)[order], np.array(size, dtype=np.int64)
 
 
 def condense_and_extract(
@@ -462,8 +421,8 @@ def condense_and_extract(
     children, dist, size = _single_linkage(endpoints, weights, n)
 
     # Walk the dendrogram top-down (ids descend from the root), tracking for
-    # every node either the condensed cluster it still belongs to or the
-    # lambda at which its subtree fell out.
+    # every node either the condensed cluster it still belongs to or the one
+    # its subtree fell out of.
     with np.errstate(divide="ignore"):
         lam_split = np.where(dist > 0.0, 1.0 / dist, np.inf)
 
@@ -473,7 +432,7 @@ def condense_and_extract(
     state_cluster[root] = 0
     cluster_parent: list[int] = [NONE]
     birth: list[float] = [0.0]
-    point_cluster = np.full(n, NONE, dtype=np.int64)
+    exit_cluster = np.full(2 * n - 1, NONE, dtype=np.int64)
     stability_rows: list[list[tuple[float, int]]] = [[]]  # per cluster: (lambda, count)
 
     def new_cluster(parent: int, lam: float) -> int:
@@ -482,17 +441,14 @@ def condense_and_extract(
         stability_rows.append([])
         return len(cluster_parent) - 1
 
-    def fall_out(subtree: int, cl: int) -> None:
-        # Every point under the detached subtree exits from cluster cl.
-        for leaf in _leaves_under(subtree, children, n):
-            point_cluster[leaf] = cl
-
     for node in range(root, n - 1, -1):
-        cl = state_cluster[node]
-        if cl == NONE:
-            continue  # subtree already detached and emitted
         i = node - n
         a, b = children[i]
+        cl = state_cluster[node]
+        if cl == NONE:
+            # Every point under a detached subtree exits from the same cluster.
+            exit_cluster[a] = exit_cluster[b] = exit_cluster[node]
+            continue
         sa, sb = size[a], size[b]
         lam = lam_split[i]
         if sa >= min_cluster_size and sb >= min_cluster_size:
@@ -506,10 +462,7 @@ def condense_and_extract(
                     state_cluster[child] = cl
                 else:
                     stability_rows[cl].append((lam, s_child))
-                    if child < n:
-                        point_cluster[child] = cl
-                    else:
-                        fall_out(child, cl)
+                    exit_cluster[child] = cl
 
     n_clusters = len(cluster_parent)
     stability = np.zeros(n_clusters, dtype=np.float64)
@@ -555,6 +508,7 @@ def condense_and_extract(
             parent = cluster_parent[cid]
             if parent != NONE:
                 owner[cid] = owner[parent]
+    point_cluster = exit_cluster[:n]
     raw_labels = np.where(point_cluster >= 0, owner[point_cluster], NONE)
 
     # Canonical cluster ids: numbered by smallest member row.

@@ -229,15 +229,17 @@ def interpolate_daily(
 
 
 def weekly_average(daily: np.ndarray, week_len_days: int = 7) -> np.ndarray:
-    """Average non-overlapping week blocks; trailing partial days are unused."""
+    """Average non-overlapping week blocks of a (days, k) trajectory, or of a
+    stack of them (leading axes); trailing partial days are unused."""
     daily = np.asarray(daily, dtype=np.float64)
-    if daily.ndim != 2:
-        raise ValueError("daily trajectory must be a 2-D array")
-    n_weeks = daily.shape[0] // week_len_days
+    if daily.ndim < 2:
+        raise ValueError("daily trajectory must be a 2-D array or a stack of them")
+    *lead, n_days, k = daily.shape
+    n_weeks = n_days // week_len_days
     if n_weeks == 0:
         raise ValueError("daily trajectory shorter than one week")
-    used = daily[: n_weeks * week_len_days]
-    return used.reshape(n_weeks, week_len_days, daily.shape[1]).mean(axis=1)
+    used = daily[..., : n_weeks * week_len_days, :]
+    return used.reshape(*lead, n_weeks, week_len_days, k).mean(axis=-2)
 
 
 def build_trajectories(corpus: Corpus, workers: int = 1) -> tuple[dict[str, np.ndarray], dict]:
@@ -263,12 +265,11 @@ def build_trajectories(corpus: Corpus, workers: int = 1) -> tuple[dict[str, np.n
     return dict(zip(user_ids, dailies)), report
 
 
-def group_average_trajectory(trajectories: list[np.ndarray]) -> np.ndarray:
-    """Coordinate-wise centroid across users at each timestep."""
-    if not trajectories:
+def group_average_trajectory(trajectories) -> np.ndarray:
+    """Coordinate-wise centroid of a list or stack of trajectories."""
+    if len(trajectories) == 0:
         raise ValueError("group must be non-empty")
-    stacked = np.stack([np.asarray(t, dtype=np.float64) for t in trajectories])
-    return stacked.mean(axis=0)
+    return np.asarray(trajectories, dtype=np.float64).mean(axis=0)
 
 
 def write_trajectories(path, user_ids: list[str], paths_array: np.ndarray) -> None:

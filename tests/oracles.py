@@ -189,7 +189,8 @@ def read_posts_per_line(path):
     """A posts file read one line at a time with plain json and the format's
     rules: each non-blank stripped line is one object with string or integer
     ids, an int64 timestamp, optional string text, an optional toxicity in
-    [0, 100] and an optional toxicity_raw in 1..5 that agrees with it.
+    [0, 100] and an optional toxicity_raw in 1..5 that agrees with it. Ids
+    and text must encode as UTF-8, so they hold no lone surrogate.
 
     Returns ``(columns, None)`` for a valid file, with one list per field in
     ``POST_FIELDS`` (toxicity NaN and toxicity_raw 0 where absent; a rating
@@ -214,6 +215,12 @@ def read_posts_per_line(path):
             if isinstance(timestamp, bool) or not isinstance(timestamp, int) or not -(2**63) <= timestamp < 2**63:
                 return None, n
             if text is not None and not isinstance(text, str):
+                return None, n
+            try:
+                for value in (*ids, text):
+                    if isinstance(value, str):
+                        value.encode("utf-8")
+            except UnicodeEncodeError:
                 return None, n
             score, raw = doc.get("toxicity"), doc.get("toxicity_raw")
             if score is not None:
@@ -246,3 +253,27 @@ def write_posts_json(path, post_id, user_id, timestamp, toxicity, toxicity_raw, 
             elif not math.isnan(toxicity[i]):
                 doc["toxicity"] = float(toxicity[i])
             fh.write(json.dumps(doc, ensure_ascii=False) + "\n")
+
+
+def naive_single_linkage(endpoints, weights, n):
+    """Single-linkage dendrogram of a spanning tree, by relabelling points.
+
+    Edges merge in the order (weight, min endpoint, max endpoint). Merge i
+    makes node n + i; its children are the nodes that held the components of
+    the edge's first and second endpoint, in that order. Returns (children,
+    dist, size), with size indexed by node id, points first.
+    """
+    edges = sorted(zip(np.asarray(weights).tolist(), np.asarray(endpoints).tolist()),
+                   key=lambda edge: (edge[0], min(edge[1]), max(edge[1])))
+    holder = list(range(n))  # the node that holds each point's component
+    size = [1] * n
+    children, dist = [], []
+    for w, (u, v) in edges:
+        a, b = holder[u], holder[v]
+        node = n + len(children)
+        children.append((a, b))
+        dist.append(w)
+        size.append(size[a] + size[b])
+        holder = [node if x in (a, b) else x for x in holder]
+    return (np.array(children, dtype=np.int64).reshape(-1, 2), np.array(dist, dtype=np.float64),
+            np.array(size, dtype=np.int64))

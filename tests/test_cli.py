@@ -50,7 +50,7 @@ def pipeline_config(tmp_path, out_name="run", workers=1, perms=99):
         "workers": workers,
         "stages": {
             "synth": {"scenario": str(tmp_path / "scenario.json")},
-            "reduce": {"external": True, "dim": 5},
+            "reduce": {"dim": 5},
             "cluster": {"min_cluster_size": 60, "min_samples": 15},
             "merge": {"scorer": "reference"},
             "groups": {"min_posts": 50},
@@ -115,17 +115,44 @@ class TestPipeline:
             hashes[workers] = [sha256_file(out_dir / rel) for rel in OUTPUT_FILES]
         assert hashes[1] == hashes[2] == hashes[8]
 
-    def test_disabled_reduce_equals_external_pass_through(self, tmp_path):
-        small_scenario(tmp_path)
-        config_a = pipeline_config(tmp_path, out_name="with_external")
-        config_b = pipeline_config(tmp_path, out_name="without_reduce")
-        config_b["stages"]["reduce"] = {"enabled": False}
-        run_pipeline(config_a)
-        run_pipeline(config_b)
-        for rel in ["tree.json", "topics.json", "groups.json", "traj.bin", "permanova.json", "labeled.json"]:
-            assert sha256_file(tmp_path / "with_external" / rel) == sha256_file(
-                tmp_path / "without_reduce" / rel
-            ), rel
+    @pytest.mark.parametrize(
+        "section, key, value, named",
+        [
+            (None, "worker", 2, "unknown config key 'worker'"),
+            ("stages", "permanvoa", {"n_permutations": 9}, "unknown stage 'permanvoa'"),
+            ("groups", "min_post", 500, "stage 'groups': unknown config key 'min_post'"),
+            ("reduce", "external", True, "stage 'reduce': unknown config key 'external'"),
+            ("permanova", "seed", 3, "stage 'permanova': unknown config key 'seed'"),
+            ("merge", "workers", 2, "stage 'merge': unknown config key 'workers'"),
+            ("merge", "embeddings", "x.emb", "stage 'merge': unknown config key 'embeddings'"),
+        ],
+    )
+    def test_unknown_config_key_named_before_any_stage(self, tmp_path, section, key, value, named):
+        config = pipeline_config(tmp_path, out_name="typo")
+        if section is None:
+            config[key] = value
+        elif section == "stages":
+            config["stages"][key] = value
+        else:
+            config["stages"].setdefault(section, {})[key] = value
+        with pytest.raises(ValueError, match=f"^{named}$"):
+            run_pipeline(config)
+        assert not (tmp_path / "typo").exists()
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(config_path)]) == 1
+
+    def test_config_keys_a_run_reads_accepted(self, tmp_path):
+        small_scenario(tmp_path, n_users=6)
+        stages = {
+            "synth": {"scenario": str(tmp_path / "scenario.json"), "seed": 4, "enabled": True},
+            "ingest": {"t0": "2023-04-17T00:00:00Z", "t_end": "1698451140"},
+            "groups": {"min_posts": 50, "alpha": 0.05},
+        }
+        for name in ("reduce", "cluster", "merge", "trajectories", "permanova", "assign"):
+            stages[name] = {"enabled": False}
+        manifest = run_pipeline({"seed": 1, "out_dir": str(tmp_path / "keys"), "workers": 1, "stages": stages})
+        assert [s["name"] for s in manifest["stages"]] == ["synth", "ingest", "groups"]
 
     def test_failing_stage_named_and_partial_outputs_kept(self, tmp_path):
         small_scenario(tmp_path)
@@ -417,6 +444,17 @@ class TestCliCommands:
         reduced = read_embeddings(tmp_path / "low.emb")
         assert reduced.d == 5
         assert reduced.n == 120
+        assert reduced.row_ids == [f"p{i}" for i in range(120)]
+        assert json.loads(capsys.readouterr().out) == {"outputs": {"embeddings": str(tmp_path / "low.emb")}, "dim": 5}
+
+    def test_ingest_names_line_with_lone_surrogate(self, tmp_path, capsys):
+        lines = [json.dumps({"post_id": f"p{i}", "user_id": "u", "timestamp": DEFAULT_T0 + i}) for i in range(3)]
+        lines[1] = lines[1][:-1] + ', "text": "x\\ud800y"}'
+        (tmp_path / "posts.ndjson").write_text("".join(line + "\n" for line in lines))
+        code = main(["ingest", "--posts", str(tmp_path / "posts.ndjson"), "--out", str(tmp_path / "bundle")])
+        assert code == 1
+        assert "line 2: text holds a lone surrogate" in capsys.readouterr().err
+        assert not (tmp_path / "bundle").exists()
 
     def test_error_exit_code(self, tmp_path, capsys):
         code = main(["ingest", "--posts", str(tmp_path / "missing.ndjson"), "--out", str(tmp_path / "b")])

@@ -602,3 +602,32 @@ class TestReadPostsEquivalence:
         write_text_lines(path, lines)
         with pytest.raises(CorpusError, match=rf"^line {min(score_line, json_line)}: "):
             read_posts(path)
+
+    @pytest.mark.parametrize("key", ["text", "post_id", "user_id"])
+    @pytest.mark.parametrize("escape", ["\\ud800", "\\udc00", "\\uDBFF", "\\ude00\\ud83d"])
+    @pytest.mark.parametrize("bad_index", [0, CHUNK_LINES, 2 * CHUNK_LINES - 1])
+    def test_lone_surrogate_named(self, tmp_path, key, escape, bad_index):
+        lines = [json.dumps(post_doc(i, text="t")) for i in range(2 * CHUNK_LINES)]
+        doc = post_doc(bad_index, text="t")
+        doc[key] = "x@y"
+        lines[bad_index] = json.dumps(doc).replace("@", escape)
+        path = tmp_path / "posts.ndjson"
+        write_text_lines(path, lines)
+        with pytest.raises(CorpusError, match=rf"^line {bad_index + 1}: {key} holds a lone surrogate"):
+            read_posts(path)
+        assert_reads_as_oracle(path)
+
+    @pytest.mark.parametrize("key", ["text", "post_id", "user_id"])
+    def test_escaped_surrogate_pair_and_escaped_backslash_accepted(self, tmp_path, key):
+        lines = [json.dumps(post_doc(i, text="t")) for i in range(CHUNK_LINES + 1)]
+        for i, value in ((0, "\U0001F600"), (CHUNK_LINES, "\\ud800")):
+            doc = post_doc(i, text="t")
+            doc[key] = value
+            lines[i] = json.dumps(doc)
+        path = tmp_path / "posts.ndjson"
+        write_text_lines(path, lines)
+        assert "\\ud83d\\ude00" in lines[0] and "\\\\ud800" in lines[CHUNK_LINES]
+        posts = read_posts(path)
+        assert getattr(posts, key)[0] == "\U0001F600"
+        assert getattr(posts, key)[CHUNK_LINES] == "\\ud800"
+        assert_reads_as_oracle(path)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial import cKDTree
 
+from oracles import naive_single_linkage
 from reference_hdbscan import (
     dense_prim_mst,
     reference_core_distances,
@@ -17,6 +18,7 @@ from reference_hdbscan import (
 from toxtraj.hdbscan import (
     ClusterTree,
     HdbscanParams,
+    _single_linkage,
     core_distances,
     mutual_reachability_mst,
     recursive_cluster,
@@ -244,6 +246,38 @@ class TestMstExact:
             core_distances(pts, 5)
         with pytest.raises(ValueError, match=r"^point 17 has non-finite values$"):
             mutual_reachability_mst(pts, np.ones(80))
+
+
+def random_tree(rng, n, n_weights):
+    """A spanning tree on n points: random attachments, edge orientations
+    and row order, with weights drawn from n_weights values so that many tie."""
+    child = np.arange(1, n)
+    parent = np.array([rng.integers(i) for i in child], dtype=np.int64)
+    flip = rng.random(n - 1) < 0.5
+    endpoints = np.stack([np.where(flip, child, parent), np.where(flip, parent, child)], axis=1)
+    order = rng.permutation(n - 1)
+    return endpoints[order], rng.integers(0, n_weights, size=n - 1).astype(float)[order] / 4
+
+
+def single_linkage_cases():
+    rng = np.random.default_rng(36)
+    # A few hundred points on 9 grid positions: most weights tie, many at 0.
+    grid = rng.integers(0, 3, size=(300, 2)).astype(float)
+    blobs = np.vstack([c + 0.3 * rng.normal(size=(60, 3)) for c in rng.uniform(-4, 4, size=(3, 3))])
+    cases = [(mutual_reachability_mst(pts, core_distances(pts, ms)), len(pts))
+             for pts, ms in [(grid, 1), (grid, 7), (blobs, 1), (blobs, 5), (grid[:2], 1)]]
+    cases += [(random_tree(rng, n, k), n) for n, k in [(2, 1), (3, 1), (50, 3), (400, 2), (400, 1000)]]
+    return cases
+
+
+class TestSingleLinkage:
+    def test_matches_naive_oracle_bit_for_bit(self):
+        for case, ((endpoints, weights), n) in enumerate(single_linkage_cases()):
+            mine = _single_linkage(endpoints, weights, n)
+            for got, want in zip(mine, naive_single_linkage(endpoints, weights, n)):
+                assert got.dtype == want.dtype and got.shape == want.shape, case
+                assert got.tobytes() == want.tobytes(), case
+            assert mine[2][-1] == n, case
 
 
 class TestCondenseExtract:

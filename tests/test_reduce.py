@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from toxtraj.corpus import EmbeddingMatrix
 from toxtraj.reduce import (
     ReducerModel,
-    external_model,
     fit_on_sample,
     transform,
 )
@@ -122,35 +120,16 @@ class TestTransform:
         with pytest.raises(ValueError, match="columns"):
             transform(model, np.zeros((5, 4)))
 
-    def test_external_pass_through(self):
-        model = external_model(5)
-        rng = np.random.default_rng(14)
-        matrix = EmbeddingMatrix(values=rng.normal(size=(8, 5)), row_ids=[f"p{i}" for i in range(8)])
-        out = transform(model, matrix)
-        np.testing.assert_array_equal(out.values, matrix.values)
-        assert out.row_ids == matrix.row_ids
-
     def test_embedding_matrix_round_trip(self):
-        rng = np.random.default_rng(15)
-        matrix = EmbeddingMatrix(values=rng.normal(size=(40, 6)), row_ids=[f"p{i}" for i in range(40)])
-        model = fit_on_sample(matrix, fraction=1.0, output_dim=2, seed=3)
-        out = transform(model, matrix)
-        assert isinstance(out, EmbeddingMatrix)
-        assert out.values.shape == (40, 2)
-        assert out.row_ids == matrix.row_ids
+        values = np.random.default_rng(15).normal(size=(40, 6))
+        model = fit_on_sample(values, fraction=1.0, output_dim=2, seed=3)
+        out = transform(model, values)
+        assert isinstance(out, np.ndarray)
+        assert out.shape == (40, 2)
+        np.testing.assert_array_equal(out, (values - model.mean) @ model.components.T)
 
 
 class TestModelSerialization:
-    def test_invalid_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            ReducerModel(kind="umap", input_dim=5, output_dim=5)
-
     def test_non_orthonormal_rejected(self):
         with pytest.raises(ValueError, match="orthonormal"):
-            ReducerModel(
-                kind="pca",
-                input_dim=3,
-                output_dim=2,
-                mean=np.zeros(3),
-                components=np.array([[1.0, 0, 0], [1.0, 0, 0]]),
-            )
+            ReducerModel(mean=np.zeros(3), components=np.array([[1.0, 0, 0], [1.0, 0, 0]]))

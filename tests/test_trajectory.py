@@ -224,6 +224,21 @@ class TestWeeklyAverage:
         np.testing.assert_allclose(scaled, 2.5 * base, atol=1e-12)
 
 
+    @pytest.mark.parametrize("shape, week_len", [((1, 194, 5), 7), ((6, 194, 5), 14), ((3, 2, 30, 2), 7), ((0, 194, 5), 7)])
+    def test_stack_equals_each_row(self, shape, week_len):
+        rng = np.random.default_rng(11)
+        stack = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
+        weekly = weekly_average(stack, week_len)
+        assert weekly.shape == (*shape[:-2], shape[-2] // week_len, shape[-1])
+        rows = stack.reshape(-1, *shape[-2:])
+        expected = np.array([weekly_average(row, week_len) for row in rows]).reshape(weekly.shape)
+        assert weekly.tobytes() == expected.tobytes()
+
+    def test_one_day_axis_rejected(self):
+        with pytest.raises(ValueError, match="2-D"):
+            weekly_average(np.zeros(194))
+
+
 class TestGroupAverage:
     def test_single_user_identity(self):
         traj = np.random.default_rng(8).normal(size=(194, 5))
@@ -247,6 +262,12 @@ class TestGroupAverage:
     def test_empty_group(self):
         with pytest.raises(ValueError):
             group_average_trajectory([])
+
+    def test_stack_equals_list(self):
+        stack = np.random.default_rng(12).normal(size=(9, 194, 5))
+        assert group_average_trajectory(stack).tobytes() == group_average_trajectory(list(stack)).tobytes()
+        with pytest.raises(ValueError):
+            group_average_trajectory(stack[:0])
 
 
 class TestTrajectoryFile:

@@ -8,7 +8,9 @@ every workload in ``BENCHMARK.json`` at seeds 1-3, once in this checkout
 REV, and compares the runs' "output hashes:" lines file by file. It prints
 each file whose hash differs, and exits 1 on any difference or on a run that
 fails or reports a problem. Each run is one benchmark round, so the whole
-comparison takes some minutes.
+comparison takes some minutes. It first prints the line totals of
+``src/toxtraj/*.py`` at REV and in the working tree, counting newlines as
+``wc -l`` does.
 """
 from __future__ import annotations
 
@@ -42,11 +44,25 @@ def run_hashes(tree: Path, workload: str, seed: int) -> tuple[dict[str, str], li
     return hashes, problems
 
 
+def source_lines(rev: str | None = None) -> int:
+    """Newlines in ``src/toxtraj/*.py`` at ``rev``, or in the working tree."""
+    if rev is None:
+        return sum(path.read_bytes().count(b"\n") for path in (ROOT / "src" / "toxtraj").glob("*.py"))
+
+    def git(*args: str) -> bytes:
+        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, check=True).stdout
+
+    names = git("ls-tree", "--name-only", rev, "src/toxtraj/").decode().split()
+    return sum(git("show", f"{rev}:{name}").count(b"\n") for name in names if name.endswith(".py"))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
     args = parser.parse_args(argv)
     workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    base_lines, lines = source_lines(args.base), source_lines()
+    print(f"src/toxtraj/*.py: {base_lines} lines at {args.base}, {lines} in the working tree ({lines - base_lines:+d})")
     differ = False
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
         base = Path(tmp) / "base"
