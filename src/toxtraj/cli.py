@@ -175,9 +175,7 @@ def run_groups(corpus, out, min_posts, alpha) -> dict:
 
 
 def run_trajectories(corpus, out, workers) -> dict:
-    trajectories, report = build_trajectories(corpus, workers=workers)
-    user_ids = sorted(trajectories)
-    paths = np.stack([trajectories[u] for u in user_ids]) if user_ids else np.empty((0, corpus.window.n_daily_grid, 5))
+    user_ids, paths, report = build_trajectories(corpus, workers=workers)
     write_trajectories(out, user_ids, paths)
     return {"outputs": {"trajectories": str(out)}, **report}
 

@@ -410,123 +410,86 @@ def condense_and_extract(
     lambda = 1 / weight. Cluster stability is the sum over member points of
     (lambda at exit - lambda at birth). Selected clusters maximize total
     stability without overlap; the root is never selected. Points not
-    captured by any selected cluster are outliers (-1).
+    captured by any selected cluster are outliers (-1). Clusters are
+    numbered by their smallest member row.
+
+    One top-down walk over the dendrogram condenses it; stabilities,
+    selection and labels are then passes over the condensed clusters.
     """
     endpoints, weights = mst
-    labels = np.full(n, -1, dtype=np.int64)
     if n < 2 or min_cluster_size > n:
-        return ClusterLabeling(labels=labels, stabilities={})
+        return ClusterLabeling(labels=np.full(n, -1, dtype=np.int64), stabilities={})
     if endpoints.shape[0] != n - 1:
         raise ValueError(f"MST must have {n - 1} edges, got {endpoints.shape[0]}")
     children, dist, size = _single_linkage(endpoints, weights, n)
-
-    # Walk the dendrogram top-down (ids descend from the root), tracking for
-    # every node either the condensed cluster it still belongs to or the one
-    # its subtree fell out of.
     with np.errstate(divide="ignore"):
-        lam_split = np.where(dist > 0.0, 1.0 / dist, np.inf)
+        lam_split = np.where(dist > 0.0, 1.0 / dist, np.inf).tolist()
+    size = size.tolist()
 
-    NONE = -1
-    state_cluster = np.full(2 * n - 1, NONE, dtype=np.int64)
-    root = 2 * n - 2
-    state_cluster[root] = 0
-    cluster_parent: list[int] = [NONE]
-    birth: list[float] = [0.0]
-    exit_cluster = np.full(2 * n - 1, NONE, dtype=np.int64)
-    stability_rows: list[list[tuple[float, int]]] = [[]]  # per cluster: (lambda, count)
-
-    def new_cluster(parent: int, lam: float) -> int:
-        cluster_parent.append(parent)
-        birth.append(lam)
-        stability_rows.append([])
-        return len(cluster_parent) - 1
-
-    for node in range(root, n - 1, -1):
-        i = node - n
-        a, b = children[i]
-        cl = state_cluster[node]
-        if cl == NONE:
-            # Every point under a detached subtree exits from the same cluster.
+    # Top-down walk (ids descend from the root): in_cluster[x] is the cluster
+    # node x still belongs to, exit_cluster[x] the one its subtree fell out
+    # of. A split appends its two children's clusters together, after their
+    # parent's. Each child that leaves a cluster adds one stability term.
+    in_cluster = [-1] * (2 * n - 1)
+    exit_cluster = [-1] * (2 * n - 1)
+    in_cluster[-1] = 0
+    parent, birth = [-1], [0.0]
+    terms = []  # (cluster, lambda, size)
+    for node, (a, b) in zip(range(2 * n - 2, n - 1, -1), children[::-1].tolist()):
+        cl, lam = in_cluster[node], lam_split[node - n]
+        if cl < 0:
             exit_cluster[a] = exit_cluster[b] = exit_cluster[node]
             continue
-        sa, sb = size[a], size[b]
-        lam = lam_split[i]
-        if sa >= min_cluster_size and sb >= min_cluster_size:
-            for child, s_child in ((a, sa), (b, sb)):
-                cid = new_cluster(cl, lam)
-                stability_rows[cl].append((lam, s_child))
-                state_cluster[child] = cid
-        else:
-            for child, s_child in ((a, sa), (b, sb)):
-                if s_child >= min_cluster_size:
-                    state_cluster[child] = cl
-                else:
-                    stability_rows[cl].append((lam, s_child))
-                    exit_cluster[child] = cl
+        split = size[a] >= min_cluster_size and size[b] >= min_cluster_size
+        for child in (a, b):
+            if size[child] < min_cluster_size:
+                exit_cluster[child] = cl
+            elif split:
+                in_cluster[child] = len(parent)
+                parent.append(cl)
+                birth.append(lam)
+            else:
+                in_cluster[child] = cl
+                continue
+            terms.append((cl, lam, size[child]))
 
-    n_clusters = len(cluster_parent)
-    stability = np.zeros(n_clusters, dtype=np.float64)
-    for cid in range(n_clusters):
-        total = 0.0
-        for lam, count in stability_rows[cid]:
-            total += (lam - birth[cid]) * count
-        stability[cid] = total
+    term_cluster, term_lam, term_size = (np.array(column) for column in zip(*terms))
+    stability = np.zeros(len(parent))
+    np.add.at(stability, term_cluster, (term_lam - np.array(birth)[term_cluster]) * term_size)
 
-    # Excess-of-mass selection (children always carry larger ids).
-    children_of: list[list[int]] = [[] for _ in range(n_clusters)]
-    for cid in range(1, n_clusters):
-        children_of[cluster_parent[cid]].append(cid)
-    selected = np.zeros(n_clusters, dtype=bool)
-    subtree_stability = stability.copy()
-    for cid in range(n_clusters - 1, -1, -1):
-        kids = children_of[cid]
-        if not kids:
-            selected[cid] = True
-            continue
-        child_sum = float(sum(subtree_stability[k] for k in kids))
-        if stability[cid] >= child_sum:
-            selected[cid] = True
-            subtree_stability[cid] = stability[cid]
-        else:
-            selected[cid] = False
-            subtree_stability[cid] = child_sum
+    # Excess of mass, leaves up: a cluster is selected unless its children's
+    # best total exceeds its own stability. Children ids pair up above their
+    # parent's, so each pair's totals are final before its parent is decided.
+    best = stability.copy()
+    selected = np.ones(len(parent), dtype=bool)
     selected[0] = False
-    # Keep only the shallowest selected cluster on each root path.
-    covered = np.zeros(n_clusters, dtype=bool)
-    for cid in range(n_clusters):
-        parent = cluster_parent[cid]
-        if parent != NONE and (covered[parent] or selected[parent]):
-            covered[cid] = True
-            selected[cid] = False
+    for c in range(len(parent) - 2, 0, -2):
+        kids = best[c] + best[c + 1]
+        if not stability[parent[c]] >= kids:
+            selected[parent[c]] = False
+            best[parent[c]] = kids
+    # Root down: each cluster takes its shallowest selected ancestor, itself included.
+    owner = np.where(selected, np.arange(len(parent)), -1)
+    for c in range(1, len(parent)):
+        if owner[parent[c]] >= 0:
+            owner[c] = owner[parent[c]]
+    exited = np.array(exit_cluster[:n])
+    raw = np.where(exited >= 0, owner[exited], -1)
 
-    # Label points by the selected ancestor (if any) of their exit cluster.
-    owner = np.full(n_clusters, NONE, dtype=np.int64)
-    for cid in range(n_clusters):
-        if selected[cid]:
-            owner[cid] = cid
-        else:
-            parent = cluster_parent[cid]
-            if parent != NONE:
-                owner[cid] = owner[parent]
-    point_cluster = exit_cluster[:n]
-    raw_labels = np.where(point_cluster >= 0, owner[point_cluster], NONE)
-
-    # Canonical cluster ids: numbered by smallest member row.
-    kept = [cid for cid in range(n_clusters) if selected[cid] and np.any(raw_labels == cid)]
-    kept.sort(key=lambda cid: int(np.flatnonzero(raw_labels == cid)[0]))
-    stabilities: dict[int, float] = {}
-    for canonical, cid in enumerate(kept):
-        labels[raw_labels == cid] = canonical
-        stabilities[canonical] = float(stability[cid])
-    return ClusterLabeling(labels=labels, stabilities=stabilities)
+    # Canonical ids: numbered by smallest member row; the extra last entry maps -1 to -1.
+    ids, first = np.unique(raw, return_index=True)
+    ids = ids[np.argsort(first)]
+    ids = ids[ids >= 0]
+    canonical = np.full(len(parent) + 1, -1, dtype=np.int64)
+    canonical[ids] = np.arange(ids.size)
+    stabilities = {label: float(stability[c]) for label, c in enumerate(ids.tolist())}
+    return ClusterLabeling(labels=canonical[raw], stabilities=stabilities)
 
 
 def run_hdbscan(points: np.ndarray, params: HdbscanParams) -> ClusterLabeling:
     """Full single-pass clustering: cores -> MST -> condense/extract."""
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
-    if n == 0:
-        return ClusterLabeling(labels=np.empty(0, dtype=np.int64), stabilities={})
     if params.min_samples > n or n < 2:
         return ClusterLabeling(labels=np.full(n, -1, dtype=np.int64), stabilities={})
     cores = core_distances(points, params.min_samples)
@@ -539,43 +502,24 @@ def recursive_cluster(
 ) -> ClusterTree:
     """Re-cluster every cluster larger than min_cluster_size on its own rows.
 
-    Outliers at each level stay attached to that level's parent. Recursion
-    stops when a pass yields no cluster strictly smaller than its input, when
-    all clusters are at or below min_cluster_size, or at max_depth.
+    Outliers at each level stay attached to that level's parent. A pass never
+    selects its root, so each cluster is smaller than the rows it came from.
+    Recursion stops when a pass yields no cluster, when all clusters are at or
+    below min_cluster_size, or at max_depth.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
     points = np.asarray(points, dtype=np.float64)
-    n = points.shape[0]
     nodes: dict[int, ClusterTreeNode] = {}
-    next_id = [0]
-
-    def cluster_members(rows: np.ndarray) -> list[np.ndarray]:
-        if rows.size < 2 or params.min_samples > rows.size:
-            return []
-        labeling = run_hdbscan(points[rows], params)
-        out = []
-        for cid in sorted(labeling.stabilities):
-            out.append(rows[labeling.labels == cid])
-        return out
 
     def descend(rows: np.ndarray, level: int, parent: Optional[int]) -> None:
-        clusters = cluster_members(rows)
-        clusters = [c for c in clusters if c.size < rows.size]
-        if not clusters:
-            return
-        for member_rows in clusters:
-            node = ClusterTreeNode(
-                node_id=next_id[0],
-                level=level,
-                parent=parent,
-                member_rows=np.sort(member_rows),
-                params_used=params,
-            )
-            next_id[0] += 1
+        labeling = run_hdbscan(points[rows], params)
+        for cid in range(labeling.n_clusters):
+            # rows ascend, so each cluster's member rows do too.
+            node = ClusterTreeNode(len(nodes), level, parent, rows[labeling.labels == cid], params)
             nodes[node.node_id] = node
-            if level < max_depth and member_rows.size > params.min_cluster_size:
+            if level < max_depth and node.member_count > params.min_cluster_size:
                 descend(node.member_rows, level + 1, node.node_id)
 
-    descend(np.arange(n, dtype=np.int64), 1, None)
-    return ClusterTree(nodes=nodes, n_points=n, params=params)
+    descend(np.arange(points.shape[0], dtype=np.int64), 1, None)
+    return ClusterTree(nodes=nodes, n_points=points.shape[0], params=params)

@@ -107,9 +107,7 @@ def select_active_users(corpus: Corpus, min_posts: int = DEFAULT_MIN_POSTS) -> l
 
 
 def assign_groups(
-    corpus: Corpus,
-    active_users: list[tuple[str, int]] | list[str],
-    alpha: float = SIGNIFICANCE_ALPHA,
+    corpus: Corpus, user_ids: list[str], alpha: float = SIGNIFICANCE_ALPHA
 ) -> GroupingResult:
     """Per-user toxicity-over-time regression, split by strict p < alpha.
 
@@ -117,7 +115,6 @@ def assign_groups(
     NoTrend, flagged. Mean toxicity is reported on the 0-100 scale.
     """
     assignments: dict[str, UserGroupAssignment] = {}
-    user_ids = [u if isinstance(u, str) else u[0] for u in active_users]
     for user_id in user_ids:
         segment = corpus.segment(user_id)
         scored = ~np.isnan(corpus.posts.toxicity[segment])
@@ -176,7 +173,7 @@ def build_groups(
 ) -> GroupingResult:
     """Full grouping: active users, trend split, and matched references."""
     active = select_active_users(corpus, min_posts)
-    result = assign_groups(corpus, active, alpha)
+    result = assign_groups(corpus, [u for u, _ in active], alpha)
     pool = [(a.user_id, a.mean_toxicity) for a in result.assignments.values() if a.group == GROUP_NO_TREND]
     sizes = result.group_sizes()
 
@@ -242,12 +239,13 @@ def weekly_average(daily: np.ndarray, week_len_days: int = 7) -> np.ndarray:
     return used.reshape(*lead, n_weeks, week_len_days, k).mean(axis=-2)
 
 
-def build_trajectories(corpus: Corpus, workers: int = 1) -> tuple[dict[str, np.ndarray], dict]:
+def build_trajectories(corpus: Corpus, workers: int = 1) -> tuple[list[str], np.ndarray, dict]:
     """Interpolate every user with at least one embedded in-window post onto
     the corpus window's daily grid.
 
-    Returns (daily trajectory by user, report) where the report counts users
-    skipped for having no embedded posts.
+    Returns (user ids in corpus order, their (n_users, T, d) daily paths,
+    report) where the report counts users skipped for having no embedded
+    posts.
     """
     if corpus.embeddings is None:
         raise ValueError("corpus has no embeddings attached")
@@ -261,8 +259,9 @@ def build_trajectories(corpus: Corpus, workers: int = 1) -> tuple[dict[str, np.n
             user_ids.append(user_id)
             items.append((corpus.posts.timestamp[segment][embedded], values[rows[embedded]]))
     dailies = parallel_map(lambda item: interpolate_daily(*item, corpus.window), items, workers=workers)
+    paths = np.stack(dailies) if dailies else np.empty((0, corpus.window.n_daily_grid, corpus.embeddings.d))
     report = {"n_users": len(items), "n_skipped_no_embeddings": len(corpus.users) - len(items)}
-    return dict(zip(user_ids, dailies)), report
+    return user_ids, paths, report
 
 
 def group_average_trajectory(trajectories) -> np.ndarray:

@@ -227,23 +227,32 @@ def reference_all_points(clusters, cid):
     return points
 
 
-def reference_hdbscan(points, min_cluster_size, min_samples):
-    """Full naive pipeline; returns per-point labels with -1 outliers."""
-    points = [list(map(float, p)) for p in np.asarray(points)]
-    n = len(points)
-    if n < 2 or min_cluster_size > n or min_samples > n:
-        return np.full(n, -1, dtype=int)
-    cores = reference_core_distances(points, min_samples)
-    m = reference_mutual_reachability(points, cores)
-    edges = reference_prim(m)
+def reference_extract(edges, n, min_cluster_size):
+    """Labels and cluster stabilities from MST edges ``(weight, u, v)``: -1
+    marks outliers, and labels are numbered by smallest member row."""
+    labels = np.full(n, -1, dtype=int)
+    stabilities = {}
+    if n < 2 or min_cluster_size > n:
+        return labels, stabilities
     tree, root = reference_single_linkage(edges, n)
     clusters, root_id = reference_condense(tree, root, min_cluster_size)
     selected = reference_select(clusters, root_id)
-    labels = np.full(n, -1, dtype=int)
-    member_sets = []
-    for cid in selected:
-        member_sets.append(sorted(reference_all_points(clusters, cid)))
-    member_sets.sort(key=lambda rows: rows[0])
-    for label, rows in enumerate(member_sets):
+    member_sets = sorted((sorted(reference_all_points(clusters, cid)), cid) for cid in selected)
+    for label, (rows, cid) in enumerate(member_sets):
         labels[rows] = label
-    return labels
+        stabilities[label] = clusters[cid]["stability"]
+    return labels, stabilities
+
+
+def reference_hdbscan(points, min_cluster_size, min_samples, return_stabilities=False):
+    """Full naive pipeline; returns per-point labels with -1 outliers, and with
+    ``return_stabilities`` also each label's cluster stability."""
+    points = [list(map(float, p)) for p in np.asarray(points)]
+    n = len(points)
+    if n < 2 or min_cluster_size > n or min_samples > n:
+        labels, stabilities = np.full(n, -1, dtype=int), {}
+    else:
+        cores = reference_core_distances(points, min_samples)
+        edges = reference_prim(reference_mutual_reachability(points, cores))
+        labels, stabilities = reference_extract(edges, n, min_cluster_size)
+    return (labels, stabilities) if return_stabilities else labels

@@ -527,6 +527,21 @@ class TestCliCommands:
         assert "reversed.emb: row ids differ" in capsys.readouterr().err
         assert not (tmp_path / "traj.bin").exists()
 
+    def test_trajectories_of_no_embedded_post_keep_embedding_width(self, tmp_path, capsys):
+        config = ScenarioConfig(n_users=5, posts_per_user=(50, 52), seed=1)
+        corpus, _ = generate_user_streams(config)
+        write_posts(tmp_path / "posts.ndjson", corpus.posts)
+        write_embeddings(tmp_path / "empty.emb", np.empty((0, 8)), [])
+        bundle = tmp_path / "bundle"
+        ingest = ["ingest", "--posts", str(tmp_path / "posts.ndjson"), "--embeddings", str(tmp_path / "empty.emb"),
+                  "--out", str(bundle)]
+        assert main(ingest) == 0, capsys.readouterr().err
+        argv = ["trajectories", "--corpus", str(bundle), "--embeddings", str(bundle / "embeddings.emb"),
+                "--out", str(tmp_path / "traj.bin")]
+        assert main(argv) == 0, capsys.readouterr().err
+        user_ids, paths = read_trajectories(tmp_path / "traj.bin")
+        assert user_ids == [] and paths.shape == (0, 194, 8)
+
     def test_permanova_stdout_and_merge_default_embeddings(self, tmp_path, capsys):
         small_scenario(tmp_path, n_users=20)
         config = pipeline_config(tmp_path, out_name="artifacts", perms=49)

@@ -11,6 +11,7 @@ from oracles import naive_single_linkage
 from reference_hdbscan import (
     dense_prim_mst,
     reference_core_distances,
+    reference_extract,
     reference_hdbscan,
     reference_mutual_reachability,
     reference_prim,
@@ -19,6 +20,7 @@ from toxtraj.hdbscan import (
     ClusterTree,
     HdbscanParams,
     _single_linkage,
+    condense_and_extract,
     core_distances,
     mutual_reachability_mst,
     recursive_cluster,
@@ -382,6 +384,53 @@ class TestOracleAgreement:
             assert partition_signature(mine.labels) == partition_signature(ref), (
                 f"seed={seed} n={n} dim={dim} mcs={mcs} ms={ms}"
             )
+
+    @staticmethod
+    def assert_same(mine, labels, stabilities, case):
+        np.testing.assert_array_equal(mine.labels, labels, err_msg=case)
+        assert list(mine.stabilities) == list(stabilities), case
+        np.testing.assert_allclose(
+            list(mine.stabilities.values()), list(stabilities.values()), rtol=1e-12, equal_nan=True, err_msg=case
+        )
+
+    def test_labels_and_stabilities_match_reference(self):
+        # Blobs, and integer grids on which min_samples points coincide: their
+        # cores are 0, so points fall out at lambda = inf.
+        seen_inf = False
+        for seed in range(16):
+            rng = np.random.default_rng(seed)
+            n, dim = int(rng.integers(30, 120)), int(rng.integers(1, 3))
+            if seed % 2:
+                pts = rng.integers(0, 4, size=(n, dim)).astype(float)
+            else:
+                centers = rng.uniform(-8, 8, size=(3, dim))
+                pts = centers[rng.integers(3, size=n)] + rng.normal(scale=0.4, size=(n, dim))
+            mcs, ms = int(rng.integers(2, n // 3)), int(rng.integers(1, 8))
+            mine = run_hdbscan(pts, HdbscanParams(min_cluster_size=mcs, min_samples=ms))
+            self.assert_same(mine, *reference_hdbscan(pts, mcs, ms, return_stabilities=True), f"seed={seed}")
+            seen_inf |= bool(np.isinf(list(mine.stabilities.values())).any())
+        assert seen_inf
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_condense_matches_reference_on_zero_weight_trees(self):
+        # Points give no split at weight 0 with two sides of min_cluster_size:
+        # identical points join the tree as a star. Random trees do, and the
+        # clusters born there have stability inf - inf = NaN.
+        seen_nan = False
+        rng = np.random.default_rng(5)
+        for case in range(40):
+            n = int(rng.integers(4, 40))
+            child = np.arange(1, n)
+            parent = rng.integers(0, child)
+            perm = rng.permutation(n)
+            endpoints = np.stack([perm[parent], perm[child]], axis=1)
+            weights = np.where(rng.random(n - 1) < 0.8, 0.0, rng.choice([0.5, 1.0], size=n - 1))
+            edges = [(float(w), int(u), int(v)) for (u, v), w in zip(endpoints, weights)]
+            for mcs in range(2, n + 2):
+                mine = condense_and_extract((endpoints, weights), mcs, n)
+                self.assert_same(mine, *reference_extract(edges, n, mcs), f"case={case} mcs={mcs}")
+                seen_nan |= bool(np.isnan(list(mine.stabilities.values())).any())
+        assert seen_nan
 
 
 class TestRecursiveCluster:

@@ -141,7 +141,8 @@ class TestUserStreams:
             seed=13,
         )
         corpus, truth = generate_user_streams(config)
-        trajectories, _ = build_trajectories(corpus)
+        user_ids, paths, _ = build_trajectories(corpus)
+        trajectories = dict(zip(user_ids, paths))
         inc = [trajectories[u].reshape(-1) for u, cls in sorted(truth.items()) if cls == "increasing"]
         flat = [trajectories[u].reshape(-1) for u, cls in sorted(truth.items()) if cls == "flat"]
         result = permanova_test(np.asarray(inc), np.asarray(flat), n_permutations=499, seed=1)

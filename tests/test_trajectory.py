@@ -322,9 +322,10 @@ class TestBuildPipelinePieces:
             seed=3,
         )
         corpus, truth = generate_user_streams(config)
-        trajectories, report = build_trajectories(corpus)
+        user_ids, paths, report = build_trajectories(corpus)
         assert report["n_users"] == 30
-        daily = next(iter(trajectories.values()))
+        assert user_ids == sorted(corpus.users) and paths.shape == (30, 194, 5)
+        daily = paths[0]
         weekly = weekly_average(daily, 7)
         assert daily.shape == (194, 5)
         assert weekly.shape == (27, 5)
@@ -341,11 +342,10 @@ class TestBuildPipelinePieces:
     def test_workers_equal_output(self):
         config = ScenarioConfig(n_users=12, posts_per_user=(50, 55), seed=4)
         corpus, _ = generate_user_streams(config)
-        t1, _ = build_trajectories(corpus, workers=1)
-        t4, _ = build_trajectories(corpus, workers=4)
-        assert set(t1) == set(t4)
-        for user in t1:
-            np.testing.assert_array_equal(t1[user], t4[user])
+        users1, t1, _ = build_trajectories(corpus, workers=1)
+        users4, t4, _ = build_trajectories(corpus, workers=4)
+        assert users1 == users4
+        np.testing.assert_array_equal(t1, t4)
 
     def test_grouping_round_trip(self, tmp_path):
         config = ScenarioConfig(n_users=20, posts_per_user=(50, 55), seed=5)

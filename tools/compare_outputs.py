@@ -4,8 +4,9 @@
 
 Runs ``perfbench/run.py --workload W --seed S --seconds 0 --trace 0`` for
 every workload in ``BENCHMARK.json`` at seeds 1-3, once in this checkout
-(uncommitted edits included) and once in a temporary ``git worktree`` of
-REV, and compares the runs' "output hashes:" lines file by file. It prints
+(uncommitted edits included) and once in a temporary directory that holds
+REV's files, extracted with ``git archive``, and compares the runs' "output
+hashes:" lines file by file. It writes nothing under ``.git/``. It prints
 each file whose hash differs, and exits 1 on any difference or on a run that
 fails or reports a problem. Each run is one benchmark round, so the whole
 comparison takes some minutes. It first prints the line totals of
@@ -65,27 +66,23 @@ def main(argv=None) -> int:
     print(f"src/toxtraj/*.py: {base_lines} lines at {args.base}, {lines} in the working tree ({lines - base_lines:+d})")
     differ = False
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
-        base = Path(tmp) / "base"
-        subprocess.run(["git", "worktree", "add", "--detach", "--quiet", str(base), args.base],
-                       cwd=ROOT, check=True)
-        try:
-            for workload in workloads:
-                for seed in SEEDS:
-                    here, here_problems = run_hashes(ROOT, workload, seed)
-                    there, there_problems = run_hashes(base, workload, seed)
-                    changed = sorted(k for k in here.keys() | there.keys() if here.get(k) != there.get(k))
-                    problems = [f"working tree: {p}" for p in here_problems] + [f"{args.base}: {p}" for p in there_problems]
-                    status = "identical" if not changed and not problems else "DIFFERENT"
-                    print(f"{workload} seed {seed}: {status} ({len(here)} files here, {len(there)} at {args.base})")
-                    for name in changed:
-                        print(f"  differs: {name}  {there.get(name, '-')} -> {here.get(name, '-')}")
-                    for problem in problems:
-                        print(f"  problem: {problem}")
-                    differ = differ or status != "identical"
-                    sys.stdout.flush()
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", str(base)], cwd=ROOT, check=False)
-            subprocess.run(["git", "worktree", "prune"], cwd=ROOT, check=False)
+        base = Path(tmp)
+        archive = subprocess.run(["git", "archive", args.base], cwd=ROOT, capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(base)], input=archive, check=True)
+        for workload in workloads:
+            for seed in SEEDS:
+                here, here_problems = run_hashes(ROOT, workload, seed)
+                there, there_problems = run_hashes(base, workload, seed)
+                changed = sorted(k for k in here.keys() | there.keys() if here.get(k) != there.get(k))
+                problems = [f"working tree: {p}" for p in here_problems] + [f"{args.base}: {p}" for p in there_problems]
+                status = "identical" if not changed and not problems else "DIFFERENT"
+                print(f"{workload} seed {seed}: {status} ({len(here)} files here, {len(there)} at {args.base})")
+                for name in changed:
+                    print(f"  differs: {name}  {there.get(name, '-')} -> {here.get(name, '-')}")
+                for problem in problems:
+                    print(f"  problem: {problem}")
+                differ = differ or status != "identical"
+                sys.stdout.flush()
     print("outputs differ" if differ else "all outputs identical")
     return 1 if differ else 0
 
