@@ -331,7 +331,7 @@ def merge_pass(
         raise ValueError("corpus embeddings must cover exactly the clustered rows")
 
     topic_nodes = {
-        nid: TopicNode(node.node_id, node.level, node.parent, node.member_rows, node.params_used)
+        nid: TopicNode(node.node_id, node.level, node.parent, node.member_rows, node.params)
         for nid, node in tree.nodes.items()
     }
 

@@ -15,14 +15,14 @@ builds.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.spatial import cKDTree
 
-from .util import JsonRecord, field_names
+from .util import JsonRecord
 
 # Nearest neighbours listed per point before round 1, ties at the last one included.
 _NEIGHBOURS = 64
@@ -65,45 +65,28 @@ class ClusterLabeling:
 
 
 @dataclass
-class ClusterTreeNode:
-    """One cluster of the tree. A subclass's own fields are saved under their
-    names after ``params``, and a missing one loads as its default."""
+class ClusterTreeNode(JsonRecord):
+    """One cluster of the tree, saved as its fields in declaration order. A
+    subclass's own fields follow ``params``, and a missing one loads as its
+    default. ``member_count`` is written for readers of the file and derived
+    from ``member_rows`` on load."""
 
     node_id: int
     level: int
     parent: Optional[int]
+    member_count: int = field(init=False)
     member_rows: np.ndarray
-    params_used: HdbscanParams
+    params: HdbscanParams
 
-    @property
-    def member_count(self) -> int:
-        return int(self.member_rows.size)
-
-    def to_json(self) -> dict:
-        return {
-            "node_id": self.node_id,
-            "level": self.level,
-            "parent": self.parent,
-            "member_count": self.member_count,
-            "member_rows": self.member_rows.tolist(),
-            "params": self.params_used.to_json(),
-            **{name: getattr(self, name) for name in self._extra_fields()},
-        }
+    def __post_init__(self):
+        self.member_count = int(self.member_rows.size)
 
     @classmethod
     def from_json(cls, doc: dict) -> "ClusterTreeNode":
-        return cls(
-            node_id=doc["node_id"],
-            level=doc["level"],
-            parent=doc["parent"],
-            member_rows=np.asarray(doc["member_rows"], dtype=np.int64),
-            params_used=HdbscanParams.from_json(doc["params"]),
-            **{name: doc[name] for name in cls._extra_fields() if name in doc},
-        )
-
-    @classmethod
-    def _extra_fields(cls) -> tuple[str, ...]:
-        return field_names(cls)[len(field_names(ClusterTreeNode)):]
+        """Reads ``member_rows`` as int64 and skips keys ``cls`` does not
+        declare, so a subclass's document loads as a plain node."""
+        own = {k: v for k, v in doc.items() if k in cls.__dataclass_fields__}
+        return super().from_json({**own, "member_rows": np.asarray(doc["member_rows"], dtype=np.int64)})
 
 
 @dataclass
@@ -123,9 +106,6 @@ class ClusterTree(JsonRecord):
 
     def roots(self) -> list[ClusterTreeNode]:
         return [n for n in self.nodes.values() if n.parent is None]
-
-    def children(self, node_id: int) -> list[ClusterTreeNode]:
-        return [n for n in self.nodes.values() if n.parent == node_id]
 
     def outlier_rows(self) -> np.ndarray:
         covered = np.zeros(self.n_points, dtype=bool)

@@ -133,10 +133,6 @@ class TrajectoryLabeling(JsonRecord):
     runs: list[tuple[Optional[int], int, int]]  # (topic, first step, last step)
     unlabeled_steps: list[int]
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "TrajectoryLabeling":
-        return cls(**{**doc, "runs": [tuple(r) for r in doc["runs"]]})
-
 
 def label_trajectory(model: KnnModel, trajectory: np.ndarray) -> TrajectoryLabeling:
     """Per-timestep topic prediction with collapsed (topic, range) runs.

@@ -37,10 +37,6 @@ class PermanovaResult(JsonRecord):
     df: tuple[int, int]
     degenerate: bool = False
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "PermanovaResult":
-        return cls(**{**doc, "df": tuple(doc["df"])})
-
 
 def _as_matrix(group, name: str) -> np.ndarray:
     arr = np.asarray(group, dtype=np.float64)

@@ -1,8 +1,8 @@
 """Statistics kernel.
 
-OLS trend test, Mann-Whitney U, Pearson r, Cohen's kappa, and t-based mean
-confidence intervals. The t and normal tails come from ``scipy.special``
-(``stdtr``, ``stdtrit``, ``ndtr``), which ``scipy.spatial`` loads anyway.
+OLS trend test, Mann-Whitney U, Pearson r and Cohen's kappa. The t and
+normal tails come from ``scipy.special`` (``stdtr``, ``ndtr``), which
+``scipy.spatial`` loads anyway.
 scipy's statistics package is never imported: it would cost the process
 about 33 MB and 0.6 s. Everything here is a pure function; no global state.
 """
@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr, stdtr, stdtrit
+from scipy.special import ndtr, stdtr
 
 ALTERNATIVES = ("greater", "less", "two_sided")
 
@@ -138,17 +138,11 @@ def _normal_u_pvalue(u: float, n1: int, n2: int, tie_term: float, alternative: s
     return min(1.0, 2.0 * norm_cdf(-abs(z)))
 
 
-def mann_whitney_u(
-    a: Sequence[float],
-    b: Sequence[float],
-    alternative: str = "two_sided",
-    method: str = "auto",
-) -> UTestResult:
+def mann_whitney_u(a: Sequence[float], b: Sequence[float], alternative: str = "two_sided") -> UTestResult:
     """Mann-Whitney U test; U is reported for the first sample.
 
-    method="auto" uses exact enumeration when n1 + n2 <= 16 and there are no
-    ties, and the tie/continuity-corrected normal approximation otherwise.
-    "exact" and "normal" force a path (exact requires tie-free data).
+    Exact enumeration when n1 + n2 <= 16 and there are no ties, the
+    tie/continuity-corrected normal approximation otherwise.
     """
     if alternative not in ALTERNATIVES:
         raise ValueError(f"alternative must be one of {ALTERNATIVES}")
@@ -162,18 +156,7 @@ def mann_whitney_u(
     ranks, counts = _midranks(combined)
     u = float(ranks[:n1].sum() - n1 * (n1 + 1) / 2.0)
     tie_term = float(np.sum(counts.astype(np.float64) ** 3 - counts))
-    has_ties = tie_term > 0.0
-    if method == "auto":
-        use_exact = (n1 + n2 <= 16) and not has_ties
-    elif method == "exact":
-        if has_ties:
-            raise ValueError("exact method requires tie-free samples")
-        use_exact = True
-    elif method == "normal":
-        use_exact = False
-    else:
-        raise ValueError("method must be one of: auto, exact, normal")
-    if use_exact:
+    if n1 + n2 <= 16 and tie_term == 0.0:
         p = _exact_u_pvalue(u, n1, n2, alternative)
         return UTestResult(u, p, alternative, "exact")
     p = _normal_u_pvalue(u, n1, n2, tie_term, alternative)
@@ -225,19 +208,3 @@ def cohens_kappa(labels_a: Sequence, labels_b: Sequence) -> float:
         return 1.0
     return (p_o - p_e) / (1.0 - p_e)
 
-
-def mean_ci(samples: Sequence[float], level: float = 0.95) -> tuple[float, float]:
-    """Mean and t-based confidence halfwidth: t_{n-1} * s / sqrt(n)."""
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.size < 2:
-        raise ValueError("mean_ci requires at least 2 samples")
-    _check_finite("mean_ci", samples)
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie strictly in (0, 1)")
-    n = samples.size
-    mean = float(samples.mean())
-    s = float(samples.std(ddof=1))
-    if s == 0.0:
-        return mean, 0.0
-    t_crit = float(stdtrit(n - 1, 0.5 + level / 2.0))
-    return mean, t_crit * s / math.sqrt(n)

@@ -26,7 +26,7 @@ class ParentBlobSpec(JsonRecord):
     """One level-1 blob made of Gaussian sub-blobs joined by a sparse bridge."""
 
     center: tuple
-    child_offsets: list
+    child_offsets: list[tuple]
     sigma: float
     n_per_child: int
     bridge_points: int = 0
@@ -35,14 +35,6 @@ class ParentBlobSpec(JsonRecord):
     def child_centers(self) -> np.ndarray:
         center = np.asarray(self.center, dtype=np.float64)
         return np.asarray([center + np.asarray(off, dtype=np.float64) for off in self.child_offsets])
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "ParentBlobSpec":
-        return cls(**{
-            **doc,
-            "center": tuple(doc["center"]),
-            "child_offsets": [tuple(o) for o in doc["child_offsets"]],
-        })
 
 
 @dataclass
@@ -70,21 +62,13 @@ class DivergenceSpec(JsonRecord):
     target_center: tuple
     switch_tau: float = 0.5
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "DivergenceSpec":
-        return cls(**{
-            **doc,
-            "start_center": tuple(doc["start_center"]),
-            "target_center": tuple(doc["target_center"]),
-        })
-
 
 @dataclass
 class ScenarioConfig(JsonRecord):
     n_users: int = 100
     posts_per_user: tuple = (50, 80)
     window: StudyWindow = field(default_factory=StudyWindow)
-    hierarchy: list = field(default_factory=list)
+    hierarchy: list[ParentBlobSpec] = field(default_factory=list)
     trend_mix: TrendMix = field(default_factory=TrendMix)
     divergence: Optional[DivergenceSpec] = None
     embedding_sigma: float = 0.5
@@ -92,17 +76,6 @@ class ScenarioConfig(JsonRecord):
     seed: int = 0
 
     json_indent = 2
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "ScenarioConfig":
-        return cls(**{
-            **doc,
-            "posts_per_user": tuple(doc["posts_per_user"]),
-            "window": StudyWindow.from_json(doc["window"]),
-            "hierarchy": [ParentBlobSpec.from_json(s) for s in doc["hierarchy"]],
-            "trend_mix": TrendMix.from_json(doc["trend_mix"]),
-            "divergence": DivergenceSpec.from_json(doc["divergence"]) if doc.get("divergence") else None,
-        })
 
 
 def _quantize(values: np.ndarray) -> np.ndarray:
@@ -238,8 +211,11 @@ def generate_user_streams(config: ScenarioConfig) -> tuple[Corpus, dict[str, str
 
     Returns the corpus (posts + 5-D embeddings) and the user -> trend-class
     ground truth. Toxicity is clamp(base + drift * tau + noise, 0, 100); the
-    drift and bases are chosen so clamping is rare.
+    drift and bases are chosen so clamping is rare. A config marked separable
+    whose leaf centers lie too close raises ValueError.
     """
+    if config.separable and config.hierarchy:
+        _check_separable(config.hierarchy)
     window = config.window
     counts = _class_counts(config.trend_mix, config.n_users)
     classes = (

@@ -8,7 +8,7 @@ import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -60,9 +60,14 @@ def parallel_map(fn: Callable, items: Sequence, workers: int = 1) -> list:
 class JsonRecord:
     """JSON persistence for a dataclass.
 
-    ``to_json`` writes the fields in declaration order, nested records and
-    lists (tuples become lists) included; ``from_json`` is ``cls(**doc)``. A
-    class whose format is more than its fields overrides the pair and keeps
+    ``to_json`` writes the fields in declaration order: a nested record as its
+    own document, a tuple as a list, an ndarray by ``tolist()``. ``from_json``
+    reads each key by its field's type: a record field by that record's
+    ``from_json``, a tuple field as a tuple, ``list[X]`` item by item as X and
+    ``Optional[X]`` with null as None; any other value is taken as it is. A
+    missing key takes the field's default, an ``init=False`` field is written
+    but not read back, and an unknown key raises ``TypeError``. A class whose
+    format is more than its fields overrides the pair and keeps
     ``save``/``load``. ``save`` indents by ``json_indent``; an indented file
     ends in a newline, a compact one does not.
     """
@@ -70,11 +75,12 @@ class JsonRecord:
     json_indent: Optional[int] = None
 
     def to_json(self) -> dict:
-        return {name: _encode(getattr(self, name)) for name in field_names(type(self))}
+        return {name: _encode(getattr(self, name)) for name in _readers(type(self))}
 
     @classmethod
     def from_json(cls, doc: dict):
-        return cls(**doc)
+        readers = _readers(cls)
+        return cls(**{k: v if r is None else r(v) for k, v in doc.items() if (r := readers.get(k)) is not _SKIP})
 
     def save(self, path) -> None:
         text = json.dumps(self.to_json(), indent=self.json_indent)
@@ -85,10 +91,29 @@ class JsonRecord:
         return cls.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
+# The reader of an ``init=False`` field: its saved value is not read back.
+_SKIP = object()
+
+
 @functools.cache
-def field_names(cls) -> tuple[str, ...]:
-    """A dataclass's field names in declaration order."""
-    return tuple(f.name for f in dataclasses.fields(cls))
+def _readers(cls) -> dict:
+    """A record's fields in declaration order, each with the function that
+    reads its JSON value (None: the value as it is)."""
+    hints = get_type_hints(cls)
+    return {f.name: _reader(hints[f.name]) if f.init else _SKIP for f in dataclasses.fields(cls)}
+
+
+def _reader(hint) -> Optional[Callable]:
+    if isinstance(hint, type) and issubclass(hint, JsonRecord):
+        return hint.from_json
+    origin, args = get_origin(hint), get_args(hint)
+    if hint is tuple or origin is tuple:
+        return tuple
+    if origin is list and args and (item := _reader(args[0])) is not None:
+        return lambda values: [item(v) for v in values]
+    if origin is Union and args[1:] == (type(None),) and (inner := _reader(args[0])) is not None:
+        return lambda value: None if value is None else inner(value)
+    return None
 
 
 def _encode(value):
@@ -96,6 +121,8 @@ def _encode(value):
         return value.to_json()
     if isinstance(value, (list, tuple)):
         return [_encode(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
     return value
 
 

@@ -79,6 +79,16 @@ def tiefree_u_pvalue(u_obs, n1, n2, alternative):
     return min(1.0, sum(1 for u in all_u if u <= lo or u >= hi) / total)
 
 
+def t_interval(samples, level=0.95):
+    """Sample mean and the halfwidth of its two-sided t confidence interval."""
+    from scipy import stats as sps
+
+    samples = np.asarray(samples, dtype=np.float64)
+    n = samples.size
+    t_crit = float(sps.t.ppf(0.5 + level / 2.0, n - 1))
+    return float(samples.mean()), t_crit * float(samples.std(ddof=1)) / math.sqrt(n)
+
+
 def closed_form_ols(x, y):
     """Textbook OLS slope/intercept/t/p with scipy's t distribution."""
     from scipy import stats as sps

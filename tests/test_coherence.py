@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import exact_u_pvalue_greater
+from oracles import exact_u_pvalue_greater, t_interval
 from toxtraj.coherence import (
     KEEP,
     MERGE,
@@ -19,7 +19,6 @@ from toxtraj.coherence import (
 )
 from toxtraj.coherence import test_subcluster as subcluster_decision
 from toxtraj.hdbscan import ClusterTreeNode, HdbscanParams, recursive_cluster
-from toxtraj.stats import mean_ci
 from toxtraj.synth import (
     generate_hierarchical_blobs,
     make_blob_corpus,
@@ -83,14 +82,14 @@ class TestCoherenceDistribution:
         node = next(n for n in tree.nodes.values() if n.level == 1)
         scores = sampled_scores(node, corpus, ConstantCoherenceScorer(3), seed=0)
         assert scores == [3] * 30
-        _, halfwidth = mean_ci(scores)
+        _, halfwidth = t_interval(scores)
         assert halfwidth == 0.0
 
     def test_planted_node_high_mean_tight_ci(self):
         _, corpus, tree = planted_tree(seed=5)
         node = next(n for n in tree.nodes.values() if n.level == 2)
         scores = sampled_scores(node, corpus, ReferenceCoherenceScorer(), seed=5)
-        mean, halfwidth = mean_ci(scores)
+        mean, halfwidth = t_interval(scores)
         assert mean >= 4.5
         assert halfwidth <= 0.3
 
@@ -109,7 +108,7 @@ class TestCoherenceDistribution:
             level=2,
             parent=node.parent,
             member_rows=node.member_rows[:10],
-            params_used=node.params_used,
+            params=node.params,
         )
         with pytest.raises(ValueError, match="member"):
             sampled_scores(small, corpus, ReferenceCoherenceScorer(), seed=0)
@@ -188,7 +187,7 @@ class TestMergePass:
         parent = tree.nodes[0]
         tiny = ClusterTreeNode(
             node_id=max(tree.nodes) + 1, level=parent.level + 1, parent=parent.node_id,
-            member_rows=parent.member_rows[:10], params_used=PARAMS,
+            member_rows=parent.member_rows[:10], params=PARAMS,
         )
         tree.nodes[tiny.node_id] = tiny
         topics = merge_pass(tree, corpus, ReferenceCoherenceScorer(), seed=9)

@@ -239,6 +239,25 @@ class TestEmbeddings:
         with pytest.raises(CorpusError, match="magic"):
             read_embeddings(path)
 
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda path: path.write_bytes(path.read_bytes()[:9]), "truncated embedding header"),
+            (lambda path: path.write_bytes(path.read_bytes()[:-1]), "payload is 31 bytes, expected 32"),
+            (lambda path: path.write_bytes(path.read_bytes() + b"\x00"), "payload is 33 bytes, expected 32"),
+            (lambda path: sidecar_path(path).unlink(), "missing embedding id sidecar"),
+            (lambda path: sidecar_path(path).write_text("a\nb\nc\n"), "sidecar has 3 ids, embedding file has 4 rows"),
+            (lambda path: sidecar_path(path).write_text("a\nb\nc\na\n"), "row_ids must be unique"),
+        ],
+        ids=["truncated-header", "payload-short", "payload-long", "no-sidecar", "id-missing", "duplicate-ids"],
+    )
+    def test_damaged_file_named(self, tmp_path, damage, message):
+        path = tmp_path / "emb.bin"
+        write_embeddings(path, np.zeros((4, 2)), ["a", "b", "c", "d"])
+        damage(path)
+        with pytest.raises(CorpusError, match=message):
+            read_embeddings(path)
+
     def test_non_finite_rejected(self, tmp_path):
         path = tmp_path / "emb.bin"
         values = np.array([[np.inf, 0.0]], dtype=np.float64)

@@ -442,7 +442,7 @@ class TestRecursiveCluster:
         assert len(level1) == 3
         assert len(level2) == 6
         for node in level1:
-            assert len(tree.children(node.node_id)) == 2
+            assert sum(n.parent == node.node_id for n in tree.nodes.values()) == 2
         assert max(n.level for n in tree.nodes.values()) == 2
 
     def test_structureless_blob_depth_one(self):

@@ -13,9 +13,10 @@ from scipy import stats as sps
 from oracles import closed_form_ols, tiefree_u_pvalue
 import toxtraj
 from toxtraj.stats import (
+    _exact_u_pvalue,
+    _normal_u_pvalue,
     cohens_kappa,
     mann_whitney_u,
-    mean_ci,
     norm_cdf,
     ols_trend,
     pearson_r,
@@ -142,10 +143,11 @@ class TestMannWhitney:
         for _ in range(60):
             a = rng.normal(size=8)
             b = rng.normal(loc=rng.uniform(-1, 1), size=8)
+            u = mann_whitney_u(a, b).u_statistic
             for alt in ("greater", "less", "two_sided"):
-                exact = mann_whitney_u(a, b, alternative=alt, method="exact")
-                approx = mann_whitney_u(a, b, alternative=alt, method="normal")
-                assert abs(exact.p_value - approx.p_value) < 0.02
+                exact = _exact_u_pvalue(u, 8, 8, alt)
+                approx = _normal_u_pvalue(u, 8, 8, 0.0, alt)
+                assert abs(exact - approx) < 0.02
 
     def test_matches_scipy_asymptotic_with_ties(self):
         rng = np.random.default_rng(17)
@@ -265,47 +267,15 @@ class TestCohensKappa:
         assert cohens_kappa(labels, other) == pytest.approx(cohens_kappa(other, labels))
 
 
-class TestMeanCi:
-    def test_zero_variance(self):
-        mean, hw = mean_ci([4.0] * 30)
-        assert mean == 4.0
-        assert hw == 0.0
-
-    def test_t_table_case(self):
-        mean, hw = mean_ci([1, 2, 3, 4, 5], level=0.95)
-        assert mean == 3.0
-        # 2.7764 * sqrt(2.5) / sqrt(5)
-        expected = sps.t.ppf(0.975, 4) * math.sqrt(2.5) / math.sqrt(5)
-        assert hw == pytest.approx(expected, abs=1e-3)
-        assert hw == pytest.approx(1.9633, abs=1e-3)
-
-    def test_against_scipy_interval(self):
-        rng = np.random.default_rng(31)
-        samples = rng.normal(size=30)
-        mean, hw = mean_ci(samples, level=0.95)
-        lo, hi = sps.t.interval(0.95, 29, loc=samples.mean(), scale=sps.sem(samples))
-        assert mean - hw == pytest.approx(lo, abs=1e-9)
-        assert mean + hw == pytest.approx(hi, abs=1e-9)
-
-    def test_too_small(self):
-        with pytest.raises(ValueError):
-            mean_ci([1.0])
-
-    def test_non_finite_is_named(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            mean_ci([1, 2, math.nan])
-
-
 def test_scipy_stats_is_never_imported():
     # scipy.stats costs a process about 33 MB of RSS and 0.6 s to import;
     # the kernel needs only scipy.special, which scipy.spatial loads anyway.
     code = (
         "import sys\n"
         "import toxtraj.cli\n"
-        "from toxtraj.stats import mann_whitney_u, mean_ci, ols_trend\n"
+        "from toxtraj.stats import mann_whitney_u, ols_trend\n"
         "ols_trend([0, 1, 2, 3], [1.0, 3.0, 2.0, 4.0])\n"
         "mann_whitney_u([1, 2, 3, 9], [2, 3, 4, 5])\n"
-        "mean_ci([1.0, 2.0, 4.0])\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n"
     )
     src = str(Path(toxtraj.__file__).resolve().parents[1])

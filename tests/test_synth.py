@@ -92,6 +92,15 @@ class TestUserStreams:
         grouping = build_groups(corpus, min_posts=50)
         assert grouping.group_sizes()["Increasing"] == 40
 
+    def test_inseparable_marked_separable_rejected(self):
+        spec = ParentBlobSpec(
+            center=(0, 0, 0, 0, 0), child_offsets=[(0, 0, 1.0, 0, 0), (0, 0, -1.0, 0, 0)], sigma=1.0, n_per_child=10
+        )
+        with pytest.raises(ValueError, match="separable"):
+            generate_user_streams(self.config(hierarchy=[spec]))
+        corpus, _ = generate_user_streams(self.config(hierarchy=[spec], separable=False))
+        assert len(corpus.posts) > 0
+
     def test_trend_mix_counts(self):
         corpus, truth = generate_user_streams(self.config())
         counts = {cls: sum(1 for v in truth.values() if v == cls) for cls in set(truth.values())}
