@@ -79,6 +79,8 @@ class JsonRecord:
 
     @classmethod
     def from_json(cls, doc: dict):
+        if _plain(cls):
+            return cls(**doc)
         readers = _readers(cls)
         return cls(**{k: v if r is None else r(v) for k, v in doc.items() if (r := readers.get(k)) is not _SKIP})
 
@@ -101,6 +103,13 @@ def _readers(cls) -> dict:
     reads its JSON value (None: the value as it is)."""
     hints = get_type_hints(cls)
     return {f.name: _reader(hints[f.name]) if f.init else _SKIP for f in dataclasses.fields(cls)}
+
+
+@functools.cache
+def _plain(cls) -> bool:
+    """Whether every field of a record reads its JSON value as it is, so
+    ``cls(**doc)`` decodes it (an unknown key still raises ``TypeError``)."""
+    return all(r is None for r in _readers(cls).values())
 
 
 def _reader(hint) -> Optional[Callable]:

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_knn_cosine
+from toxtraj import knn
 from toxtraj.knn import (
     evaluate_f1,
     fit_knn,
@@ -26,6 +27,39 @@ def planted_topics(n_topics=20, per_topic=100, seed=0, spread=0.05):
         points.append(pts)
         labels.extend([topic] * per_topic)
     return np.vstack(points), np.asarray(labels)
+
+
+def fit_both(points, labels, k):
+    """The model as fitted, and one fitted with a k-d tree whatever its size."""
+    plain = fit_knn(points, labels, k=k)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(knn, "TREE_MIN_ROWS", 0)
+        treed = fit_knn(points, labels, k=k)
+    assert treed.tree is not None
+    return plain, treed
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """One entry per full scan: predict_topic calls ``_vote`` only when there
+    is no tree or the tree's candidates could not prove the answer."""
+    calls = []
+    vote = knn._vote
+
+    def spy(model, sims):
+        calls.append(model)
+        return vote(model, sims)
+
+    monkeypatch.setattr(knn, "_vote", spy)
+    return calls
+
+
+def far_side(n, seed):
+    """Rows whose first two coordinates are at most -0.5: negative cosine
+    with any query in the positive quadrant of those two."""
+    rows = np.random.default_rng(seed).normal(size=(n, 5))
+    rows[:, :2] = -np.abs(rows[:, :2]) - 0.5
+    return rows
 
 
 @st.composite
@@ -97,11 +131,13 @@ class TestPredict:
 
     def test_matches_brute_force_oracle(self):
         points, labels = planted_topics(n_topics=12, per_topic=40, seed=4, spread=0.3)
-        model = fit_knn(points, labels, k=15)
+        models = fit_both(points, labels, 15)
+        assert models[0].tree is None
         rng = np.random.default_rng(5)
         queries = rng.normal(size=(1000, 5))
         for q in queries:
-            assert predict_topic(model, q) == brute_force_knn_cosine(points, labels, 15, q)
+            expected = brute_force_knn_cosine(points, labels, 15, q)
+            assert [predict_topic(m, q) for m in models] == [expected, expected]
 
     def test_positive_scaling_invariance(self):
         points, labels = planted_topics(seed=6)
@@ -141,15 +177,69 @@ class TestPredict:
         points = np.zeros((len(rows), dim))
         for i, (axis, sign, scale) in enumerate(rows):
             points[i, axis] = sign * scale
-        model = fit_knn(points, labels, k=k)
         query = np.asarray(query, dtype=np.float64)
-        assert predict_topic(model, query) == brute_force_knn_cosine(points, labels, k, query)
+        expected = brute_force_knn_cosine(points, labels, k, query)
+        assert [predict_topic(m, query) for m in fit_both(points, labels, k)] == [expected, expected]
 
     def test_k1_self_prediction(self):
         points, labels = planted_topics(n_topics=5, per_topic=30, seed=9, spread=0.4)
         model = fit_knn(points, labels, k=1)
         predictions = predict_batch(model, points)
         np.testing.assert_array_equal(predictions, labels)
+
+
+class TestCertificate:
+    """The tree's candidates answer only when they prove the full scan's
+    label; otherwise the full scan runs."""
+
+    def test_duplicates_straddling_kth_fall_back(self, fallbacks, monkeypatch):
+        # Five copies of one row, k = 3: the full scan takes the three
+        # smallest indices (labels 5, 5, 2), while another three copies
+        # would vote 2. The k-th and (k+1)-th similarities are equal.
+        monkeypatch.setattr(knn, "TREE_MIN_ROWS", 0)
+        copy = np.array([1.0, 0.5, 0.0, 0.0, 0.0])
+        points = np.vstack([far_side(100, 19), np.tile(copy, (5, 1)), far_side(100, 20)])
+        labels = [0] * 100 + [5, 5, 2, 2, 2] + [1] * 100
+        model = fit_knn(points, labels, k=3)
+        assert predict_topic(model, copy) == brute_force_knn_cosine(points, labels, 3, copy) == 5
+        assert len(fallbacks) == 1
+
+    def test_vote_tie_within_bound_falls_back(self, fallbacks, monkeypatch):
+        # k = 2: labels 7 and 3 get one vote each, and their similarities to
+        # e1 differ by about 1e-14, less than E. The full scan picks 7.
+        monkeypatch.setattr(knn, "TREE_MIN_ROWS", 0)
+        pair = np.array([[1.0, 1.0, 0.0, 0.0, 0.0], [1.0, -(1.0 + 3e-14), 0.0, 0.0, 0.0]])
+        points = np.vstack([far_side(200, 21), pair])
+        labels = [0] * 200 + [7, 3]
+        model = fit_knn(points, labels, k=2)
+        query = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
+        sims = model.unit[-2:] @ query
+        assert 0.0 < sims[0] - sims[1] < knn._error_bound(5)
+        assert predict_topic(model, query) == brute_force_knn_cosine(points, labels, 2, query) == 7
+        assert len(fallbacks) == 1
+
+    def test_no_slack_always_falls_back(self, fallbacks, monkeypatch):
+        # With only k candidates, the k-th is the last one fetched, so it
+        # cannot clear the bound on the rows the tree did not return.
+        monkeypatch.setattr(knn, "TREE_MIN_ROWS", 0)
+        monkeypatch.setattr(knn, "TREE_SLACK", 0)
+        points, labels = planted_topics(n_topics=6, per_topic=40, seed=22, spread=0.3)
+        model = fit_knn(points, labels, k=15)
+        queries = np.random.default_rng(23).normal(size=(50, 5))
+        for q in queries:
+            assert predict_topic(model, q) == brute_force_knn_cosine(points, labels, 15, q)
+        assert len(fallbacks) == 50
+
+    def test_tree_above_size_rule_matches_full_scan(self, fallbacks):
+        points, labels = planted_topics(n_topics=20, per_topic=1000, seed=24)
+        model = fit_knn(points, labels, k=15)
+        assert model.tree is not None and points.shape[0] >= knn.TREE_MIN_ROWS
+        queries = np.random.default_rng(25).normal(size=(200, 5))
+        answers = [predict_topic(model, q) for q in queries]
+        # A certificate that always fell back would pass the equality below.
+        assert len(fallbacks) <= 10
+        for q, answer in zip(queries, answers):
+            assert answer == knn._vote(model, model.unit @ (q / np.linalg.norm(q)))
 
 
 class TestEvaluateF1:

@@ -13,6 +13,7 @@ from toxtraj.knn import TrajectoryLabeling
 from toxtraj.permanova import PermanovaResult
 from toxtraj.synth import DivergenceSpec, ParentBlobSpec, ScenarioConfig, TrendMix
 from toxtraj.trajectory import UserGroupAssignment
+from toxtraj.util import _plain
 
 WINDOW = StudyWindow(t0=1_000, t_end=2_000_000, n_daily_grid=21, week_len_days=7)
 BLOB = ParentBlobSpec(
@@ -75,6 +76,20 @@ def test_omitted_fields_take_defaults_and_unknown_keys_raise():
     assert ScenarioConfig.from_json({"n_users": 7, "seed": 2}) == ScenarioConfig(n_users=7, seed=2)
     with pytest.raises(TypeError):
         ScenarioConfig.from_json({"n_users": 7, "n_user": 8})
+
+
+def test_plain_record_decoded_as_is():
+    # Every field of an assignment reads as it is, so its document goes to
+    # the constructor whole; a node's init=False member_count and a
+    # labeling's tuples still take the per-key readers.
+    assert _plain(UserGroupAssignment) and not _plain(ClusterTreeNode) and not _plain(TrajectoryLabeling)
+    assignment = UserGroupAssignment("u7", "Increasing", 0.25, 0.003, 41.5, matched_to="IncreasingRef")
+    doc = json.loads(json.dumps(assignment.to_json()))
+    assert UserGroupAssignment.from_json(doc) == assignment
+    assert UserGroupAssignment.from_json({"user_id": "u1", "group": "Flat", "slope": 0.0, "p_value": 1.0,
+                                          "mean_toxicity": 3.0}).matched_to is None
+    with pytest.raises(TypeError):
+        UserGroupAssignment.from_json({**doc, "slop": 1.0})
 
 
 def test_node_member_count_written_not_read():
