@@ -440,7 +440,11 @@ def read_sidecar(embeddings_path) -> list[str]:
     """The row ids in an embedding file's sidecar, one per line. Lines end at
     "\n" alone (CRLF reads as "\n"), since a post id may hold any other line
     separator, such as U+2028 or U+0085."""
-    row_ids = sidecar_path(embeddings_path).read_text(encoding="utf-8").split("\n")
+    path = sidecar_path(embeddings_path)
+    try:
+        row_ids = path.read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
     if row_ids[-1] == "":
         row_ids.pop()
     return row_ids
@@ -487,7 +491,14 @@ def read_embeddings(path) -> EmbeddingMatrix:
     row_ids = read_sidecar(path)
     if len(row_ids) != n:
         raise CorpusError(f"sidecar has {len(row_ids)} ids, embedding file has {n} rows")
-    return EmbeddingMatrix(values=values, row_ids=row_ids)
+    try:
+        return EmbeddingMatrix(values=values, row_ids=row_ids)
+    except CorpusError:
+        finite = np.isfinite(values).all(axis=1)
+        if finite.all():
+            raise
+        row = int(np.argmin(finite))
+        raise CorpusError(f"{path}: row {row} (post_id {row_ids[row]!r}) holds a non-finite value") from None
 
 
 def load_corpus(posts_path, embeddings_path=None, window: StudyWindow | None = None) -> Corpus:

@@ -6,6 +6,10 @@ matched reference groups are drawn from the no-trend pool by closest mean
 toxicity. Each user's post embeddings are linearly interpolated onto the
 window's daily grid (carry-back before the first post, carry-forward after
 the last), and weekly trajectories average non-overlapping 7-day blocks.
+
+One array kernel interpolates: ``build_trajectories`` runs it on blocks of
+``USER_BLOCK`` users, ``interpolate_daily`` on one user. It repeats
+``np.interp``'s arithmetic, so each path equals per-column ``np.interp``.
 """
 from __future__ import annotations
 
@@ -30,6 +34,9 @@ REF_INCREASING = "IncreasingRef"
 REF_DECREASING = "DecreasingRef"
 
 TRAJ_MAGIC = b"TRJ1"
+
+# Users per interpolation task; its (users, grid, d) temporaries stay near 1 MB.
+USER_BLOCK = 128
 
 
 def is_significant(p_value: float, alpha: float = SIGNIFICANCE_ALPHA) -> bool:
@@ -200,7 +207,8 @@ def interpolate_daily(
 
     Posts sharing one timestamp are averaged coordinate-wise first. Before
     the first post the earliest embedding is carried backward; after the
-    last, the final embedding is carried forward.
+    last, the final embedding is carried forward. A non-finite embedding row
+    raises ValueError naming the row.
     """
     timestamps = np.asarray(timestamps, dtype=np.int64)
     embeddings = np.asarray(embeddings, dtype=np.float64)
@@ -208,21 +216,53 @@ def interpolate_daily(
         raise ValueError("user has no embedded posts in the window")
     if embeddings.ndim != 2 or embeddings.shape[0] != timestamps.size:
         raise ValueError("embeddings must be one row per timestamp")
+    finite = np.isfinite(embeddings).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"embedding row {int(np.argmin(finite))} holds a non-finite value")
     order = np.argsort(timestamps, kind="mergesort")
-    timestamps = timestamps[order]
-    embeddings = embeddings[order]
-    uniq, inverse, counts = np.unique(timestamps, return_inverse=True, return_counts=True)
-    if uniq.size != timestamps.size:
-        merged = np.zeros((uniq.size, embeddings.shape[1]), dtype=np.float64)
-        np.add.at(merged, inverse, embeddings)
-        merged /= counts[:, None]
-        timestamps, embeddings = uniq, merged
-    tau = window.normalized_time(timestamps)
+    out = np.empty((1, window.n_daily_grid, embeddings.shape[1]))
+    _interpolate_users(timestamps[order], embeddings[order], np.array([timestamps.size]), window, out)
+    return out[0]
+
+
+def _interpolate_users(timestamps, values, lengths, window: StudyWindow, out: np.ndarray) -> None:
+    """Write the daily paths of consecutive users into ``out`` (n_users, G, d).
+
+    User u owns the next ``lengths[u]`` (>= 1) posts, in time order, with
+    finite rows. Its knots xp are its distinct seconds and fp their rows, or,
+    if a second repeats, ``np.add.at`` of its rows into zeros divided by the
+    counts. Grid point x takes knot j, the last with xp[j] <= x by exact
+    comparisons: fp[first] before it, fp[last] from the last knot on, fp[j]
+    where xp[j] == x, else (fp[j+1] - fp[j]) / (xp[j+1] - xp[j]) * (x - xp[j])
+    + fp[j], one rounding per operation. That is ``np.interp``'s arithmetic;
+    its retry of a NaN result never runs on finite knots, so each column
+    equals ``np.interp(grid, xp, fp[:, col])`` bit for bit.
+    """
+    user = np.repeat(np.arange(lengths.size), lengths)
+    new = np.r_[True, (user[1:] != user[:-1]) | (timestamps[1:] != timestamps[:-1])]
+    first = np.flatnonzero(new)
+    n_knots = np.bincount(user[first], minlength=lengths.size)
+    repeats = (n_knots < lengths)[user]
+    fp = values[first]
+    fp[repeats[first]] = 0.0
+    np.add.at(fp, (np.cumsum(new) - 1)[repeats], values[repeats])
+    fp[repeats[first]] /= np.diff(first, append=new.size)[repeats[first], None]
+    xp = window.normalized_time(timestamps[first])
     grid = window.tau_grid()
-    out = np.empty((grid.size, embeddings.shape[1]), dtype=np.float64)
-    for col in range(embeddings.shape[1]):
-        out[:, col] = np.interp(grid, tau, embeddings[:, col])
-    return out
+    # below[u, g]: how many of u's knots lie at or left of grid[g].
+    at = np.bincount(user[first] * (grid.size + 1) + np.searchsorted(grid, xp), minlength=lengths.size * (grid.size + 1))
+    below = np.cumsum(at.reshape(lengths.size, -1)[:, :-1], axis=1)
+    head = np.cumsum(n_knots) - n_knots
+    j = head[:, None] + np.maximum(below, 1) - 1
+    offset = grid - xp[j]
+    edge = (below == 0) | (below == n_knots[:, None]) | (offset == 0)
+    # A step into the next user's knots, or past the last, is never used.
+    step = np.diff(xp, append=xp[-1] + 1)
+    step[head[1:] - 1] = 1.0
+    np.take(np.diff(fp, axis=0, append=fp[-1:]) / step[:, None], j, axis=0, out=out)
+    out *= offset[..., None]
+    out += fp[j]
+    out[edge] = fp[j[edge]]
 
 
 def weekly_average(daily: np.ndarray, week_len_days: int = 7) -> np.ndarray:
@@ -245,22 +285,27 @@ def build_trajectories(corpus: Corpus, workers: int = 1) -> tuple[list[str], np.
 
     Returns (user ids in corpus order, their (n_users, T, d) daily paths,
     report) where the report counts users skipped for having no embedded
-    posts.
+    posts. Blocks of ``USER_BLOCK`` users go through ``interpolate_daily``'s
+    kernel into the paths, so each is that call's, byte for byte.
     """
     if corpus.embeddings is None:
         raise ValueError("corpus has no embeddings attached")
+    embedded = corpus.row_of_post >= 0
+    owner = np.repeat(np.arange(len(corpus.users)), corpus.user_length)[embedded]
+    kept, lengths = np.unique(owner, return_counts=True)
+    user_ids = [corpus.users[u] for u in kept.tolist()]
+    bounds = np.append(0, np.cumsum(lengths))
+    timestamps, rows = corpus.posts.timestamp[embedded], corpus.row_of_post[embedded]
     values = corpus.embeddings.values
-    user_ids, items = [], []
-    for user_id in corpus.users:
-        segment = corpus.segment(user_id)
-        rows = corpus.row_of_post[segment]
-        embedded = rows >= 0
-        if embedded.any():
-            user_ids.append(user_id)
-            items.append((corpus.posts.timestamp[segment][embedded], values[rows[embedded]]))
-    dailies = parallel_map(lambda item: interpolate_daily(*item, corpus.window), items, workers=workers)
-    paths = np.stack(dailies) if dailies else np.empty((0, corpus.window.n_daily_grid, corpus.embeddings.d))
-    report = {"n_users": len(items), "n_skipped_no_embeddings": len(corpus.users) - len(items)}
+    paths = np.empty((len(user_ids), corpus.window.n_daily_grid, corpus.embeddings.d))
+
+    def fill(u0: int) -> None:
+        users = slice(u0, min(u0 + USER_BLOCK, len(user_ids)))
+        posts = slice(bounds[users.start], bounds[users.stop])
+        _interpolate_users(timestamps[posts], values[rows[posts]], lengths[users], corpus.window, paths[users])
+
+    parallel_map(fill, range(0, len(user_ids), USER_BLOCK), workers=workers)
+    report = {"n_users": len(user_ids), "n_skipped_no_embeddings": len(corpus.users) - len(user_ids)}
     return user_ids, paths, report
 
 

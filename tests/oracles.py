@@ -142,6 +142,27 @@ def segment_interpolate(tau_points, values, tau_query):
     raise AssertionError("query outside scanned segments")
 
 
+def np_interp_daily(timestamps, embeddings, window):
+    """One user's daily path by numpy's own interpolation: posts put in time
+    order by a stable sort, posts sharing a second averaged by ``np.add.at``
+    into zeros (only when some second is shared), then ``np.interp`` per
+    column on the window's grid g / (G - 1) in normalized time. ``window``
+    needs ``t0``, ``t_end`` and ``n_daily_grid``."""
+    timestamps = np.asarray(timestamps, dtype=np.int64)
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    order = np.argsort(timestamps, kind="mergesort")
+    timestamps, embeddings = timestamps[order], embeddings[order]
+    uniq, inverse, counts = np.unique(timestamps, return_inverse=True, return_counts=True)
+    if uniq.size != timestamps.size:
+        merged = np.zeros((uniq.size, embeddings.shape[1]))
+        np.add.at(merged, inverse, embeddings)
+        merged /= counts[:, None]
+        timestamps, embeddings = uniq, merged
+    tau = (timestamps.astype(np.float64) - window.t0) / (window.t_end - window.t0)
+    grid = np.arange(window.n_daily_grid, dtype=np.float64) / (window.n_daily_grid - 1)
+    return np.stack([np.interp(grid, tau, embeddings[:, col]) for col in range(embeddings.shape[1])], axis=1)
+
+
 def weekly_group_toxicity(posts_path, groups_path, window_path) -> dict[str, list[str]]:
     """The cells of a run report's "Weekly mean toxicity by group" table,
     from the run's files read with plain json.

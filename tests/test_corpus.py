@@ -265,6 +265,22 @@ class TestEmbeddings:
         with pytest.raises(CorpusError, match="non-finite"):
             read_embeddings(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_names_file_row_and_id(self, tmp_path, bad):
+        path = tmp_path / "emb.bin"
+        values = np.zeros((4, 3))
+        values[2, 1] = values[3, 0] = bad
+        write_embeddings(path, values, ["a", "b", "c", "d"])
+        with pytest.raises(CorpusError, match=r"emb\.bin: row 2 \(post_id 'c'\) holds a non-finite value"):
+            read_embeddings(path)
+
+    def test_sidecar_not_utf8_named(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        write_embeddings(path, np.zeros((2, 2)), ["a", "b"])
+        sidecar_path(path).write_bytes(b"a\n\xffb\n")
+        with pytest.raises(CorpusError, match=r"emb\.bin\.ids: not valid UTF-8 at byte 2"):
+            read_embeddings(path)
+
 
 class TestBundleRoundTrip:
     def test_load_save_load_identity(self, tmp_path):

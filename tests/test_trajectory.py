@@ -1,10 +1,14 @@
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import segment_interpolate
-from toxtraj.corpus import Corpus, Posts, StudyWindow
+from oracles import np_interp_daily, segment_interpolate
+from toxtraj import trajectory
+from toxtraj.corpus import Corpus, EmbeddingMatrix, Posts, StudyWindow
 from toxtraj.synth import ScenarioConfig, TrendMix, generate_user_streams
 from toxtraj.trajectory import (
     GROUP_DECREASING,
@@ -194,6 +198,146 @@ class TestInterpolateDaily:
     def test_no_posts_raises(self):
         with pytest.raises(ValueError):
             interpolate_daily(np.array([], dtype=np.int64), np.empty((0, 5)), WINDOW)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_named(self, bad):
+        ts = WINDOW.t0 + np.arange(4) * 1000
+        emb = np.ones((4, 3))
+        emb[2, 1] = bad
+        with pytest.raises(ValueError, match="embedding row 2 holds a non-finite value"):
+            interpolate_daily(ts, emb, WINDOW)
+
+
+# A window whose grid points fall on whole seconds: grid point g is at
+# SMALL.t0 + 100 g, and its normalized time equals g / 7 exactly.
+SMALL = StudyWindow(t0=WINDOW.t0, t_end=WINDOW.t0 + 700, n_daily_grid=8)
+SECONDS = st.one_of(
+    st.sampled_from([SMALL.t0, SMALL.t_end]),
+    st.integers(0, 7).map(lambda g: SMALL.t0 + 100 * g),
+    st.integers(SMALL.t0, SMALL.t_end),
+)
+COORDS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1e3, 1e3, allow_subnormal=False))
+
+
+@st.composite
+def user_posts(draw, user: str, n_posts: int):
+    """(post_id, user, second, embedding row or None) for one user: 1-4
+    posts in each of its seconds, some of them not embedded."""
+    posts = []
+    while len(posts) < n_posts:
+        second = draw(SECONDS)
+        for _ in range(draw(st.integers(1, 4))):
+            row = draw(st.lists(COORDS, min_size=2, max_size=2)) if draw(st.integers(0, 3)) else None
+            posts.append((f"{user}-{len(posts):02d}", user, second, row))
+    return posts
+
+
+@st.composite
+def trajectory_corpora(draw):
+    """A corpus on SMALL of 1-7 users, each with 1-8 posts."""
+    posts = []
+    for u in range(draw(st.integers(1, 7))):
+        posts += draw(user_posts(f"u{u}", draw(st.integers(1, 8))))
+    return corpus_of_posts(posts)
+
+
+def corpus_of_posts(posts, window=SMALL) -> Corpus:
+    post_id, user_id, second, rows = zip(*posts)
+    embedded = [i for i, row in enumerate(rows) if row is not None]
+    embeddings = EmbeddingMatrix(
+        np.array([rows[i] for i in embedded], dtype=np.float64).reshape(len(embedded), 2),
+        [post_id[i] for i in embedded],
+    )
+    return Corpus(Posts(list(post_id), list(user_id), list(second)), window, embeddings)
+
+
+def embedded_posts(corpus: Corpus, user: str) -> tuple[np.ndarray, np.ndarray]:
+    """A user's embedded posts in corpus order: (timestamps, embedding rows)."""
+    segment = corpus.segment(user)
+    rows = corpus.row_of_post[segment]
+    return corpus.posts.timestamp[segment][rows >= 0], corpus.embeddings.values[rows[rows >= 0]]
+
+
+def oracle_paths(corpus: Corpus) -> tuple[list[str], np.ndarray]:
+    """Each user with an embedded post, and np.interp's path of its posts in
+    corpus order."""
+    users = [user for user in corpus.users if embedded_posts(corpus, user)[0].size]
+    paths = [np_interp_daily(*embedded_posts(corpus, user), corpus.window) for user in users]
+    return users, np.array(paths).reshape(len(users), corpus.window.n_daily_grid, corpus.embeddings.d)
+
+
+def build_with_block(corpus: Corpus, block: int, workers: int):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trajectory, "USER_BLOCK", block)
+        return build_trajectories(corpus, workers=workers)
+
+
+class TestMatchesNumpyInterp:
+    """``build_trajectories`` and ``interpolate_daily`` against np.interp, byte for byte."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(corpus=trajectory_corpora(), data=st.data())
+    # -0.0 on a grid point, with a rising segment after it: only an exact
+    # hit keeps the sign of the zero.
+    @example(
+        corpus=corpus_of_posts([("a", "u", SMALL.t0 + 200, [-0.0, 1.0]), ("b", "u", SMALL.t0 + 450, [1.0, 1.0])]),
+        data=None,
+    )
+    # A knot on an interior grid point, after another knot.
+    @example(
+        corpus=corpus_of_posts([("a", "u", SMALL.t0 + 30, [0.1, 3.0]), ("b", "u", SMALL.t0 + 300, [0.7, -2.9]),
+                                ("c", "u", SMALL.t0 + 610, [5.3, 0.3])]),
+        data=None,
+    )
+    # Grid points on both sides of the knots.
+    @example(
+        corpus=corpus_of_posts([("a", "u", SMALL.t0 + 150, [1.0, 2.0]), ("b", "u", SMALL.t0 + 550, [3.0, -4.0])]),
+        data=None,
+    )
+    def test_equals_np_interp(self, corpus, data):
+        users, expected = oracle_paths(corpus)
+        for block in (trajectory.USER_BLOCK, 2):
+            for workers in (1, 2):
+                got_users, paths, report = build_with_block(corpus, block, workers)
+                assert got_users == users
+                assert paths.tobytes() == expected.tobytes()
+        assert report == {"n_users": len(users), "n_skipped_no_embeddings": len(corpus.users) - len(users)}
+        for user in users:
+            ts, values = embedded_posts(corpus, user)
+            if data is not None:
+                order = np.array(data.draw(st.permutations(range(ts.size))), dtype=np.int64)
+                ts, values = ts[order], values[order]
+            assert interpolate_daily(ts, values, SMALL).tobytes() == np_interp_daily(ts, values, SMALL).tobytes()
+
+
+class TestBlocks:
+    def test_block_boundaries_byte_equal(self):
+        corpus, _ = generate_user_streams(ScenarioConfig(n_users=8, posts_per_user=(5, 40), seed=6))
+        users, expected = oracle_paths(corpus)
+        assert len(users) > 2 * 3 + 1
+        for workers in (1, 2, 4):
+            got_users, paths, _ = build_with_block(corpus, 3, workers)
+            assert got_users == users
+            assert paths.tobytes() == expected.tobytes()
+
+    def test_memory_is_output_plus_a_block(self):
+        # 3,000 users of 4 posts; the paths alone are 3,000 x 194 x 5 x 8
+        # bytes, about 23 MB. A pass over all users at once holds several
+        # arrays of that size beside them.
+        rng = np.random.default_rng(13)
+        n_users, per_user = 3000, 4
+        user_id = [f"u{u:04d}" for u in range(n_users) for _ in range(per_user)]
+        post_id = [f"p{i}" for i in range(len(user_id))]
+        second = rng.integers(WINDOW.t0, WINDOW.t_end, size=len(user_id))
+        corpus = Corpus(Posts(post_id, user_id, second), WINDOW, EmbeddingMatrix(rng.normal(size=(len(user_id), 5)), post_id))
+        tracemalloc.start()
+        try:
+            _, paths, _ = build_trajectories(corpus, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert paths.shape == (n_users, WINDOW.n_daily_grid, 5)
+        assert peak <= paths.nbytes + 6 * 2**20
 
 
 class TestWeeklyAverage:
