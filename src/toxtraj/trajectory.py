@@ -208,7 +208,8 @@ def interpolate_daily(
     Posts sharing one timestamp are averaged coordinate-wise first. Before
     the first post the earliest embedding is carried backward; after the
     last, the final embedding is carried forward. A non-finite embedding row
-    raises ValueError naming the row.
+    raises ValueError naming the row, and rows of one second whose sum
+    overflows raise ValueError naming the second.
     """
     timestamps = np.asarray(timestamps, dtype=np.int64)
     embeddings = np.asarray(embeddings, dtype=np.float64)
@@ -234,9 +235,10 @@ def _interpolate_users(timestamps, values, lengths, window: StudyWindow, out: np
     counts. Grid point x takes knot j, the last with xp[j] <= x by exact
     comparisons: fp[first] before it, fp[last] from the last knot on, fp[j]
     where xp[j] == x, else (fp[j+1] - fp[j]) / (xp[j+1] - xp[j]) * (x - xp[j])
-    + fp[j], one rounding per operation. That is ``np.interp``'s arithmetic;
-    its retry of a NaN result never runs on finite knots, so each column
-    equals ``np.interp(grid, xp, fp[:, col])`` bit for bit.
+    + fp[j], one rounding per operation. That is ``np.interp``'s arithmetic.
+    Rows of one second that sum past the float range raise ValueError, so
+    the knots are finite, ``np.interp``'s retry of a NaN result never runs,
+    and each column equals ``np.interp(grid, xp, fp[:, col])`` bit for bit.
     """
     user = np.repeat(np.arange(lengths.size), lengths)
     new = np.r_[True, (user[1:] != user[:-1]) | (timestamps[1:] != timestamps[:-1])]
@@ -247,6 +249,9 @@ def _interpolate_users(timestamps, values, lengths, window: StudyWindow, out: np
     fp[repeats[first]] = 0.0
     np.add.at(fp, (np.cumsum(new) - 1)[repeats], values[repeats])
     fp[repeats[first]] /= np.diff(first, append=new.size)[repeats[first], None]
+    overflow = ~np.isfinite(fp).all(axis=1)
+    if overflow.any():
+        raise ValueError(f"the embeddings posted at second {timestamps[first[overflow.argmax()]]} sum past the float range")
     xp = window.normalized_time(timestamps[first])
     grid = window.tau_grid()
     # below[u, g]: how many of u's knots lie at or left of grid[g].

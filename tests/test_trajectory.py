@@ -207,6 +207,18 @@ class TestInterpolateDaily:
         with pytest.raises(ValueError, match="embedding row 2 holds a non-finite value"):
             interpolate_daily(ts, emb, WINDOW)
 
+    def test_same_second_overflow_named(self):
+        # Finite rows whose sum overflows: np.interp would give inf at some
+        # grid points and the kernel NaN, so neither path returns a value.
+        posts = [("a", "u", SMALL.t0 + 100, [1e308, 1.0]), ("b", "u", SMALL.t0 + 100, [1e308, 1.0]),
+                 ("c", "u", SMALL.t0 + 450, [-1e308, 2.0])]
+        corpus = corpus_of_posts(posts)
+        match = f"embeddings posted at second {SMALL.t0 + 100} sum past the float range"
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=match):
+            interpolate_daily(*embedded_posts(corpus, "u"), SMALL)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=match):
+            build_trajectories(corpus)
+
 
 # A window whose grid points fall on whole seconds: grid point g is at
 # SMALL.t0 + 100 g, and its normalized time equals g / 7 exactly.

@@ -1,10 +1,9 @@
 """Check that the working tree writes the same outputs as a base revision.
 
-    python3 tools/compare_outputs.py --base HEAD~1 [--workload W ...]
+    python3 tools/compare_outputs.py --base HEAD~1
 
 Runs ``perfbench/run.py --workload W --seed S --seconds 0 --trace 0`` for
-every workload in ``BENCHMARK.json`` (or each one named by a repeated
-``--workload``) at seeds 1-3, once in this checkout
+every workload in ``BENCHMARK.json`` at seeds 1-3, once in this checkout
 (uncommitted edits included) and once in a temporary directory that holds
 REV's files, extracted with ``git archive``, and compares the runs' "output
 hashes:" lines file by file. It writes nothing under ``.git/``. It prints
@@ -61,14 +60,8 @@ def source_lines(rev: str | None = None) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
-    parser.add_argument("--workload", action="append", metavar="W",
-                        help="compare only this workload (repeatable; default: every workload in BENCHMARK.json)")
     args = parser.parse_args(argv)
     workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
-    unknown = sorted(set(args.workload or ()) - set(workloads))
-    if unknown:
-        parser.error(f"unknown workload(s) {unknown}; one of {workloads}")
-    workloads = [w for w in workloads if w in args.workload] if args.workload else workloads
     base_lines, lines = source_lines(args.base), source_lines()
     print(f"src/toxtraj/*.py: {base_lines} lines at {args.base}, {lines} in the working tree ({lines - base_lines:+d})")
     differ = False
