@@ -34,7 +34,7 @@ from .coherence import (
     level_counts,
     merge_pass,
 )
-from .corpus import CorpusError, StudyWindow, load_corpus, load_corpus_bundle, save_corpus, study_window
+from .corpus import StudyWindow, load_corpus, load_corpus_bundle, save_corpus, study_window
 from .hdbscan import ClusterTree, HdbscanParams, recursive_cluster
 from .knn import DEFAULT_K, fit_knn, label_trajectory
 from .permanova import DEFAULT_PERMUTATIONS, permanova_test
@@ -422,24 +422,15 @@ def _execute(stage: Stage, kwargs: dict, held=None):
 
     A corpus-reading stage gets the loaded corpus in place of its ``corpus``
     path: from ``held``, the (corpus, embeddings path) pair the previous stage
-    left, else from disk. Its ``embeddings`` input, if another file, is loaded
-    with the bundle's posts in place of the bundle's own embeddings, which are
-    not read; its row ids must equal those of the bundle's id sidecar. Returns
-    the stage's result and the pair it leaves for the next stage."""
+    left, else from disk by ``load_corpus_bundle`` with its ``embeddings``
+    input. Returns the stage's result and the pair it leaves for the next
+    stage."""
     if stage.name in READS_CORPUS:
         bundle = Path(kwargs["corpus"])
-        own = bundle / "embeddings.emb"
-        wanted = Path(kwargs.pop("embeddings", None) or (held[1] if held else own))
-        if held and held[1] == wanted:
-            corpus = held[0]
-        elif wanted == own:
-            corpus = load_corpus_bundle(bundle)
-        else:
-            corpus = load_corpus(bundle / "posts.ndjson", embeddings_path=wanted, window=_read_window(bundle / "window.json"))
-            if not corpus_mod.sidecar_path(own).is_file() or corpus.embeddings.row_ids != corpus_mod.read_sidecar(own):
-                raise CorpusError(f"{wanted}: row ids differ from those of the corpus bundle {bundle}")
-        kwargs["corpus"] = corpus
-        held = corpus, wanted
+        wanted = Path(kwargs.pop("embeddings", None) or (held[1] if held else bundle / "embeddings.emb"))
+        if not held or held[1] != wanted:
+            held = load_corpus_bundle(bundle, wanted), wanted
+        kwargs["corpus"] = held[0]
     result = stage.fn(**kwargs)
     if "corpus" in result:
         held = result.pop("corpus"), Path(kwargs["out"]) / "embeddings.emb"
@@ -451,17 +442,24 @@ def _execute(stage: Stage, kwargs: dict, held=None):
 
 
 def _check_config(config: dict) -> None:
-    """Raise ValueError naming the first key of ``config`` that a run would
-    not read: a top-level key, a stage, or a stage's key. A stage reads
+    """Raise ValueError naming the first part of ``config`` that a run would
+    not read: a top-level key, a stage, or a stage's key, or the config,
+    ``stages`` or a stage's config when it is not a JSON object. A stage reads
     ``enabled``, its params but the seed and workers that a run sets, and its
     source inputs that have a flag."""
+    if not isinstance(config, dict):
+        raise ValueError("the config must be a JSON object")
     for key in config:
         if key not in ("seed", "out_dir", "workers", "stages"):
             raise ValueError(f"unknown config key {key!r}")
+    if not isinstance(config.get("stages", {}), dict):
+        raise ValueError("config key 'stages' must be a JSON object")
     stages = {stage.name: stage for stage in STAGES}
     for name, cfg in config.get("stages", {}).items():
         if name not in stages:
             raise ValueError(f"unknown stage {name!r}")
+        if not isinstance(cfg, dict):
+            raise ValueError(f"stage {name!r}: config must be a JSON object")
         params = [p.key for p in stages[name].params if p not in (SEED, WORKERS)]
         sources = [port.name for port in stages[name].inputs if port.source and port.flag]
         for key in cfg:

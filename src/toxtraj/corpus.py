@@ -471,34 +471,40 @@ def write_embeddings(path, values: np.ndarray, row_ids: Sequence[str]) -> None:
 
 
 def read_embeddings(path) -> EmbeddingMatrix:
-    """Read an EMB1 file; 32-bit values are promoted to 64-bit."""
+    """Read an EMB1 file; 32-bit values are promoted to 64-bit. Every error
+    starts with the file's path."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != EMB_MAGIC:
-            raise CorpusError(f"bad embedding file magic: {magic!r}")
+            raise CorpusError(f"{path}: bad embedding file magic: {magic!r}")
         header = fh.read(8)
         if len(header) != 8:
-            raise CorpusError("truncated embedding header")
+            raise CorpusError(f"{path}: truncated embedding header")
         n, d = struct.unpack("<II", header)
         payload = fh.read()
     expected = n * d * 4
     if len(payload) != expected:
-        raise CorpusError(f"embedding payload is {len(payload)} bytes, expected {expected}")
+        raise CorpusError(f"{path}: embedding payload is {len(payload)} bytes, expected {expected}")
     values = np.frombuffer(payload, dtype="<f4").reshape(n, d).astype(np.float64)
     ids_file = sidecar_path(path)
     if not ids_file.exists():
-        raise CorpusError(f"missing embedding id sidecar: {ids_file}")
+        raise CorpusError(f"{path}: missing embedding id sidecar: {ids_file}")
     row_ids = read_sidecar(path)
     if len(row_ids) != n:
-        raise CorpusError(f"sidecar has {len(row_ids)} ids, embedding file has {n} rows")
+        raise CorpusError(f"{path}: sidecar has {len(row_ids)} ids, embedding file has {n} rows")
     try:
         return EmbeddingMatrix(values=values, row_ids=row_ids)
-    except CorpusError:
+    except CorpusError as exc:
         finite = np.isfinite(values).all(axis=1)
-        if finite.all():
-            raise
-        row = int(np.argmin(finite))
-        raise CorpusError(f"{path}: row {row} (post_id {row_ids[row]!r}) holds a non-finite value") from None
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise CorpusError(f"{path}: row {row} (post_id {row_ids[row]!r}) holds a non-finite value") from None
+        first = {}
+        for row, rid in enumerate(row_ids):
+            if first.setdefault(rid, row) != row:
+                message = f"row_ids must be unique; row {row} repeats post_id {rid!r} of row {first[rid]}"
+                raise CorpusError(f"{path}: {message}") from None
+        raise CorpusError(f"{path}: {exc}") from None
 
 
 def load_corpus(posts_path, embeddings_path=None, window: StudyWindow | None = None) -> Corpus:
@@ -526,13 +532,17 @@ def save_corpus(corpus: Corpus, out_dir) -> dict:
     return paths
 
 
-def load_corpus_bundle(bundle_dir) -> Corpus:
-    """Load a corpus bundle produced by save_corpus."""
+def load_corpus_bundle(bundle_dir, embeddings_path=None) -> Corpus:
+    """Load a corpus bundle produced by save_corpus, joined to the bundle's
+    own embeddings if it has them. Another ``embeddings_path`` is joined in
+    their place, which are then not read; its row ids must equal those of the
+    bundle's id sidecar."""
     bundle = Path(bundle_dir)
-    window = StudyWindow.load(bundle / "window.json")
-    emb_path = bundle / "embeddings.emb"
-    return load_corpus(
-        bundle / "posts.ndjson",
-        embeddings_path=emb_path if emb_path.exists() else None,
-        window=window,
-    )
+    own = bundle / "embeddings.emb"
+    other = embeddings_path is not None and Path(embeddings_path) != own
+    if not other:
+        embeddings_path = own if own.exists() else None
+    corpus = load_corpus(bundle / "posts.ndjson", embeddings_path, window=StudyWindow.load(bundle / "window.json"))
+    if other and (not sidecar_path(own).is_file() or corpus.embeddings.row_ids != read_sidecar(own)):
+        raise CorpusError(f"{embeddings_path}: row ids differ from those of the corpus bundle {bundle}")
+    return corpus

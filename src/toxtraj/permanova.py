@@ -17,7 +17,7 @@ from .util import JsonRecord, parallel_map, substream
 
 DEFAULT_PERMUTATIONS = 4999
 # Permutations drawn from one random stream, whose group sums one
-# indicator-matrix product forms; worker chunks split only between blocks.
+# indicator-matrix product forms; each block is one worker task.
 PERMUTATION_BLOCK = 64
 # A batched F within this of F_obs, relative and on top of the rounding bound
 # in _block_f, or with SSW within this of zero relative to SST, is recomputed
@@ -142,8 +142,8 @@ def permanova_test(
 
     Labels are reshuffled preserving group sizes. Block b holds permutations
     [64b, 64b + 64): substream(seed, "permanova", "block", b) shuffles each
-    of its rows of row indices, Fisher-Yates, and keeps the first k. Workers
-    split the blocks, never a block, so results do not depend on worker count.
+    of its rows of row indices, Fisher-Yates, and keeps the first k. Each
+    block is one worker task, so results do not depend on worker count.
     exceed = #{F_perm >= F_obs}; p = (1 + exceed) / (1 + n_permutations).
     """
     if n_permutations < 1:
@@ -170,21 +170,15 @@ def permanova_test(
     abs_sum = np.abs(xs).sum(axis=0)
     rows = np.tile(np.arange(n), (PERMUTATION_BLOCK, 1))
 
-    def count_chunk(blocks: range) -> int:
-        count = 0
-        for block in blocks:
-            size = min(PERMUTATION_BLOCK, n_permutations - block * PERMUTATION_BLOCK)
-            idx = substream(seed, "permanova", "block", block).permuted(rows[:size], axis=1)[:, :k]
-            f, unsure = _block_f(xs, idx, total_sum, sst, abs_sum, f_obs)
-            count += int(np.count_nonzero(f[~unsure] >= f_obs))
-            count += sum(_f_from_counts(xs, idx_a, total_sum, sst) >= f_obs for idx_a in idx[unsure])
-        return count
+    def count_block(block: int) -> int:
+        size = min(PERMUTATION_BLOCK, n_permutations - block * PERMUTATION_BLOCK)
+        idx = substream(seed, "permanova", "block", block).permuted(rows[:size], axis=1)[:, :k]
+        f, unsure = _block_f(xs, idx, total_sum, sst, abs_sum, f_obs)
+        count = int(np.count_nonzero(f[~unsure] >= f_obs))
+        return count + sum(_f_from_counts(xs, idx_a, total_sum, sst) >= f_obs for idx_a in idx[unsure])
 
     n_blocks = -(-n_permutations // PERMUTATION_BLOCK)
-    n_chunks = min(max(workers, 1), n_blocks)
-    bounds = np.linspace(0, n_blocks, n_chunks + 1, dtype=int)
-    chunks = [range(bounds[i], bounds[i + 1]) for i in range(n_chunks)]
-    exceed = sum(parallel_map(count_chunk, chunks, workers=workers))
+    exceed = sum(parallel_map(count_block, range(n_blocks), workers=workers))
 
     p_value = (1 + exceed) / (1 + n_permutations)
     denom = ss_between + ss_within

@@ -37,17 +37,10 @@ def _canonical_signs(components: np.ndarray) -> np.ndarray:
 def _fit_pca(sample: np.ndarray, output_dim: int) -> tuple[np.ndarray, np.ndarray]:
     mean = sample.mean(axis=0)
     centered = sample - mean
-    m, d = centered.shape
-    if d <= m:
-        cov = centered.T @ centered / (m - 1)
-        eigvals, eigvecs = np.linalg.eigh(cov)
-        order = np.argsort(eigvals)[::-1][:output_dim]
-        components = eigvecs[:, order].T
-    else:
-        # Fewer samples than features: economy SVD gives the same subspace.
-        _, _, vt = np.linalg.svd(centered, full_matrices=False)
-        components = vt[:output_dim]
-    return mean, _canonical_signs(components)
+    cov = centered.T @ centered / (len(sample) - 1)
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    order = np.argsort(eigvals)[::-1][:output_dim]
+    return mean, _canonical_signs(eigvecs[:, order].T)
 
 
 def fit_on_sample(

@@ -142,6 +142,25 @@ class TestPipeline:
         config_path.write_text(json.dumps(config))
         assert main(["run", "--config", str(config_path)]) == 1
 
+    @pytest.mark.parametrize(
+        "config, named",
+        [
+            ([], "the config must be a JSON object"),
+            ({"stages": []}, "config key 'stages' must be a JSON object"),
+            ({"stages": {"reduce": False}}, "stage 'reduce': config must be a JSON object"),
+            ({"stages": {"groups": ["min_posts"]}}, "stage 'groups': config must be a JSON object"),
+        ],
+        ids=["config-list", "stages-list", "stage-false", "stage-list"],
+    )
+    def test_config_not_an_object_named_before_any_file(self, tmp_path, monkeypatch, capsys, config, named):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError, match=f"^{named}$"):
+            run_pipeline(config)
+        Path("config.json").write_text(json.dumps(config))
+        assert main(["run", "--config", "config.json"]) == 1
+        assert capsys.readouterr().err == f"toxtraj run: error: {named}\n"
+        assert os.listdir(tmp_path) == ["config.json"]
+
     def test_config_keys_a_run_reads_accepted(self, tmp_path):
         small_scenario(tmp_path, n_users=6)
         stages = {

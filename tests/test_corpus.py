@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from datetime import date, datetime, timezone
 from unittest import mock
 
@@ -279,6 +280,33 @@ class TestEmbeddings:
         write_embeddings(path, np.zeros((2, 2)), ["a", "b"])
         sidecar_path(path).write_bytes(b"a\n\xffb\n")
         with pytest.raises(CorpusError, match=r"emb\.bin\.ids: not valid UTF-8 at byte 2"):
+            read_embeddings(path)
+
+    def test_repeated_id_names_its_rows(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        write_embeddings(path, np.zeros((4, 2)), ["a", "b", "c", "b"])
+        with pytest.raises(CorpusError, match=r"emb\.bin: row_ids must be unique; row 3 repeats post_id 'b' of row 1$"):
+            read_embeddings(path)
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(0, 5), d=st.integers(0, 4), data=st.data())
+    def test_cut_or_extended_file_named(self, tmp_path, n, d, data):
+        # A file cut at any byte or with bytes appended, or a sidecar cut at
+        # any line: the read raises a CorpusError that starts with the file's
+        # path, never a numpy error, and never returns a short matrix.
+        path = tmp_path / "emb.bin"
+        write_embeddings(path, np.arange(n * d, dtype=np.float64).reshape(n, d), [f"p{i}" for i in range(n)])
+        blob = path.read_bytes()
+        damage = data.draw(st.sampled_from(["cut", "append", "sidecar"] if n else ["cut", "append"]), label="damage")
+        if damage == "cut":
+            path.write_bytes(blob[: data.draw(st.integers(0, len(blob) - 1), label="at")])
+        elif damage == "append":
+            path.write_bytes(blob + data.draw(st.binary(min_size=1, max_size=9), label="extra"))
+        else:
+            lines = sidecar_path(path).read_text(encoding="utf-8").split("\n")[:-1]
+            kept = data.draw(st.integers(0, n - 1), label="lines kept")
+            sidecar_path(path).write_text("".join(line + "\n" for line in lines[:kept]), encoding="utf-8")
+        with pytest.raises(CorpusError, match="^" + re.escape(str(path)) + ": "):
             read_embeddings(path)
 
 

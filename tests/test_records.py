@@ -13,7 +13,6 @@ from toxtraj.knn import TrajectoryLabeling
 from toxtraj.permanova import PermanovaResult
 from toxtraj.synth import DivergenceSpec, ParentBlobSpec, ScenarioConfig, TrendMix
 from toxtraj.trajectory import UserGroupAssignment
-from toxtraj.util import _plain
 
 WINDOW = StudyWindow(t0=1_000, t_end=2_000_000, n_daily_grid=21, week_len_days=7)
 BLOB = ParentBlobSpec(
@@ -79,10 +78,8 @@ def test_omitted_fields_take_defaults_and_unknown_keys_raise():
 
 
 def test_plain_record_decoded_as_is():
-    # Every field of an assignment reads as it is, so its document goes to
-    # the constructor whole; a node's init=False member_count and a
-    # labeling's tuples still take the per-key readers.
-    assert _plain(UserGroupAssignment) and not _plain(ClusterTreeNode) and not _plain(TrajectoryLabeling)
+    # Every field of an assignment reads as it is: each key goes to the
+    # constructor unchanged, and an unknown key still raises.
     assignment = UserGroupAssignment("u7", "Increasing", 0.25, 0.003, 41.5, matched_to="IncreasingRef")
     doc = json.loads(json.dumps(assignment.to_json()))
     assert UserGroupAssignment.from_json(doc) == assignment

@@ -78,7 +78,8 @@ class TestFitOnSample:
         assert np.all(np.diff(variances) <= 1e-9)
 
     def test_tall_and_wide_paths_agree(self):
-        # More features than samples triggers the SVD route; subspaces match.
+        # More features than samples: the covariance's top eigenvectors still
+        # span the sample's principal subspace.
         rng = np.random.default_rng(8)
         data = rng.normal(size=(30, 80))
         model = fit_on_sample(data, fraction=1.0, output_dim=3, seed=0)
