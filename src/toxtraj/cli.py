@@ -79,7 +79,10 @@ PIPELINE_DEFAULTS = {
 
 def _root_seed(config_seed: int) -> int:
     env = os.environ.get(SEED_ENV_VAR)
-    return int(env) if env else int(config_seed)
+    try:
+        return int(env) if env else config_seed
+    except ValueError:
+        raise ValueError(f"{SEED_ENV_VAR} must be an integer, not {env!r}") from None
 
 
 def stage_seed(root_seed: int, stage: str) -> int:
@@ -443,17 +446,19 @@ def _execute(stage: Stage, kwargs: dict, held=None):
 
 def _check_config(config: dict) -> None:
     """Raise ValueError naming the first part of ``config`` that a run would
-    not read: a top-level key, a stage, or a stage's key, or the config,
-    ``stages`` or a stage's config when it is not a JSON object. A stage reads
-    ``enabled``, its params but the seed and workers that a run sets, and its
-    source inputs that have a flag."""
+    not read: a top-level key, a stage, or a stage's key, or the config, a
+    top-level value or a stage's config when not of its JSON type (a bool is
+    no integer). A stage reads ``enabled``, its params but the seed and
+    workers that a run sets, and its source inputs that have a flag."""
     if not isinstance(config, dict):
         raise ValueError("the config must be a JSON object")
-    for key in config:
-        if key not in ("seed", "out_dir", "workers", "stages"):
+    types = {"seed": int, "out_dir": str, "workers": int, "stages": dict}
+    for key, value in config.items():
+        if key not in types:
             raise ValueError(f"unknown config key {key!r}")
-    if not isinstance(config.get("stages", {}), dict):
-        raise ValueError("config key 'stages' must be a JSON object")
+        if not isinstance(value, types[key]) or isinstance(value, bool):
+            name = {int: "integer", str: "string", dict: "object"}[types[key]]
+            raise ValueError(f"config key {key!r} must be a JSON {name}")
     stages = {stage.name: stage for stage in STAGES}
     for name, cfg in config.get("stages", {}).items():
         if name not in stages:
@@ -476,11 +481,11 @@ def run_pipeline(config: dict, config_dir: Path | None = None) -> dict:
     runs. ``config`` is left unchanged.
     """
     _check_config(config)
+    root_seed = _root_seed(config.get("seed", SEED.default))
     out_dir = Path(config.get("out_dir", "toxtraj_run"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    root_seed = _root_seed(config.get("seed", SEED.default))
     stages_cfg = config.get("stages", {})
-    workers = int(config.get("workers", WORKERS.default))
+    workers = config.get("workers", WORKERS.default)
     manifest = {
         "version": __version__,
         "root_seed": root_seed,

@@ -2,9 +2,10 @@
 
 The pseudo-F statistic SS_between / (SS_within / (N - 2)) is referred to a
 null distribution built by reshuffling user-level group labels; the p-value
-counts the identity arrangement, so p >= 1 / (n_permutations + 1). The
-permutations come in blocks of PERMUTATION_BLOCK, each drawn from its own
-counter-based stream keyed by (seed, block index).
+counts the identity arrangement, so p >= 1 / (n_permutations + 1). Each block
+of PERMUTATION_BLOCK permutations is drawn from its own counter-based stream
+keyed by (seed, block index), and its F values come from one float32 product;
+an F that rounding could carry across F_obs is recomputed in float64.
 """
 from __future__ import annotations
 
@@ -16,12 +17,12 @@ import numpy as np
 from .util import JsonRecord, parallel_map, substream
 
 DEFAULT_PERMUTATIONS = 4999
-# Permutations drawn from one random stream, whose group sums one
+# Permutations drawn from one random stream, whose group sums one float32
 # indicator-matrix product forms; each block is one worker task.
 PERMUTATION_BLOCK = 64
-# A batched F within this of F_obs, relative and on top of the rounding bound
-# in _block_f, or with SSW within this of zero relative to SST, is recomputed
-# by _f_from_counts.
+# A batched F within this of F_obs, relative and on top of _block_f's band,
+# or with SSW within this of zero relative to SST, is recomputed by
+# _f_from_counts. It covers the last few roundings of F that the band omits.
 TIE_RTOL = 1e-9
 
 
@@ -92,36 +93,43 @@ def _f_from_counts(x: np.ndarray, idx_a: np.ndarray, total_sum: np.ndarray, sst:
     return ssb / (ssw / (n - 2))
 
 
-def _block_f(xs, idx, total_sum, sst, abs_sum, f_obs) -> tuple[np.ndarray, np.ndarray]:
+def _block_f(z32, idx, sst, z_half, x_abs, f_obs) -> tuple[np.ndarray, np.ndarray]:
     """F for each row of draws ``idx`` (B, k), and which rows are too close to
     call against ``f_obs``.
 
-    The group sums come from one (B, n) 0/1 indicator product with ``xs``;
-    everything after them is _f_from_counts's arithmetic on arrays. The sums
-    differ from _f_from_counts's only in summation order, and either order is
-    within n·eps·sum|x| of the exact sum per column. A row is unsure, and goes
-    back to _f_from_counts, when that difference could move its F to the
-    other side of ``f_obs``, when SSW is not clearly positive, or when F_obs
-    is not finite; every other row compares with ``f_obs`` as
-    _f_from_counts's F would.
+    ``z32`` is the canonical rows less their mean, centred in float64 and cast
+    to float32; per column, ``z_half`` is the larger of its sums of positive
+    and of negative parts, ``x_abs`` the sum of the uncentred |rows|. SSB is
+    h·|S|², h = 1/k + 1/(n - k), S the drawn rows' exactly centred column
+    sums, and c = ind @ z32, a float32 product with a 0/1 indicator, stands
+    for S. Each partial sum of drawn terms lies within z_half of 0, so each
+    column of c is within e = g·(1 + 2g)·z_half + 2n·eps·x_abs + k·tiny of S,
+    g = (k + 2)·2^-24 / (1 - (k + 2)·2^-24), tiny float32's least subnormal:
+    k - 1 of the k + 2 for float32 sums in any order (so a BLAS thread split
+    cannot change a verdict), 2 for the cast, 1 for the centring; half the
+    x_abs term for k times the mean's error, the rest, as n·h >= 4, for
+    _f_from_counts's mean deviations (within 2·eps·x_abs of S/k, 4·eps·x_abs
+    of -S/(n - k)); tiny for a cast that underflows. So the two SSBs differ by
+    at most dssb = h·(2|c|·e + 3|e|²) + (d + 4)·eps·SSB, the last term for
+    their float64 norms and products, and with SSW > 2·dssb their F values by
+    at most 2·(n - 2)·SST·dssb / SSW². A row is unsure, and goes back to
+    _f_from_counts, when that could put the two on either side of ``f_obs``,
+    when SSW is not clearly positive (float32 overflow included), or when
+    F_obs is not finite.
     """
     b, k = idx.shape
     if not math.isfinite(f_obs):
         return np.zeros(b), np.ones(b, dtype=bool)
-    n = xs.shape[0]
-    ind = np.zeros((b, n))
+    n, d = z32.shape
+    ind = np.zeros((b, n), dtype=np.float32)
     ind[np.arange(b)[:, None], idx] = 1.0
-    sum_a = ind @ xs
-    grand = total_sum / n
-    dev_a = sum_a / k - grand
-    dev_b = (total_sum - sum_a) / (n - k) - grand
-    ssb = k * (dev_a**2).sum(axis=1) + (n - k) * (dev_b**2).sum(axis=1)
+    c = (ind @ z32).astype(np.float64)
+    h = 1.0 / k + 1.0 / (n - k)
+    ssb = h * (c * c).sum(axis=1)
     ssw = sst - ssb
-    # How far the other summation order can move SSB: each column's sum by
-    # up to e, each deviation by 2e/k or 2e/(n - k). With SSW > 2·dssb the
-    # move in F is at most 2·(n - 2)·SST·dssb / SSW².
-    e = 2.0 * n * np.finfo(np.float64).eps * abs_sum
-    dssb = 4.0 * ((np.abs(dev_a) + np.abs(dev_b)) @ e) + 4.0 * (1.0 / k + 1.0 / (n - k)) * float(e @ e)
+    eps, g = np.finfo(np.float64).eps, (k + 2) * 2.0**-24 / (1.0 - (k + 2) * 2.0**-24)
+    e = g * (1.0 + 2.0 * g) * z_half + 2.0 * n * eps * x_abs + k * np.finfo(np.float32).smallest_subnormal
+    dssb = h * (2.0 * (np.abs(c) @ e) + 3.0 * float(e @ e)) + (d + 4) * eps * ssb
     f = np.zeros(b)
     unsure = ~(ssw > TIE_RTOL * sst + 2.0 * dssb)
     ok = ~unsure
@@ -161,19 +169,24 @@ def permanova_test(
     f_obs = pseudo_f(ss_between, ss_within, n)
     # Permute over a canonically ordered copy with the smaller group size
     # drawn: the null distribution of F depends only on the pooled rows and
-    # the unordered size split, which makes p exactly swap-invariant.
-    xs = x[np.lexsort(x.T[::-1])]
+    # the unordered size split, which makes p exactly swap-invariant. The
+    # order is np.lexsort(x.T[::-1])'s, which one stable argsort of column 0
+    # gives when that column has no ties.
+    order = np.argsort(x[:, 0], kind="stable")
+    xs = x[np.lexsort(x.T[::-1]) if (x[order[1:], 0] == x[order[:-1], 0]).any() else order]
     k = min(n_a, n - n_a)
     total_sum = xs.sum(axis=0)
-    grand = total_sum / n
-    sst = float(((xs - grand) ** 2).sum())
-    abs_sum = np.abs(xs).sum(axis=0)
+    z = xs - total_sum / n
+    sst = float((z**2).sum())
+    z32 = z.astype(np.float32)
+    z_half = (np.abs(z32).sum(axis=0, dtype=np.float64) + np.abs(z32.sum(axis=0, dtype=np.float64))) / 2
+    x_abs = np.abs(xs).sum(axis=0)
     rows = np.tile(np.arange(n), (PERMUTATION_BLOCK, 1))
 
     def count_block(block: int) -> int:
         size = min(PERMUTATION_BLOCK, n_permutations - block * PERMUTATION_BLOCK)
         idx = substream(seed, "permanova", "block", block).permuted(rows[:size], axis=1)[:, :k]
-        f, unsure = _block_f(xs, idx, total_sum, sst, abs_sum, f_obs)
+        f, unsure = _block_f(z32, idx, sst, z_half, x_abs, f_obs)
         count = int(np.count_nonzero(f[~unsure] >= f_obs))
         return count + sum(_f_from_counts(xs, idx_a, total_sum, sst) >= f_obs for idx_a in idx[unsure])
 

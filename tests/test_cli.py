@@ -149,8 +149,14 @@ class TestPipeline:
             ({"stages": []}, "config key 'stages' must be a JSON object"),
             ({"stages": {"reduce": False}}, "stage 'reduce': config must be a JSON object"),
             ({"stages": {"groups": ["min_posts"]}}, "stage 'groups': config must be a JSON object"),
+            ({"seed": "abc", "out_dir": "r"}, "config key 'seed' must be a JSON integer"),
+            ({"seed": True}, "config key 'seed' must be a JSON integer"),
+            ({"workers": "two"}, "config key 'workers' must be a JSON integer"),
+            ({"workers": 2.0}, "config key 'workers' must be a JSON integer"),
+            ({"out_dir": 3}, "config key 'out_dir' must be a JSON string"),
         ],
-        ids=["config-list", "stages-list", "stage-false", "stage-list"],
+        ids=["config-list", "stages-list", "stage-false", "stage-list", "seed-string", "seed-bool",
+             "workers-string", "workers-float", "out-dir-number"],
     )
     def test_config_not_an_object_named_before_any_file(self, tmp_path, monkeypatch, capsys, config, named):
         monkeypatch.chdir(tmp_path)
@@ -160,6 +166,12 @@ class TestPipeline:
         assert main(["run", "--config", "config.json"]) == 1
         assert capsys.readouterr().err == f"toxtraj run: error: {named}\n"
         assert os.listdir(tmp_path) == ["config.json"]
+
+    def test_env_seed_not_an_integer_named_before_any_file(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TOXTRAJ_SEED", "abc")
+        with pytest.raises(ValueError, match="^TOXTRAJ_SEED must be an integer, not 'abc'$"):
+            run_pipeline({"seed": 1, "out_dir": str(tmp_path / "r")})
+        assert not (tmp_path / "r").exists()
 
     def test_config_keys_a_run_reads_accepted(self, tmp_path):
         small_scenario(tmp_path, n_users=6)

@@ -240,6 +240,15 @@ class TestEmbeddings:
         with pytest.raises(CorpusError, match="magic"):
             read_embeddings(path)
 
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(magic=st.binary(min_size=4, max_size=4).filter(lambda magic: magic != b"EMB1"))
+    def test_any_other_magic_named(self, tmp_path, magic):
+        path = tmp_path / "emb.bin"
+        write_embeddings(path, np.zeros((2, 3)), ["a", "b"])
+        path.write_bytes(magic + path.read_bytes()[4:])
+        with pytest.raises(CorpusError, match="^" + re.escape(str(path)) + ": .*magic"):
+            read_embeddings(path)
+
     @pytest.mark.parametrize(
         "damage, message",
         [

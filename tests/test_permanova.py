@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from toxtraj import permanova
@@ -54,6 +57,36 @@ def recorded_draws(monkeypatch):
     return blocks
 
 
+class BandProbe:
+    """Wraps _block_f and _f_from_counts for one permanova_test call on
+    ``a`` and ``b``: ``fallbacks`` counts the rows sent back to
+    _f_from_counts, and ``disagreements`` the rows _block_f certified whose
+    verdict against F_obs differs from _f_from_counts's. ``z_scale`` scales
+    the band's float32 term."""
+
+    def __init__(self, monkeypatch, a, b, z_scale=1.0):
+        x = np.vstack([a, b])
+        xs = x[np.lexsort(x.T[::-1])]
+        total = xs.sum(axis=0)
+        self.fallbacks = 0
+        self.disagreements = 0
+        block_f, f_from_counts = permanova._block_f, permanova._f_from_counts
+
+        def counting(*args):
+            self.fallbacks += 1
+            return f_from_counts(*args)
+
+        def checking(z32, idx, sst, z_half, x_abs, f_obs):
+            f, unsure = block_f(z32, idx, sst, z_half * z_scale, x_abs, f_obs)
+            for row in np.flatnonzero(~unsure):
+                exact = f_from_counts(xs, idx[row], total, sst) >= f_obs
+                self.disagreements += bool(f[row] >= f_obs) != exact
+            return f, unsure
+
+        monkeypatch.setattr(permanova, "_f_from_counts", counting)
+        monkeypatch.setattr(permanova, "_block_f", checking)
+
+
 def _equivalence_cases():
     rng = np.random.default_rng(20)
     base = np.random.default_rng(0).normal(size=(3, 3)) + 1e6
@@ -73,6 +106,10 @@ def _equivalence_cases():
         "zero-within": (np.zeros((3, 2)), np.ones((4, 2)), PERMUTATION_BLOCK),
         "unequal-4+11": (uneven[:4] + 0.5, uneven[4:], 2 * PERMUTATION_BLOCK),
         "not-a-block-multiple": (uneven[:7], uneven[7:], 2 * PERMUTATION_BLOCK + 7),
+        # Column 0 ties, -0.0 against 0.0 among them, between rows that differ
+        # later: the later columns order those rows.
+        "column-0-ties": (np.column_stack([[0.0, 1.0, -0.0, 1.0, 0.5], uneven[:5, 1]]),
+                          np.column_stack([[1.0, 0.0, 0.5, -0.0], uneven[5:9, 1]]), 2 * PERMUTATION_BLOCK),
     }
 
 
@@ -236,6 +273,59 @@ class TestPermanovaTest:
         assert [blk.shape for blk in blocks] == [(PERMUTATION_BLOCK, 3)] * 3
         for first, second in zip(blocks, blocks[1:]):
             assert not np.array_equal(first, second)
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=arrays(np.float64, st.tuples(st.integers(3, 9), st.integers(1, 4)),
+                    elements=st.sampled_from([0.0, -0.0, 1.0, -2.5]) | st.floats(-1e3, 1e3)))
+    @example(x=np.array([[0.0, 2.0], [-0.0, 1.0], [1.0, 0.0]]))
+    @example(x=np.array([[1.0, 3.0], [0.5, 9.0], [1.0, 2.0]]))
+    @example(x=np.array([[1.0, 2.0], [0.0, 5.0], [1.0, 2.0]]))
+    @example(x=np.array([[0.0], [3.0], [-0.0], [1.0]]))
+    def test_rows_in_lexsort_order(self, x):
+        # Every F is computed over the pooled rows in np.lexsort(x.T[::-1])
+        # order, compared bit for bit, whether column 0 ties (-0.0 == 0.0
+        # included) or not. _block_f here leaves every row to _f_from_counts,
+        # which records the rows it is given.
+        seen = []
+        f_from_counts = permanova._f_from_counts
+
+        def recording(xs, *args):
+            seen.append(xs)
+            return f_from_counts(xs, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(permanova, "_block_f", lambda z32, idx, *args: (np.zeros(len(idx)), np.ones(len(idx), bool)))
+            mp.setattr(permanova, "_f_from_counts", recording)
+            permanova_test(x[:1], x[1:], n_permutations=1)
+        assert np.array_equal(seen[0].view(np.int64), x[np.lexsort(x.T[::-1])].view(np.int64))
+
+    def test_planted_tie_inside_float32_band_counted_exactly(self, monkeypatch):
+        # 4 + 4 rows: the observed split and its complement have F_obs in
+        # exact arithmetic, and 12 of the 640 draws pick one of them. Float32
+        # rounding puts their batched F on either side of F_obs, so each must
+        # go back. The rows sit far from the origin, so float64 rounding
+        # splits the tied verdicts too.
+        x = np.random.default_rng(0).normal(size=(8, 16)) + 1000.0
+        a, b = x[:4], x[4:]
+        probe = BandProbe(monkeypatch, a, b)
+        result = permanova_test(a, b, n_permutations=640, seed=21)
+        assert result.exceed == scalar_exceed(a, b, 640, seed=21)
+        assert probe.fallbacks >= 12 and probe.disagreements == 0
+        # A band of float64's width certifies tied rows on float32's word.
+        monkeypatch.undo()
+        narrow = BandProbe(monkeypatch, a, b, z_scale=2.0**-29)
+        permanova_test(a, b, n_permutations=640, seed=21)
+        assert narrow.disagreements > 0
+
+    def test_null_bulk_rows_fall_back(self, monkeypatch):
+        # F_obs in the bulk of its null distribution, n = 400 and d = 200: some
+        # permuted F fall within the band and go back to _f_from_counts.
+        a, b = generate_null_pair(200, 50, 4, seed=1)
+        probe = BandProbe(monkeypatch, a, b)
+        result = permanova_test(a, b, n_permutations=1024, seed=1)
+        assert 0.2 < result.p_value < 0.8
+        assert probe.fallbacks >= 1 and probe.disagreements == 0
+        assert result.exceed == scalar_exceed(a, b, 1024, seed=1)
 
     def test_more_workers_than_blocks(self):
         a, b = generate_null_pair(9, 4, 3, seed=20)
