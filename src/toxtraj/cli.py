@@ -80,9 +80,12 @@ PIPELINE_DEFAULTS = {
 def _root_seed(config_seed: int) -> int:
     env = os.environ.get(SEED_ENV_VAR)
     try:
-        return int(env) if env else config_seed
+        seed = int(env) if env else config_seed
     except ValueError:
         raise ValueError(f"{SEED_ENV_VAR} must be an integer, not {env!r}") from None
+    if seed < 0:
+        raise ValueError(f"{SEED_ENV_VAR} must be a non-negative integer, not {env!r}")
+    return seed
 
 
 def stage_seed(root_seed: int, stage: str) -> int:
@@ -187,8 +190,6 @@ PAIR_GROUPS = {
     "increasing": (GROUP_INCREASING, REF_INCREASING),
     "decreasing": (GROUP_DECREASING, REF_DECREASING),
 }
-PAIRS = tuple(PAIR_GROUPS)
-FREQS = ("daily", "weekly")
 
 
 def _member_paths(user_ids, paths, grouping: GroupingResult, group: str) -> np.ndarray:
@@ -306,14 +307,14 @@ class Port(NamedTuple):
 
 
 class Param(NamedTuple):
-    """A key of the stage's run config, and its subcommand option: ``flag``
-    (default: --key), of ``type`` (default: that of ``default``),
-    ``required`` as an option only."""
+    """A key of the stage's run config, and its subcommand option --key (with
+    ``-`` for ``_``), of ``type`` (default: that of ``default``), ``required``
+    as an option only. A tuple ``default`` lists the names the value may
+    take: the option takes one or more of them, a config a non-empty list."""
 
     key: str
     default: object = None
     type: Callable | None = None
-    flag: str | None = None
     required: bool = False
     help: str | None = None
 
@@ -321,17 +322,6 @@ class Param(NamedTuple):
 # A run passes its own values for these: the stage's seed and the run's workers.
 SEED = Param("seed", 0)
 WORKERS = Param("workers", 1)
-
-
-def _one_or_both(names: tuple) -> Callable:
-    def parse(text: str) -> tuple:
-        if text == "both":
-            return names
-        if text not in names:
-            raise argparse.ArgumentTypeError(f"choose from {', '.join(names)} or both")
-        return (text,)
-
-    return parse
 
 
 class Stage(NamedTuple):
@@ -399,9 +389,9 @@ STAGES = (
                   Port("groups", "--groups"),
                   Port("corpus", "--corpus", required=False, help=BUNDLE_WINDOW)),
           outputs=Port("permanova", "--out", path="permanova.json", required=False, help="result JSON path (default: stdout)"),
-          params=(Param("pairs", PAIRS, _one_or_both(PAIRS), "--pair", help="increasing, decreasing or both"),
-                  Param("freqs", FREQS, _one_or_both(FREQS), "--freq", help="daily, weekly or both"),
-                  Param("n_permutations", PIPELINE_DEFAULTS["n_permutations"], flag="--perms"),
+          params=(Param("pairs", tuple(PAIR_GROUPS)),
+                  Param("freqs", ("daily", "weekly")),
+                  Param("n_permutations", PIPELINE_DEFAULTS["n_permutations"]),
                   SEED,
                   WORKERS)),
     Stage("assign", "label average trajectories with topics",
@@ -446,10 +436,11 @@ def _execute(stage: Stage, kwargs: dict, held=None):
 
 def _check_config(config: dict) -> None:
     """Raise ValueError naming the first part of ``config`` that a run would
-    not read: a top-level key, a stage, or a stage's key, or the config, a
-    top-level value or a stage's config when not of its JSON type (a bool is
-    no integer). A stage reads ``enabled``, its params but the seed and
-    workers that a run sets, and its source inputs that have a flag."""
+    not read: an unknown key, stage or stage key, a value not of its JSON type
+    (a bool is no integer; ``enabled`` is a bool; a param with a tuple default
+    takes a non-empty list of its names), or a negative seed. A stage reads
+    ``enabled``, its params but the seed and workers that a run sets, and its
+    source inputs that have a flag."""
     if not isinstance(config, dict):
         raise ValueError("the config must be a JSON object")
     types = {"seed": int, "out_dir": str, "workers": int, "stages": dict}
@@ -459,17 +450,24 @@ def _check_config(config: dict) -> None:
         if not isinstance(value, types[key]) or isinstance(value, bool):
             name = {int: "integer", str: "string", dict: "object"}[types[key]]
             raise ValueError(f"config key {key!r} must be a JSON {name}")
+    if config.get("seed", 0) < 0:
+        raise ValueError("config key 'seed' must be a non-negative integer")
     stages = {stage.name: stage for stage in STAGES}
     for name, cfg in config.get("stages", {}).items():
         if name not in stages:
             raise ValueError(f"unknown stage {name!r}")
         if not isinstance(cfg, dict):
             raise ValueError(f"stage {name!r}: config must be a JSON object")
-        params = [p.key for p in stages[name].params if p not in (SEED, WORKERS)]
+        params = {p.key: p.default for p in stages[name].params if p not in (SEED, WORKERS)}
         sources = [port.name for port in stages[name].inputs if port.source and port.flag]
-        for key in cfg:
+        for key, value in cfg.items():
             if key not in ("enabled", *params, *sources):
                 raise ValueError(f"stage {name!r}: unknown config key {key!r}")
+            if key == "enabled" and not isinstance(value, bool):
+                raise ValueError(f"stage {name!r}: config key 'enabled' must be a JSON boolean")
+            names = params.get(key)
+            if isinstance(names, tuple) and not (isinstance(value, list) and value and all(v in names for v in value)):
+                raise ValueError(f"stage {name!r}: config key {key!r} must be a non-empty list of {', '.join(names)}")
 
 
 def run_pipeline(config: dict, config_dir: Path | None = None) -> dict:
@@ -647,16 +645,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     for stage in STAGES:
-        p = sub.add_parser(stage.name, help=stage.help)
+        # No abbreviations, so that a flag's one spelling is its only one.
+        p = sub.add_parser(stage.name, help=stage.help, allow_abbrev=False)
         for port in stage.inputs:
             if port.flag:
                 p.add_argument(port.flag, dest=port.name, required=port.required, help=port.help)
         out = stage.outputs
         p.add_argument(out.flag, dest="out", required=out.required, help=out.help)
         for param in stage.params:
-            flag = param.flag or "--" + param.key.replace("_", "-")
-            p.add_argument(flag, dest=param.key, default=param.default, type=param.type or type(param.default),
-                           required=param.required, help=param.help)
+            names = {"nargs": "+", "choices": param.default} if isinstance(param.default, tuple) else {}
+            p.add_argument("--" + param.key.replace("_", "-"), dest=param.key, default=param.default,
+                           type=str if names else param.type or type(param.default),
+                           required=param.required, help=param.help, **names)
 
     p = sub.add_parser("run", help="run the configured pipeline end to end")
     p.add_argument("--config", required=True)

@@ -8,6 +8,7 @@ scorer, or a batch file exchange with an outside rater.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +19,7 @@ import numpy as np
 from .corpus import Corpus
 from .hdbscan import ClusterTree, ClusterTreeNode
 from .stats import mann_whitney_u
-from .util import parallel_map, sha256_bytes, substream
+from .util import parallel_map, substream
 
 
 DEFAULT_REPS = 30
@@ -72,7 +73,7 @@ class CoherenceRequest:
         payload = json.dumps(
             [self.node_id, self.rep, self.in_rows.tolist(), self.out_rows.tolist()]
         )
-        return sha256_bytes(payload.encode("utf-8"))[:16]
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
 class CoherenceScorer(Protocol):

@@ -183,7 +183,8 @@ class Posts:
 
 @dataclass
 class EmbeddingMatrix:
-    """Row-major n x d matrix aligned to posts via row_ids."""
+    """Row-major n x d matrix aligned to posts via row_ids. A non-finite
+    value or a repeated id is named by its first row and post id."""
 
     values: np.ndarray
     row_ids: list[str]
@@ -192,12 +193,15 @@ class EmbeddingMatrix:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2:
             raise CorpusError("embedding values must be a 2-D matrix")
-        if not np.all(np.isfinite(self.values)):
-            raise CorpusError("embedding matrix contains non-finite entries")
         if len(self.row_ids) != self.values.shape[0]:
             raise CorpusError("row_ids length does not match row count")
+        if not np.all(np.isfinite(self.values)):
+            row = int(np.argmin(np.isfinite(self.values).all(axis=1)))
+            raise CorpusError(f"row {row} (post_id {self.row_ids[row]!r}) holds a non-finite value")
         if len(set(self.row_ids)) != len(self.row_ids):
-            raise CorpusError("row_ids must be unique")
+            first = {}
+            row, rid = next((row, rid) for row, rid in enumerate(self.row_ids) if first.setdefault(rid, row) != row)
+            raise CorpusError(f"row_ids must be unique; row {row} repeats post_id {rid!r} of row {first[rid]}")
 
     @property
     def n(self) -> int:
@@ -495,15 +499,6 @@ def read_embeddings(path) -> EmbeddingMatrix:
     try:
         return EmbeddingMatrix(values=values, row_ids=row_ids)
     except CorpusError as exc:
-        finite = np.isfinite(values).all(axis=1)
-        if not finite.all():
-            row = int(np.argmin(finite))
-            raise CorpusError(f"{path}: row {row} (post_id {row_ids[row]!r}) holds a non-finite value") from None
-        first = {}
-        for row, rid in enumerate(row_ids):
-            if first.setdefault(rid, row) != row:
-                message = f"row_ids must be unique; row {row} repeats post_id {rid!r} of row {first[rid]}"
-                raise CorpusError(f"{path}: {message}") from None
         raise CorpusError(f"{path}: {exc}") from None
 
 

@@ -83,9 +83,9 @@ class ClusterTreeNode(JsonRecord):
 
     @classmethod
     def from_json(cls, doc: dict) -> "ClusterTreeNode":
-        """Reads ``member_rows`` as int64 and skips keys ``cls`` does not
-        declare, so a subclass's document loads as a plain node."""
-        own = {k: v for k, v in doc.items() if k in cls.__dataclass_fields__}
+        """Reads ``member_rows`` as int64 and only the keys ``cls`` takes as
+        arguments, so a subclass's document loads as a plain node."""
+        own = {k: v for k, v in doc.items() if k in cls.__dataclass_fields__ and cls.__dataclass_fields__[k].init}
         return super().from_json({**own, "member_rows": np.asarray(doc["member_rows"], dtype=np.int64)})
 
 

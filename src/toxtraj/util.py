@@ -65,11 +65,11 @@ class JsonRecord:
     reads each key by its field's type: a record field by that record's
     ``from_json``, a tuple field as a tuple, ``list[X]`` item by item as X and
     ``Optional[X]`` with null as None; any other value is taken as it is. A
-    missing key takes the field's default, an ``init=False`` field is written
-    but not read back, and an unknown key raises ``TypeError``. A class whose
-    format is more than its fields overrides the pair and keeps
-    ``save``/``load``. ``save`` indents by ``json_indent``; an indented file
-    ends in a newline, a compact one does not.
+    missing key takes the field's default, and an unknown key, or that of an
+    ``init=False`` field, raises ``TypeError``. A class whose format is more
+    than its fields overrides the pair and keeps ``save``/``load``. ``save``
+    indents by ``json_indent``; an indented file ends in a newline, a compact
+    one does not.
     """
 
     json_indent: Optional[int] = None
@@ -80,7 +80,7 @@ class JsonRecord:
     @classmethod
     def from_json(cls, doc: dict):
         readers = _readers(cls)
-        return cls(**{k: v if r is None else r(v) for k, v in doc.items() if (r := readers.get(k)) is not _SKIP})
+        return cls(**{k: v if (r := readers.get(k)) is None else r(v) for k, v in doc.items()})
 
     def save(self, path) -> None:
         text = json.dumps(self.to_json(), indent=self.json_indent)
@@ -91,16 +91,12 @@ class JsonRecord:
         return cls.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-# The reader of an ``init=False`` field: its saved value is not read back.
-_SKIP = object()
-
-
 @functools.cache
 def _readers(cls) -> dict:
     """A record's fields in declaration order, each with the function that
     reads its JSON value (None: the value as it is)."""
     hints = get_type_hints(cls)
-    return {f.name: _reader(hints[f.name]) if f.init else _SKIP for f in dataclasses.fields(cls)}
+    return {f.name: _reader(hints[f.name]) for f in dataclasses.fields(cls)}
 
 
 def _reader(hint) -> Optional[Callable]:
@@ -124,10 +120,6 @@ def _encode(value):
     if isinstance(value, np.ndarray):
         return value.tolist()
     return value
-
-
-def sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 def sha256_file(path) -> str:

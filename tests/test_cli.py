@@ -154,9 +154,22 @@ class TestPipeline:
             ({"workers": "two"}, "config key 'workers' must be a JSON integer"),
             ({"workers": 2.0}, "config key 'workers' must be a JSON integer"),
             ({"out_dir": 3}, "config key 'out_dir' must be a JSON string"),
+            ({"seed": -1}, "config key 'seed' must be a non-negative integer"),
+            ({"stages": {"cluster": {"enabled": "false"}}}, "stage 'cluster': config key 'enabled' must be a JSON boolean"),
+            ({"stages": {"cluster": {"enabled": 0}}}, "stage 'cluster': config key 'enabled' must be a JSON boolean"),
+            ({"stages": {"cluster": {"enabled": None}}}, "stage 'cluster': config key 'enabled' must be a JSON boolean"),
+            ({"stages": {"permanova": {"freqs": "daily"}}},
+             "stage 'permanova': config key 'freqs' must be a non-empty list of daily, weekly"),
+            ({"stages": {"permanova": {"pairs": []}}},
+             "stage 'permanova': config key 'pairs' must be a non-empty list of increasing, decreasing"),
+            ({"stages": {"permanova": {"freqs": ["monthly"]}}},
+             "stage 'permanova': config key 'freqs' must be a non-empty list of daily, weekly"),
+            ({"stages": {"permanova": {"pairs": "both"}}},
+             "stage 'permanova': config key 'pairs' must be a non-empty list of increasing, decreasing"),
         ],
         ids=["config-list", "stages-list", "stage-false", "stage-list", "seed-string", "seed-bool",
-             "workers-string", "workers-float", "out-dir-number"],
+             "workers-string", "workers-float", "out-dir-number", "seed-negative", "enabled-string",
+             "enabled-zero", "enabled-null", "freqs-string", "pairs-empty", "freqs-unknown", "pairs-both"],
     )
     def test_config_not_an_object_named_before_any_file(self, tmp_path, monkeypatch, capsys, config, named):
         monkeypatch.chdir(tmp_path)
@@ -172,6 +185,45 @@ class TestPipeline:
         with pytest.raises(ValueError, match="^TOXTRAJ_SEED must be an integer, not 'abc'$"):
             run_pipeline({"seed": 1, "out_dir": str(tmp_path / "r")})
         assert not (tmp_path / "r").exists()
+
+    def test_env_seed_negative_named_before_any_file(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TOXTRAJ_SEED", "-3")
+        with pytest.raises(ValueError, match="^TOXTRAJ_SEED must be a non-negative integer, not '-3'$"):
+            run_pipeline({"seed": 1, "out_dir": str(tmp_path / "r")})
+        assert not (tmp_path / "r").exists()
+
+    def test_permanova_names_listed(self, tmp_path):
+        # A config lists the names it runs; the subcommand takes them as
+        # words, and naming every one is the same as naming none.
+        small_scenario(tmp_path)
+        config = pipeline_config(tmp_path, out_name="lists", perms=19)
+        config["stages"].update({name: {"enabled": False} for name in ("reduce", "cluster", "merge", "assign")})
+        config["stages"]["permanova"]["freqs"] = ["weekly"]
+        out_dir = Path(run_pipeline(config)["out_dir"])
+        rows = json.loads((out_dir / "permanova.json").read_text())["rows"]
+        assert [(row["pair"], row["freq"]) for row in rows] == [("increasing", "weekly"), ("decreasing", "weekly")]
+        assert all("pseudo_f" in row for row in rows)
+        argv = ["permanova", "--traj", str(out_dir / "traj.bin"), "--groups", str(out_dir / "groups.json"),
+                "--corpus", str(out_dir / "corpus"), "--n-permutations", "19", "--seed", "3"]
+        assert main([*argv, "--out", str(tmp_path / "all.json")]) == 0
+        assert main([*argv, "--pairs", "increasing", "decreasing", "--out", str(tmp_path / "listed.json")]) == 0
+        assert (tmp_path / "listed.json").read_bytes() == (tmp_path / "all.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            (["--pairs", "both"], "argument --pairs: invalid choice: 'both'"),
+            (["--freqs", "monthly"], "argument --freqs: invalid choice: 'monthly'"),
+            (["--pair", "increasing"], "unrecognized arguments: --pair increasing"),
+            (["--freq", "weekly"], "unrecognized arguments: --freq weekly"),
+            (["--perms", "19"], "unrecognized arguments: --perms 19"),
+        ],
+    )
+    def test_permanova_flag_has_one_spelling(self, capsys, extra, named):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["permanova", "--traj", "t.bin", "--groups", "g.json", *extra])
+        assert exit_info.value.code == 2
+        assert named in capsys.readouterr().err
 
     def test_config_keys_a_run_reads_accepted(self, tmp_path):
         small_scenario(tmp_path, n_users=6)
@@ -353,7 +405,7 @@ class TestPipeline:
                 assert len(payload["weekly"]["sequence"]) == n_weeks
         widths.clear()
         argv = ["permanova", "--traj", str(out_dir / "traj.bin"), "--groups", str(out_dir / "groups.json"),
-                "--freq", "weekly", "--pair", "increasing", "--perms", "19",
+                "--freqs", "weekly", "--pairs", "increasing", "--n-permutations", "19",
                 "--corpus", str(out_dir / "corpus"), "--out", str(tmp_path / "perm.json")]
         assert main(argv) == 0
         assert widths == [13 * 5]
@@ -602,11 +654,11 @@ class TestCliCommands:
                 str(out_dir / "traj.bin"),
                 "--groups",
                 str(out_dir / "groups.json"),
-                "--pair",
+                "--pairs",
                 "increasing",
-                "--freq",
+                "--freqs",
                 "weekly",
-                "--perms",
+                "--n-permutations",
                 "49",
                 "--seed",
                 "2",

@@ -17,6 +17,7 @@ from toxtraj.corpus import (
     DEFAULT_T0,
     DEFAULT_T_END,
     CorpusError,
+    EmbeddingMatrix,
     Posts,
     StudyWindow,
     load_corpus,
@@ -296,6 +297,16 @@ class TestEmbeddings:
         write_embeddings(path, np.zeros((4, 2)), ["a", "b", "c", "b"])
         with pytest.raises(CorpusError, match=r"emb\.bin: row_ids must be unique; row 3 repeats post_id 'b' of row 1$"):
             read_embeddings(path)
+
+    def test_matrix_names_bad_row(self):
+        values = np.zeros((4, 2))
+        values[3, 1] = np.nan
+        with pytest.raises(CorpusError, match=r"^row 3 \(post_id 'd'\) holds a non-finite value$"):
+            EmbeddingMatrix(values, ["a", "b", "c", "d"])
+        with pytest.raises(CorpusError, match=r"^row_ids must be unique; row 2 repeats post_id 'a' of row 0$"):
+            EmbeddingMatrix(np.zeros((4, 2)), ["a", "b", "a", "b"])
+        with pytest.raises(CorpusError, match="^row_ids length does not match row count$"):
+            EmbeddingMatrix(values, ["a", "b", "c"])
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(n=st.integers(0, 5), d=st.integers(0, 4), data=st.data())
