@@ -319,9 +319,10 @@ class Param(NamedTuple):
     help: str | None = None
 
 
-# A run passes its own values for these: the stage's seed and the run's workers.
+# Top-level config keys. A stage listing SEED or WORKERS gets its value from the run.
 SEED = Param("seed", 0)
 WORKERS = Param("workers", 1)
+OUT_DIR = Param("out_dir", "toxtraj_run")
 
 
 class Stage(NamedTuple):
@@ -434,22 +435,39 @@ def _execute(stage: Stage, kwargs: dict, held=None):
 # Pipeline runner
 
 
+def _param_error(param: Param, value) -> str | None:
+    """What is wrong with ``value`` as ``param``'s, or None. A tuple default
+    lists the names that a non-empty list may hold, none twice. An int,
+    float, str or dict default takes a value of its JSON type: a bool is no
+    number, and an int is a float. A None default takes anything."""
+    default = param.default
+    if isinstance(default, tuple):
+        if not (isinstance(value, (list, tuple)) and value and all(v in default for v in value)):
+            return f"must be a non-empty list of {', '.join(default)}"
+        repeated = [v for i, v in enumerate(value) if v in value[:i]]
+        return f"names {repeated[0]!r} twice" if repeated else None
+    kinds = {int: (int, "integer"), float: ((int, float), "number"), str: (str, "string"), dict: (dict, "object")}
+    if type(default) not in kinds:
+        return None
+    types, kind = kinds[type(default)]
+    return f"must be a JSON {kind}" if isinstance(value, bool) or not isinstance(value, types) else None
+
+
 def _check_config(config: dict) -> None:
     """Raise ValueError naming the first part of ``config`` that a run would
-    not read: an unknown key, stage or stage key, a value not of its JSON type
-    (a bool is no integer; ``enabled`` is a bool; a param with a tuple default
-    takes a non-empty list of its names), or a negative seed. A stage reads
-    ``enabled``, its params but the seed and workers that a run sets, and its
-    source inputs that have a flag."""
+    not read: an unknown key, stage or stage key, a value ``_param_error``
+    refuses or an ``enabled`` that is no bool, or a negative seed. A stage
+    reads ``enabled``, its params but the seed and workers that a run sets,
+    and its source inputs that have a flag."""
     if not isinstance(config, dict):
         raise ValueError("the config must be a JSON object")
-    types = {"seed": int, "out_dir": str, "workers": int, "stages": dict}
+    top = {param.key: param for param in (SEED, WORKERS, OUT_DIR, Param("stages", {}))}
     for key, value in config.items():
-        if key not in types:
+        if key not in top:
             raise ValueError(f"unknown config key {key!r}")
-        if not isinstance(value, types[key]) or isinstance(value, bool):
-            name = {int: "integer", str: "string", dict: "object"}[types[key]]
-            raise ValueError(f"config key {key!r} must be a JSON {name}")
+        error = _param_error(top[key], value)
+        if error:
+            raise ValueError(f"config key {key!r} {error}")
     if config.get("seed", 0) < 0:
         raise ValueError("config key 'seed' must be a non-negative integer")
     stages = {stage.name: stage for stage in STAGES}
@@ -458,16 +476,16 @@ def _check_config(config: dict) -> None:
             raise ValueError(f"unknown stage {name!r}")
         if not isinstance(cfg, dict):
             raise ValueError(f"stage {name!r}: config must be a JSON object")
-        params = {p.key: p.default for p in stages[name].params if p not in (SEED, WORKERS)}
+        params = {p.key: p for p in stages[name].params if p not in (SEED, WORKERS)}
         sources = [port.name for port in stages[name].inputs if port.source and port.flag]
         for key, value in cfg.items():
             if key not in ("enabled", *params, *sources):
                 raise ValueError(f"stage {name!r}: unknown config key {key!r}")
             if key == "enabled" and not isinstance(value, bool):
                 raise ValueError(f"stage {name!r}: config key 'enabled' must be a JSON boolean")
-            names = params.get(key)
-            if isinstance(names, tuple) and not (isinstance(value, list) and value and all(v in names for v in value)):
-                raise ValueError(f"stage {name!r}: config key {key!r} must be a non-empty list of {', '.join(names)}")
+            error = key in params and _param_error(params[key], value)
+            if error:
+                raise ValueError(f"stage {name!r}: config key {key!r} {error}")
 
 
 def run_pipeline(config: dict, config_dir: Path | None = None) -> dict:
@@ -480,7 +498,7 @@ def run_pipeline(config: dict, config_dir: Path | None = None) -> dict:
     """
     _check_config(config)
     root_seed = _root_seed(config.get("seed", SEED.default))
-    out_dir = Path(config.get("out_dir", "toxtraj_run"))
+    out_dir = Path(config.get("out_dir", OUT_DIR.default))
     out_dir.mkdir(parents=True, exist_ok=True)
     stages_cfg = config.get("stages", {})
     workers = config.get("workers", WORKERS.default)
@@ -682,6 +700,10 @@ def main(argv=None) -> int:
             return 0
         stage = next(s for s in STAGES if s.name == args.command)
         values = vars(args)
+        for param in stage.params:
+            error = _param_error(param, values[param.key])
+            if error:
+                raise ValueError(f"--{param.key.replace('_', '-')} {error}")
         kwargs = {port.name: values.get(port.name) for port in stage.inputs}
         kwargs.update({param.key: values[param.key] for param in stage.params}, out=args.out)
         result, _ = _execute(stage, kwargs)

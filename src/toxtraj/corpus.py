@@ -6,13 +6,15 @@ as lists of strings (text: None where absent), ``timestamp`` as int64,
 int8 on 1..5 (0: absent). On disk it is NDJSON, and ``read_posts`` names the
 line of any record it rejects.
 
-``read_posts`` takes ``CHUNK_LINES`` lines at a time. It parses each line on
-its own, so that a line is valid exactly when ``json.loads`` of it is (one
-parse over many joined lines would accept a value split across two lines),
-then checks the chunk's columns at once; a chunk that fails any check is
-read again line by line, which names the first bad line. Only one chunk's
-parsed objects are alive at a time, which bounds memory. ``write_posts``
-formats each line directly, in the bytes ``json.dumps`` would give.
+``read_posts`` hands ``_post_columns``, the one definition of a valid post,
+``CHUNK_LINES`` lines at a time. It parses each line on its own, so that a
+line is valid exactly when ``json.loads`` of it is (one parse over many
+joined lines would accept a value split across two lines), then checks the
+chunk's columns at once. When a chunk fails, ``read_posts`` checks its lines
+one at a time, so the error names the first bad line with that line's own
+message. Only one chunk's parsed objects are alive at a time, which bounds
+memory. ``write_posts`` formats each line directly, in the bytes
+``json.dumps`` would give.
 
 ``Corpus`` does the work every stage shares, once: it drops posts outside the
 study window, rejects duplicate post ids, sorts by (user, time, post id) so
@@ -277,140 +279,111 @@ class Corpus:
         return slice(start, start + int(self.user_length[u]))
 
 
-def _id_field(doc: dict, key: str, line_no: int) -> str:
-    value = doc[key]
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return str(value)
-    raise CorpusError(f"line {line_no}: {key} must be a string or an integer, got {value!r}")
+def _post_columns(lines: list) -> list:
+    """The six ``Posts`` columns of the posts on ``lines``, blank lines
+    skipped: the one definition of a valid post. Each other line is checked
+    in this order:
 
+    1. JSON: the stripped line is one value, as ``json.loads`` reads it;
+    2. an object;
+    3. ``post_id``, then ``user_id``: present, and a string or an integer
+       (read as its decimal string);
+    4. ``timestamp``: present, and an integer within int64;
+    5. ``text``: absent, null or a string;
+    6. no lone surrogate in an id or the text, as UTF-8 cannot encode one;
+    7. ``toxicity``: absent, null or a number in [0, 100];
+    8. ``toxicity_raw``: absent, null or an integer, then within 1..5;
+    9. a score and a rating, both given, agree; a rating sets the toxicity.
 
-def _coerce_post(doc: dict, line_no: int) -> tuple:
-    """One post's values, in the order of the ``Posts`` columns."""
-    try:
-        post_id = _id_field(doc, "post_id", line_no)
-        user_id = _id_field(doc, "user_id", line_no)
-        timestamp = doc["timestamp"]
-    except KeyError as exc:
-        raise CorpusError(f"line {line_no}: missing required key {exc}") from None
-    if not isinstance(timestamp, int) or isinstance(timestamp, bool) or not -(2**63) <= timestamp < 2**63:
-        raise CorpusError(f"line {line_no}: timestamp must be a 64-bit integer, got {timestamp!r}")
-    text = doc.get("text")
-    if text is not None and not isinstance(text, str):
-        raise CorpusError(f"line {line_no}: text must be a string when present")
-    for key, value in (("post_id", post_id), ("user_id", user_id), ("text", text)):
-        if value is not None and _SURROGATE.search(value):
-            raise CorpusError(f"line {line_no}: {key} holds a lone surrogate, which UTF-8 cannot encode")
-    raw = doc.get("toxicity_raw")
-    toxicity = doc.get("toxicity")
-    if toxicity is not None:
-        if isinstance(toxicity, bool) or not isinstance(toxicity, (int, float)) or not 0.0 <= toxicity <= 100.0:
-            raise CorpusError(f"line {line_no}: toxicity must be a number in [0, 100], got {toxicity!r}")
-        toxicity = float(toxicity)
-    if raw is not None:
-        try:
-            normalized = normalize_toxicity(raw)
-        except CorpusError as exc:
-            raise CorpusError(f"line {line_no}: {exc}") from None
-        if toxicity is not None and not math.isclose(toxicity, normalized, abs_tol=1e-9):
-            raise CorpusError(f"line {line_no}: toxicity {toxicity} inconsistent with toxicity_raw {raw}")
-        toxicity = normalized
-    return post_id, user_id, timestamp, math.nan if toxicity is None else toxicity, raw or 0, text
-
-
-def _parse_lines(lines: list, line_no: int) -> list:
-    """One JSON object per non-blank line, checked by ``_coerce_post``: the
-    definition of a valid post. ``line_no`` is the first line's number.
-    Returns the columns of the posts read."""
-    rows = []
-    for line_no, line in enumerate(lines, start=line_no):
+    Each check after the first runs on all lines' values at once. The
+    CorpusError raised carries the failing check's message: for one line,
+    that of its first failing check."""
+    docs = []
+    for line in lines:
         line = line.strip()
         if not line:
             continue
         try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"line {line_no}: invalid JSON ({exc.msg})") from None
-        if not isinstance(doc, dict):
-            raise CorpusError(f"line {line_no}: expected a JSON object")
-        rows.append(_coerce_post(doc, line_no))
-    return list(zip(*rows))
-
-
-def _scan_chunk(lines: list) -> Optional[list]:
-    """The columns of a chunk of lines when every line holds one post of the
-    common shape, else None.
-
-    Each stripped line is parsed on its own, as ``json.loads`` would, and the
-    chunk's columns are then checked at once: string ids, int timestamps
-    within int64, optional string text, and a score in [0, 100], a rating in
-    1..5, or both in agreement, and no lone surrogate in an id or text. These
-    checks accept a subset of what ``_coerce_post`` accepts and give the same
-    values, so a None costs only a per-line pass, which names the first bad
-    line."""
-    docs = []
-    try:
-        for line in lines:
-            line = line.strip()
-            if line:
-                doc, end = _scan_json(line, 0)
-                if end != len(line):
-                    return None
-                docs.append(doc)
-        post_id = [doc["post_id"] for doc in docs]
-        user_id = [doc["user_id"] for doc in docs]
-        timestamp = [doc["timestamp"] for doc in docs]
-    # No value, invalid or too deeply nested JSON, not an object, or a key missing.
-    except (StopIteration, ValueError, RecursionError, TypeError, KeyError):
-        return None
+            doc, end = _scan_json(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = None
+        if end != len(line):
+            try:
+                doc = json.loads(line)  # raises, with json's own message
+            except (ValueError, RecursionError) as exc:
+                raise CorpusError(f"invalid JSON ({getattr(exc, 'msg', exc)})") from None
+        docs.append(doc)
+    if set(map(type, docs)) - {dict}:
+        raise CorpusError("expected a JSON object")
+    columns = []
+    for key in ("post_id", "user_id", "timestamp"):
+        try:
+            values = [doc[key] for doc in docs]
+        except KeyError:
+            raise CorpusError(f"missing required key {key!r}") from None
+        if key == "timestamp":
+            bad = [t for t in values if type(t) is not int or not -(2**63) <= t < 2**63]
+            if bad:
+                raise CorpusError(f"timestamp must be a 64-bit integer, got {bad[0]!r}")
+        elif set(map(type, values)) - {str}:
+            bad = [v for v in values if type(v) not in (str, int)]
+            if bad:
+                raise CorpusError(f"{key} must be a string or an integer, got {bad[0]!r}")
+            values = list(map(str, values))
+        columns.append(values)
+    post_id, user_id, timestamp = columns
     text = [doc.get("text") for doc in docs]
+    if not set(map(type, text)) <= {str, type(None)}:
+        raise CorpusError("text must be a string when present")
+    # A decoded string holds a surrogate only from an escape (see _SURROGATE).
+    if _SURROGATE_ESCAPE.search("".join(lines)):
+        for key, values in (("post_id", post_id), ("user_id", user_id), ("text", text)):
+            if any(_SURROGATE.search(value) for value in values if value is not None):
+                raise CorpusError(f"{key} holds a lone surrogate, which UTF-8 cannot encode")
     score = [doc.get("toxicity") for doc in docs]
+    bad = [s for s in score if s is not None and (type(s) not in (int, float) or not 0.0 <= s <= 100.0)]
+    if bad:
+        raise CorpusError(f"toxicity must be a number in [0, 100], got {bad[0]!r}")
     raw = [doc.get("toxicity_raw") for doc in docs]
-    scored = [s for s in score if s is not None]
     rated = [r for r in raw if r is not None]
-    if not (
-        set(map(type, post_id)) == set(map(type, user_id)) == {str}
-        and set(map(type, timestamp)) == {int}
-        and -(2**63) <= min(timestamp) and max(timestamp) < 2**63
-        and set(map(type, text)) <= {str, type(None)}
-        and set(map(type, scored)) <= {float, int}
-        and all(0.0 <= s <= 100.0 for s in scored)
-        and set(map(type, rated)) <= {int}
-        and (not rated or 1 <= min(rated) and max(rated) <= 5)
-    ):
-        return None
-    if rated and scored and not all(
-        math.isclose(s, (r - 1) * 25.0, abs_tol=1e-9) for s, r in zip(score, raw) if s is not None and r is not None
-    ):
-        return None
-    if _SURROGATE_ESCAPE.search("".join(lines)) and any(
-        _SURROGATE.search(value) for value in itertools.chain(post_id, user_id, filter(None, text))
-    ):
-        return None
+    if rated:
+        if not (set(map(type, rated)) <= {int} and 1 <= min(rated) and max(rated) <= 5):
+            for r in rated:
+                normalize_toxicity(r)  # raises the first bad rating's message
+        for s, r in zip(score, raw):
+            if s is not None and r is not None and not math.isclose(s, (r - 1) * 25.0, abs_tol=1e-9):
+                raise CorpusError(f"toxicity {float(s)} inconsistent with toxicity_raw {r}")
     toxicity = [(r - 1) * 25.0 if r else math.nan if s is None else float(s) for s, r in zip(score, raw)]
     return [post_id, user_id, timestamp, toxicity, [r or 0 for r in raw], text]
 
 
 def read_posts(path) -> Posts:
-    """Parse an NDJSON posts file, in file order; errors carry the offending line number."""
+    """Parse an NDJSON posts file, in file order. A rejected post's
+    CorpusError starts with "line N: ", naming the first bad line."""
     columns = [[] for _ in range(6)]
-    line_no = 1
     with open(path, "r", encoding="utf-8") as fh:
-        while True:
+        for first in itertools.count(1, CHUNK_LINES):
             lines, failure = [], None
             try:
                 lines.extend(itertools.islice(fh, CHUNK_LINES))
             except UnicodeDecodeError as exc:
                 # Raised after the lines decoded before it, as a line-by-line read would be.
                 failure = exc
-            for column, values in zip(columns, _scan_chunk(lines) or _parse_lines(lines, line_no)):
+            try:
+                chunk = _post_columns(lines)
+            except CorpusError:
+                for line_no, line in enumerate(lines, start=first):
+                    try:
+                        _post_columns([line])
+                    except CorpusError as exc:
+                        raise CorpusError(f"line {line_no}: {exc}") from None
+                raise
+            for column, values in zip(columns, chunk):
                 column.extend(values)
             if failure is not None:
                 raise failure
             if len(lines) < CHUNK_LINES:
                 return Posts(*columns)
-            line_no += CHUNK_LINES
 
 
 def write_posts(path, posts: Posts) -> None:

@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import re
 import shutil
 from collections import Counter
 from pathlib import Path
@@ -224,6 +225,53 @@ class TestPipeline:
             main(["permanova", "--traj", "t.bin", "--groups", "g.json", *extra])
         assert exit_info.value.code == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "stage, key, value, named",
+        [
+            ("groups", "min_posts", "50", "must be a JSON integer"),
+            ("groups", "alpha", "0.05", "must be a JSON number"),
+            ("merge", "alpha", False, "must be a JSON number"),
+            ("cluster", "max_depth", True, "must be a JSON integer"),
+            ("permanova", "n_permutations", 99.5, "must be a JSON integer"),
+            ("merge", "scorer", 3, "must be a JSON string"),
+            ("permanova", "pairs", ["increasing", "increasing"], "names 'increasing' twice"),
+            ("permanova", "freqs", ["weekly", "daily", "weekly"], "names 'weekly' twice"),
+        ],
+    )
+    def test_stage_value_named_before_any_file(self, tmp_path, monkeypatch, capsys, stage, key, value, named):
+        # Synth and ingest run first, so a check inside the stage would come
+        # after synth/, corpus/ and manifest.json were written.
+        monkeypatch.chdir(tmp_path)
+        small_scenario(tmp_path, n_users=6)
+        config = pipeline_config(tmp_path, out_name="bad")
+        config["stages"].setdefault(stage, {})[key] = value
+        message = f"stage {stage!r}: config key {key!r} {named}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_pipeline(config)
+        Path("config.json").write_text(json.dumps(config))
+        assert main(["run", "--config", "config.json"]) == 1
+        assert capsys.readouterr().err == f"toxtraj run: error: {message}\n"
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "scenario.json"]
+
+    def test_integer_taken_for_a_float_param(self, tmp_path):
+        small_scenario(tmp_path, n_users=6)
+        stages = {
+            "synth": {"scenario": str(tmp_path / "scenario.json")},
+            "groups": {"min_posts": 50, "alpha": 1},
+        }
+        for name in ("reduce", "cluster", "merge", "trajectories", "permanova", "assign"):
+            stages[name] = {"enabled": False}
+        manifest = run_pipeline({"seed": 1, "out_dir": str(tmp_path / "alpha"), "stages": stages})
+        assert [s["name"] for s in manifest["stages"]] == ["synth", "ingest", "groups"]
+
+    @pytest.mark.parametrize("flag, names", [("--pairs", ["decreasing", "decreasing"]), ("--freqs", ["daily", "weekly", "daily"])])
+    def test_permanova_flag_repeat_named_before_any_test(self, tmp_path, capsys, flag, names):
+        # Neither input file exists: the repeat is named before either is read.
+        argv = ["permanova", "--traj", str(tmp_path / "t.bin"), "--groups", str(tmp_path / "g.json"), flag, *names]
+        assert main([*argv, "--out", str(tmp_path / "p.json")]) == 1
+        assert capsys.readouterr().err == f"toxtraj permanova: error: {flag} names {names[0]!r} twice\n"
+        assert os.listdir(tmp_path) == []
 
     def test_config_keys_a_run_reads_accepted(self, tmp_path):
         small_scenario(tmp_path, n_users=6)

@@ -412,6 +412,51 @@ class TestReadPostsRejects:
         assert posts.post_id == ["a", "7"]
         assert posts.user_id == ["u", "12"]
 
+    # One line per check, in the reader's order. Each line also fails every
+    # later check it can, so the message pins which check runs first.
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"post_id": 1.5, "timestamp": "x", "text": 5, "toxicity": 101', "invalid JSON (Expecting ',' delimiter)"),
+            ('[{"post_id": null, "text": 5}]', "expected a JSON object"),
+            ('{"user_id": [], "timestamp": 1.5, "text": 5, "toxicity_raw": 6}', "missing required key 'post_id'"),
+            ('{"post_id": 7, "user_id": true, "text": 5, "toxicity": -1}', "user_id must be a string or an integer, got True"),
+            ('{"post_id": "a", "user_id": "u", "timestamp": 9223372036854775808, "text": 5, "toxicity": 101}',
+             "timestamp must be a 64-bit integer, got 9223372036854775808"),
+            ('{"post_id": "\\ud800", "user_id": "u", "timestamp": 1, "text": 5, "toxicity": 101}',
+             "text must be a string when present"),
+            ('{"post_id": "a", "user_id": "\\udc00", "timestamp": 1, "text": "\\ud800", "toxicity": 101}',
+             "user_id holds a lone surrogate, which UTF-8 cannot encode"),
+            ('{"post_id": "a", "user_id": "u", "timestamp": 1, "toxicity": true, "toxicity_raw": 6}',
+             "toxicity must be a number in [0, 100], got True"),
+            ('{"post_id": "a", "user_id": "u", "timestamp": 1, "toxicity": 30, "toxicity_raw": "3"}',
+             "toxicity_raw must be an integer in 1..5, got '3'"),
+            ('{"post_id": "a", "user_id": "u", "timestamp": 1, "toxicity": 30, "toxicity_raw": 0}',
+             "toxicity_raw must be in 1..5, got 0"),
+            ('{"post_id": "a", "user_id": "u", "timestamp": 1, "toxicity": 30, "toxicity_raw": 2}',
+             "toxicity 30.0 inconsistent with toxicity_raw 2"),
+        ],
+        ids=["json", "object", "missing-key", "id-type", "timestamp", "text", "surrogate", "toxicity",
+             "rating-type", "rating-range", "agreement"],
+    )
+    def test_each_check_names_its_line_in_order(self, tmp_path, line, message):
+        path = tmp_path / "posts.ndjson"
+        write_text_lines(path, [line])
+        with pytest.raises(CorpusError, match=f"^{re.escape('line 1: ' + message)}$"):
+            read_posts(path)
+
+    def test_nesting_past_the_recursion_limit_named(self, tmp_path):
+        path = tmp_path / "posts.ndjson"
+        write_text_lines(path, [json.dumps(GOOD), "[" * 100_000 + "]" * 100_000, json.dumps(GOOD)])
+        with pytest.raises(CorpusError, match=r"^line 2: invalid JSON \(.*recursion"):
+            read_posts(path)
+
+    def test_integer_past_the_digit_limit_named(self, tmp_path):
+        path = tmp_path / "posts.ndjson"
+        write_text_lines(path, [json.dumps(GOOD), '{"post_id": "b", "user_id": "u", "timestamp": ' + "9" * 5000 + "}"])
+        with pytest.raises(CorpusError, match=r"^line 2: invalid JSON \(Exceeds the limit"):
+            read_posts(path)
+
 
 class TestCanonicalOrder:
     def test_equals_python_sort_with_nul_suffixed_ids(self, tmp_path):
