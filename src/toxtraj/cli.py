@@ -155,6 +155,12 @@ def _make_scorer(kind: str, out_dir: Path):
     raise ValueError(f"unknown scorer kind: {kind!r}")
 
 
+def scorer_kind(kind: str) -> str:
+    """``kind``, once ``_make_scorer`` has built a scorer of it."""
+    _make_scorer(kind, Path())
+    return kind
+
+
 def run_merge(tree, corpus, out, scorer, alpha, seed, reps, n_in, n_out, workers) -> dict:
     scorer_obj = _make_scorer(scorer, Path(out).parent)
     topics = merge_pass(
@@ -351,7 +357,7 @@ STAGES = (
                   Port("embeddings", "--embeddings", required=False, source=True),
                   Port("window", None, required=False, source=True)),
           outputs=Port("corpus", "--out", path="corpus"),
-          params=(Param("t0", type=str), Param("t_end", type=str))),
+          params=(Param("t0", type=corpus_mod.window_time), Param("t_end", type=corpus_mod.window_time))),
     Stage("reduce", "fit-on-sample PCA to k dimensions (pre-reduced vectors skip this stage)",
           inputs=(Port("embeddings", "--in"),),
           outputs=Port("embeddings", "--out", path="reduced.emb"),
@@ -370,7 +376,7 @@ STAGES = (
                   Port("embeddings", "--embeddings", required=False,
                      help="reduced embeddings (default: bundle embeddings)")),
           outputs=Port("topics", "--out", path="topics.json"),
-          params=(Param("scorer", "reference", help="reference | external | constant:N"),
+          params=(Param("scorer", "reference", type=scorer_kind, help="reference | external | constant:N"),
                   Param("alpha", PIPELINE_DEFAULTS["alpha"]),
                   SEED,
                   Param("reps", PIPELINE_DEFAULTS["coherence_reps"]),
@@ -438,19 +444,28 @@ def _execute(stage: Stage, kwargs: dict, held=None):
 def _param_error(param: Param, value) -> str | None:
     """What is wrong with ``value`` as ``param``'s, or None. A tuple default
     lists the names that a non-empty list may hold, none twice. An int,
-    float, str or dict default takes a value of its JSON type: a bool is no
-    number, and an int is a float. A None default takes anything."""
+    float, str or dict default, or else an int ``type``, takes a value of its
+    JSON type: a bool is no number, and an int is a float. With no default,
+    null is taken too. Any other ``type`` (``window_time``, ``scorer_kind``)
+    must then accept the value."""
     default = param.default
     if isinstance(default, tuple):
         if not (isinstance(value, (list, tuple)) and value and all(v in default for v in value)):
             return f"must be a non-empty list of {', '.join(default)}"
         repeated = [v for i, v in enumerate(value) if v in value[:i]]
         return f"names {repeated[0]!r} twice" if repeated else None
-    kinds = {int: (int, "integer"), float: ((int, float), "number"), str: (str, "string"), dict: (dict, "object")}
-    if type(default) not in kinds:
+    if default is None and value is None:
         return None
-    types, kind = kinds[type(default)]
-    return f"must be a JSON {kind}" if isinstance(value, bool) or not isinstance(value, types) else None
+    kinds = {int: (int, "integer"), float: ((int, float), "number"), str: (str, "string"), dict: (dict, "object")}
+    types, kind = kinds.get(param.type if default is None else type(default), (object, None))
+    if kind and (isinstance(value, bool) or not isinstance(value, types)):
+        return f"must be a JSON {kind}"
+    if param.type not in (None, *kinds):
+        try:
+            param.type(value)
+        except ValueError as exc:
+            return f"is not valid ({exc})"
+    return None
 
 
 def _check_config(config: dict) -> None:

@@ -25,6 +25,7 @@ plus a sidecar of post ids in row order) both ways.
 from __future__ import annotations
 
 import bisect
+import io
 import itertools
 import json
 import logging
@@ -87,6 +88,16 @@ def parse_utc(text: str) -> int:
     return int(dt.timestamp())
 
 
+def window_time(value: int | str) -> int:
+    """Unix seconds of a time given as an integer, or as a string: ISO-8601,
+    or Unix seconds when all digits (the form window.json stores)."""
+    if isinstance(value, str):
+        return int(value) if value.strip().isdigit() else parse_utc(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise CorpusError(f"a time is an integer or a string, not {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class StudyWindow(JsonRecord):
     """Observation window and the fixed interpolation grids."""
@@ -129,19 +140,10 @@ def study_window(
     n_daily_grid: int = DEFAULT_DAILY_GRID,
     week_len_days: int = DEFAULT_WEEK_LEN_DAYS,
 ) -> StudyWindow:
-    """Build a StudyWindow, defaults as above. A string is an ISO-8601 time,
-    or Unix seconds when all digits (the form window.json stores)."""
-
-    def seconds(value, default):
-        if value is None:
-            return default
-        if isinstance(value, str) and not value.strip().isdigit():
-            return parse_utc(value)
-        return int(value)
-
+    """Build a StudyWindow, defaults as above; ``window_time`` reads t0 and t_end."""
     return StudyWindow(
-        t0=seconds(t0, DEFAULT_T0),
-        t_end=seconds(t_end, DEFAULT_T_END),
+        t0=DEFAULT_T0 if t0 is None else window_time(t0),
+        t_end=DEFAULT_T_END if t_end is None else window_time(t_end),
         n_daily_grid=n_daily_grid,
         week_len_days=week_len_days,
     )
@@ -366,9 +368,11 @@ def read_posts(path) -> Posts:
             lines, failure = [], None
             try:
                 lines.extend(itertools.islice(fh, CHUNK_LINES))
-            except UnicodeDecodeError as exc:
-                # Raised after the lines decoded before it, as a line-by-line read would be.
-                failure = exc
+            except UnicodeDecodeError:
+                # The decoder drops the whole block that holds the bad byte. The
+                # lines before the byte are checked first, as a line-by-line read would.
+                before, failure = _undecodable(path)
+                lines.extend(before[first - 1 + len(lines) :])
             try:
                 chunk = _post_columns(lines)
             except CorpusError:
@@ -384,6 +388,18 @@ def read_posts(path) -> Posts:
                 raise failure
             if len(lines) < CHUNK_LINES:
                 return Posts(*columns)
+
+
+def _undecodable(path) -> tuple[list[str], CorpusError]:
+    """The lines of ``path`` before its first byte that is not UTF-8, split as
+    text mode splits them, and the error that names that byte's line."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The mark keeps a last, partial line when the bad byte starts one.
+        *before, _ = io.StringIO(data[: exc.start].decode("utf-8") + "\ufffd", newline=None).readlines()
+        return before, CorpusError(f"line {len(before) + 1}: not valid UTF-8 at byte {exc.start} ({exc.reason})")
 
 
 def write_posts(path, posts: Posts) -> None:

@@ -7,11 +7,12 @@ members, producing a multi-level cluster tree.
 
 Core distances come from one k-d tree query. The MST comes from Boruvka
 rounds over a k-d tree neighbour table (McInnes & Healy 2017,
-arXiv:1705.07321; March, Ram & Gray 2010), at every size. Reachability
-weights tie often, so edges are compared by the total order
-(w, min(u, v), max(u, v)). Under it the MST is unique, and it is exactly the
-tree, weights and edge orientation included, that Prim's scan from vertex 0
-builds.
+arXiv:1705.07321; March, Ram & Gray 2010), at every size. Point u lists every
+point within max(d_64(u), core_u), ties included, by k-nearest queries whose
+k doubles. Reachability weights tie often, so edges are compared by the total
+order (w, min(u, v), max(u, v)). Under it the MST is unique, and it is exactly
+the tree, weights and edge orientation included, that Prim's scan from vertex
+0 builds.
 """
 from __future__ import annotations
 
@@ -163,11 +164,12 @@ def mutual_reachability_mst(
     Boruvka rounds: every component takes its cheapest leaving edge, and
     all of them join the tree; under a total order they form a forest.
 
-    - Before round 1, one k-d tree query lists each point's 64 nearest
-      neighbours, and any further point within its bound
-      R_u = max(d_64(u), core_u). Each list is sorted by (w, v), which for a
-      fixed u is the key order, so a round reads a point's cheapest listed
-      edge to another component at a pointer that only moves forward.
+    - Before round 1, each point u lists every point within its bound
+      R_u = max(d_64(u), core_u), or all n points when n <= 65, by k-d tree
+      queries from k = 65 whose k doubles while the k-th neighbour lies
+      within R_u. Each list is sorted by (w, v), which for a fixed u is the
+      key order, so a round reads a point's cheapest listed edge to another
+      component at a pointer that only moves forward.
     - An unlisted neighbour v of u is farther than R_u, so w(u, v) > R_u.
       A component whose cheapest listed edge weighs at most every member's
       R_u is certified.
@@ -246,57 +248,40 @@ def _neighbour_lists(points: np.ndarray, cores: np.ndarray):
     and every point it does not list is farther than bound[u] >= core_u.
     """
     n = points.shape[0]
-    k = min(n, _NEIGHBOURS + 1)
     tree = cKDTree(points)
     bound = np.full(n, np.inf)
     start = np.empty(n, dtype=np.int64)
     stop = np.empty(n, dtype=np.int64)
     pieces: list[np.ndarray] = []
-
-    def store(rows, lengths, nbr):
-        filled = sum(p.size for p in pieces)
-        start[rows] = filled + np.cumsum(lengths) - lengths
-        stop[rows] = start[rows] + lengths
-        pieces.append(nbr.astype(np.int32))
-
-    step = max(1, _CHUNK // k)
-    for s in range(0, n, step):
-        rows = np.arange(s, min(n, s + step))
-        dist, idx = tree.query(points[rows], k=k)
-        if k == n:
-            plain = np.ones(rows.size, dtype=bool)  # every point listed: no bound
-        else:
-            bound[rows] = np.maximum(dist[:, -2], cores[rows])
-            # The extra neighbour lies beyond the bound, so the first 64 are all within it.
-            plain = dist[:, -1] > bound[rows] * (1.0 + _MARGIN)
-            idx = idx[:, :-1]
-        if plain.any():
-            nbr = idx[plain]
-            w = _mr_weights(points, cores, np.repeat(rows[plain], nbr.shape[1]), nbr.ravel())
-            order = np.lexsort((nbr, w.reshape(nbr.shape)), axis=1)
-            store(rows[plain], np.full(nbr.shape[0], nbr.shape[1]), np.take_along_axis(nbr, order, 1).ravel())
-        ties = rows[~plain]
-        if ties.size:
-            # Ties at the bound: list the whole ball, so that no tie is left out.
-            for pos, nbr in _ball_pairs(tree, points[ties], bound[ties] * (1.0 + _MARGIN)):
-                u = ties[pos]
-                order = np.lexsort((nbr, _mr_weights(points, cores, u, nbr), u))
-                listed, lengths = np.unique(u, return_counts=True)
-                store(listed, lengths, nbr[order])
+    filled = 0
+    todo = np.ones(n, dtype=bool)
+    k = min(n, _NEIGHBOURS + 1)
+    while todo.any():
+        pending = np.flatnonzero(todo)
+        step = max(1, _CHUNK // k)
+        for s in range(0, pending.size, step):
+            rows = pending[s : s + step]
+            dist, idx = tree.query(points[rows], k=k)
+            if k == _NEIGHBOURS + 1 < n:
+                bound[rows] = np.maximum(dist[:, -2], cores[rows])
+            radius = bound[rows] * (1.0 + _MARGIN)
+            done = (dist[:, -1] > radius) | (k == n)
+            rows = rows[done]
+            todo[rows] = False
+            # Distances ascend along a row, so each row lists a prefix, of at most ``width`` entries.
+            within = dist[done] <= radius[done, None]
+            lengths = within.sum(axis=1)
+            width = lengths.max(initial=0)
+            idx, within = idx[done, :width], within[:, :width]
+            w = _mr_weights(points, cores, np.repeat(rows, width), idx.ravel()).reshape(idx.shape)
+            w[~within] = np.inf
+            order = np.lexsort((idx, w), axis=1)
+            start[rows] = filled + np.cumsum(lengths) - lengths
+            stop[rows] = start[rows] + lengths
+            filled += int(lengths.sum())
+            pieces.append(np.take_along_axis(idx, order, 1)[within].astype(np.int32))
+        k = min(n, 2 * k)
     return np.concatenate(pieces), start, stop, bound
-
-
-def _ball_pairs(tree: cKDTree, queries: np.ndarray, radius: np.ndarray):
-    """Yield (query position, tree index) arrays of the points within each
-    query's radius, about _CHUNK pairs at a time."""
-    lengths = tree.query_ball_point(queries, radius, return_length=True)
-    ends = np.cumsum(lengths)
-    s = 0
-    while s < lengths.size:
-        e = max(s + 1, int(np.searchsorted(ends, ends[s] - lengths[s] + _CHUNK, side="right")))
-        lists = tree.query_ball_point(queries[s:e], radius[s:e])
-        yield np.repeat(np.arange(s, e), lengths[s:e]), np.concatenate([np.asarray(x, dtype=np.int64) for x in lists])
-        s = e
 
 
 def _cheapest(points, cores, u, v, best):

@@ -237,6 +237,14 @@ class TestPipeline:
             ("merge", "scorer", 3, "must be a JSON string"),
             ("permanova", "pairs", ["increasing", "increasing"], "names 'increasing' twice"),
             ("permanova", "freqs", ["weekly", "daily", "weekly"], "names 'weekly' twice"),
+            ("cluster", "min_samples", "15", "must be a JSON integer"),
+            ("cluster", "min_samples", True, "must be a JSON integer"),
+            ("synth", "seed", 7.0, "must be a JSON integer"),
+            ("ingest", "t0", [1], "is not valid (a time is an integer or a string, not [1])"),
+            ("ingest", "t_end", False, "is not valid (a time is an integer or a string, not False)"),
+            ("ingest", "t0", "bogus", "is not valid (Invalid isoformat string: 'bogus')"),
+            ("merge", "scorer", "bogus", "is not valid (unknown scorer kind: 'bogus')"),
+            ("merge", "scorer", "constant:9", "is not valid (constant score must be in 1..5)"),
         ],
     )
     def test_stage_value_named_before_any_file(self, tmp_path, monkeypatch, capsys, stage, key, value, named):
@@ -271,6 +279,25 @@ class TestPipeline:
         argv = ["permanova", "--traj", str(tmp_path / "t.bin"), "--groups", str(tmp_path / "g.json"), flag, *names]
         assert main([*argv, "--out", str(tmp_path / "p.json")]) == 1
         assert capsys.readouterr().err == f"toxtraj permanova: error: {flag} names {names[0]!r} twice\n"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["merge", "--tree", "t.json", "--corpus", "c", "--out", "o.json", "--scorer", "constant:9"],
+             "argument --scorer: invalid scorer_kind value: 'constant:9'"),
+            (["ingest", "--posts", "p.ndjson", "--out", "c", "--t0", "bogus"],
+             "argument --t0: invalid window_time value: 'bogus'"),
+            (["cluster", "--in", "e.emb", "--out", "t.json", "--min-cluster-size", "10", "--min-samples", "1.5"],
+             "argument --min-samples: invalid int value: '1.5'"),
+        ],
+    )
+    def test_stage_flag_value_named_before_any_file(self, tmp_path, monkeypatch, capsys, argv, named):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert named in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
     def test_config_keys_a_run_reads_accepted(self, tmp_path):

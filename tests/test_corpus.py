@@ -665,7 +665,27 @@ class TestReadPostsEquivalence:
             lines[1] = "{"
         path = tmp_path / "posts.ndjson"
         path.write_bytes("".join(line + "\n" for line in lines).encode() + b"\xff\n")
-        with pytest.raises(CorpusError if bad_json else UnicodeDecodeError, match=r"^line 2: " if bad_json else None):
+        with pytest.raises(CorpusError, match=r"^line 2: " if bad_json else r"^line 256: not valid UTF-8"):
+            read_posts(path)
+
+    @pytest.mark.parametrize("lines, bad_line", [(301, 301), (10, 5)])
+    def test_undecodable_byte_names_its_line(self, tmp_path, lines, bad_line):
+        # The decoder's own position counts from its current block, not from the file.
+        text = [json.dumps(post_doc(i, text="x" * 150)) + "\n" for i in range(lines)]
+        head = "".join(text[: bad_line - 1]).encode() + text[bad_line - 1][:40].encode()
+        path = tmp_path / "posts.ndjson"
+        path.write_bytes(head + b"\xff" + "".join(text[bad_line - 1 :])[40:].encode())
+        with pytest.raises(CorpusError, match=rf"^line {bad_line}: not valid UTF-8 at byte {len(head)} \(invalid start byte\)$"):
+            read_posts(path)
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_undecodable_byte_counts_lines_as_text_mode(self, tmp_path, end):
+        path = tmp_path / "posts.ndjson"
+        path.write_bytes("".join(json.dumps(post_doc(i)) + end for i in range(3)).encode() + b"\xc3(" + end.encode())
+        with pytest.raises(CorpusError, match=r"^line 4: not valid UTF-8"):
+            read_posts(path)
+        path.write_bytes(b"{" + end.encode() + b"\xc3(")
+        with pytest.raises(CorpusError, match=r"^line 1: invalid JSON"):
             read_posts(path)
 
     def test_utf8_bom_named(self, tmp_path):

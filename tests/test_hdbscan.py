@@ -19,6 +19,7 @@ from reference_hdbscan import (
 from toxtraj.hdbscan import (
     ClusterTree,
     HdbscanParams,
+    _neighbour_lists,
     _single_linkage,
     condense_and_extract,
     core_distances,
@@ -248,6 +249,42 @@ class TestMstExact:
             core_distances(pts, 5)
         with pytest.raises(ValueError, match=r"^point 17 has non-finite values$"):
             mutual_reachability_mst(pts, np.ones(80))
+
+
+def neighbour_list_cases():
+    rng = np.random.default_rng(37)
+    lattice = np.stack(np.meshgrid(np.arange(20.0), np.arange(20.0)), axis=-1).reshape(-1, 2)
+    cases = [(lattice, 1), (lattice, 10), (rng.integers(0, 3, size=(600, 2)).astype(float), 4)]
+    for n in (65, 66, 130, 131):
+        cases += [(rng.normal(size=(n, 3)), 5), (rng.integers(0, 3, size=(n, 2)).astype(float), 2)]
+    # min_samples above 64, with n just above it.
+    cases += [(rng.normal(size=(70, 4)), 66), (rng.normal(size=(101, 4)), 100), (rng.integers(0, 2, size=(90, 2)) / 2, 80)]
+    return cases
+
+
+class TestNeighbourLists:
+    """The listing contract the MST rests on, against brute-force numpy distances."""
+
+    @pytest.mark.parametrize("case", range(len(neighbour_list_cases())))
+    def test_lists_every_point_within_the_bound_in_key_order(self, case):
+        pts, ms = neighbour_list_cases()[case]
+        n = len(pts)
+        cores = core_distances(pts, ms)
+        nbr, start, stop, bound = _neighbour_lists(pts, cores)
+        assert nbr.dtype == np.int32
+        assert np.all(bound >= cores)
+        assert np.all(np.isinf(bound)) == (n <= 65)
+        for u in range(n):
+            listed = nbr[start[u] : stop[u]].astype(np.int64)
+            dist = np.sqrt(((pts - pts[u]) ** 2).sum(axis=1))
+            w = np.maximum(dist[listed], np.maximum(cores[u], cores[listed]))
+            # Sorted by (w, v), each point once.
+            assert np.array_equal(np.lexsort((listed, w)), np.arange(listed.size))
+            assert np.unique(listed).size == listed.size
+            left_off = np.ones(n, dtype=bool)
+            left_off[listed] = False
+            assert np.all(dist[left_off] > bound[u])
+            assert listed.size >= min(n, 64)
 
 
 def random_tree(rng, n, n_weights):
