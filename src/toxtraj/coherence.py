@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Protocol
 
@@ -61,19 +63,30 @@ class CoherenceRequest:
 
     node_id: int
     rep: int
-    in_rows: np.ndarray
-    out_rows: np.ndarray
     in_points: np.ndarray
     out_points: np.ndarray
     in_texts: list
     out_texts: list
 
-    @property
-    def task_id(self) -> str:
-        payload = json.dumps(
-            [self.node_id, self.rep, self.in_rows.tolist(), self.out_rows.tolist()]
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+    @cached_property
+    def document(self) -> dict:
+        """The request line a rater reads: task_id, node_id, rep, in_texts,
+        out_texts (an absent text as "") and prompt. The task id is the first
+        16 hex digits of the sha256 of the JSON of the other five keys."""
+        in_texts = [t if t is not None else "" for t in self.in_texts]
+        out_texts = [t if t is not None else "" for t in self.out_texts]
+        doc = {
+            "node_id": self.node_id,
+            "rep": self.rep,
+            "in_texts": in_texts,
+            "out_texts": out_texts,
+            "prompt": COHERENCE_PROMPT_TEMPLATE.format(
+                in_topic_examples="\n     ".join(in_texts),
+                out_topic_examples="\n     ".join(out_texts),
+            ),
+        }
+        digest = hashlib.sha256(json.dumps(doc).encode("ascii")).hexdigest()
+        return {"task_id": digest[:16], **doc}
 
 
 class CoherenceScorer(Protocol):
@@ -98,11 +111,8 @@ def reference_coherence_score(in_samples: np.ndarray, out_samples: np.ndarray) -
     inter = np.sqrt(((in_samples[:, None, :] - out_samples[None, :, :]) ** 2).sum(axis=2))
     mean_inter = float(inter.mean())
     n_in = in_samples.shape[0]
-    if n_in > 1:
-        intra = np.sqrt(((in_samples[:, None, :] - in_samples[None, :, :]) ** 2).sum(axis=2))
-        mean_intra = float(intra.sum() / (n_in * (n_in - 1)))
-    else:
-        mean_intra = 0.0
+    intra = np.sqrt(((in_samples[:, None, :] - in_samples[None, :, :]) ** 2).sum(axis=2))
+    mean_intra = float(intra.sum() / max(n_in * (n_in - 1), 1))  # one sample: 0
     margin = (mean_inter - mean_intra) / (mean_inter + _MARGIN_EPS)
     for threshold, score in _MARGIN_THRESHOLDS:
         if margin < threshold:
@@ -132,22 +142,14 @@ class ConstantCoherenceScorer:
 class PendingExternalScores(RuntimeError):
     """Raised when requests were written and responses are not yet present."""
 
-    def __init__(self, requests_path, responses_path, n_requests):
-        super().__init__(
-            f"wrote {n_requests} coherence request(s) to {requests_path}; "
-            f"place rater responses at {responses_path} and rerun"
-        )
-        self.requests_path = requests_path
-        self.responses_path = responses_path
-        self.n_requests = n_requests
-
 
 class ExternalCoherenceScorer:
     """Batch file exchange with an outside rater.
 
-    Requests are newline-delimited JSON {task_id, node_id, rep, in_texts,
-    out_texts, prompt}; responses are {task_id, coherence}. Task ids hash the
-    sampled rows, so stale or mismatched responses are rejected.
+    Requests are newline-delimited JSON, one ``CoherenceRequest.document`` a
+    line; responses are {task_id, coherence}. A task id hashes the rest of its
+    request line, so a responses file rated on other texts or another prompt
+    lacks the current ids and is refused.
     """
 
     def __init__(self, requests_path, responses_path):
@@ -182,39 +184,29 @@ class ExternalCoherenceScorer:
 
     def write_requests(self, requests: list[CoherenceRequest]) -> None:
         with open(self.requests_path, "w", encoding="utf-8") as fh:
-            for req in requests:
-                in_texts = [t if t is not None else "" for t in req.in_texts]
-                out_texts = [t if t is not None else "" for t in req.out_texts]
-                doc = {
-                    "task_id": req.task_id,
-                    "node_id": req.node_id,
-                    "rep": req.rep,
-                    "in_texts": in_texts,
-                    "out_texts": out_texts,
-                    "prompt": COHERENCE_PROMPT_TEMPLATE.format(
-                        in_topic_examples="\n     ".join(in_texts),
-                        out_topic_examples="\n     ".join(out_texts),
-                    ),
-                }
-                fh.write(json.dumps(doc, ensure_ascii=False) + "\n")
+            fh.writelines(json.dumps(req.document, ensure_ascii=False) + "\n" for req in requests)
 
     def resolve(self, requests: list[CoherenceRequest]) -> None:
         """Write requests, then load and hash-check responses if present."""
         self.write_requests(requests)
         if not Path(self.responses_path).exists():
-            raise PendingExternalScores(self.requests_path, self.responses_path, len(requests))
+            raise PendingExternalScores(
+                f"wrote {len(requests)} coherence request(s) to {self.requests_path}; "
+                f"place rater responses at {self.responses_path} and rerun"
+            )
         responses = self._load_responses()
-        missing = [r.task_id for r in requests if r.task_id not in responses]
+        missing = [r.document["task_id"] for r in requests if r.document["task_id"] not in responses]
         if missing:
             raise ValueError(
-                f"{len(missing)} request(s) lack responses (first missing task_id: {missing[0]})"
+                f"{len(missing)} request(s) lack responses in {self.responses_path} (first missing task_id: "
+                f"{missing[0]}); a task id changes when its request's texts or prompt change"
             )
         self._responses = responses
 
     def score(self, request: CoherenceRequest) -> int:
         if self._responses is None:
             raise RuntimeError("call resolve(requests) before scoring")
-        return self._responses[request.task_id]
+        return self._responses[request.document["task_id"]]
 
 
 @dataclass
@@ -288,8 +280,6 @@ def build_request(
     return CoherenceRequest(
         node_id=node.node_id,
         rep=rep,
-        in_rows=in_rows,
-        out_rows=out_rows,
         in_points=values[in_rows],
         out_points=values[out_rows],
         in_texts=[text[i] for i in corpus.post_of_row[in_rows].tolist()],
@@ -326,6 +316,9 @@ def merge_pass(
     small to sample, or whose parent is, are auto-merged and counted in
     ``n_auto_merged``.
     """
+    for name, value in (("reps", reps), ("n_in", n_in), ("n_out", n_out)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     n_points = tree.n_points
     params = tree.params
     if corpus.embeddings is None or corpus.embeddings.n != n_points:
@@ -386,7 +379,4 @@ def merge_pass(
 
 def level_counts(tree: TopicTree) -> dict[int, int]:
     """Surviving (unmerged) node count per level."""
-    counts: dict[int, int] = {}
-    for node in tree.surviving():
-        counts[node.level] = counts.get(node.level, 0) + 1
-    return dict(sorted(counts.items()))
+    return dict(sorted(Counter(node.level for node in tree.surviving()).items()))

@@ -57,6 +57,8 @@ def fit_on_sample(
     n, d = values.shape
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must lie in (0, 1]")
+    if output_dim < 1:
+        raise ValueError(f"output_dim must be at least 1, got {output_dim}")
     if output_dim > d:
         raise ValueError("output_dim cannot exceed the input dimension")
     sample_size = max(int(fraction * n), output_dim + 1)

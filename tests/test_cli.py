@@ -262,6 +262,25 @@ class TestPipeline:
         assert capsys.readouterr().err == f"toxtraj run: error: {message}\n"
         assert sorted(os.listdir(tmp_path)) == ["config.json", "scenario.json"]
 
+    @pytest.mark.parametrize(
+        "stage, key, value, named",
+        [
+            ("reduce", "dim", -2, "output_dim must be at least 1, got -2"),
+            ("reduce", "dim", 0, "output_dim must be at least 1, got 0"),
+            ("merge", "reps", 0, "reps must be at least 1, got 0"),
+            ("merge", "n_in", 0, "n_in must be at least 1, got 0"),
+            ("merge", "n_out", 0, "n_out must be at least 1, got 0"),
+        ],
+    )
+    def test_stage_value_out_of_range_named_by_its_stage(self, tmp_path, stage, key, value, named):
+        small_scenario(tmp_path, n_users=6)
+        config = pipeline_config(tmp_path, out_name="bad")
+        config["stages"][stage] = {key: value}
+        with pytest.raises(RuntimeError, match=f"^{re.escape(f'stage {stage!r} failed: {named}')}$"):
+            run_pipeline(config)
+        assert not (tmp_path / "bad" / "topics.json").exists()
+        assert (tmp_path / "bad" / "reduced.emb").exists() == (stage == "merge")
+
     def test_integer_taken_for_a_float_param(self, tmp_path):
         small_scenario(tmp_path, n_users=6)
         stages = {

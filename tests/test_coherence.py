@@ -291,6 +291,26 @@ class TestExternalExchange:
         with pytest.raises(ValueError, match="lack responses"):
             merge_pass(tree, corpus, scorer, seed=20)
 
+    def test_ratings_of_other_texts_refused(self, tmp_path):
+        _, corpus, tree = planted_tree(seed=21)
+        corpus.posts.text = [f"post {i}" for i in range(len(corpus))]
+        req_path = tmp_path / "requests.ndjson"
+        resp_path = tmp_path / "responses.ndjson"
+        with pytest.raises(PendingExternalScores):
+            merge_pass(tree, corpus, ExternalCoherenceScorer(req_path, resp_path), seed=21)
+        requests = [json.loads(line) for line in req_path.read_text().splitlines()]
+        with open(resp_path, "w") as fh:
+            for doc in requests:
+                fh.write(json.dumps({"task_id": doc["task_id"], "coherence": 3}) + "\n")
+        # The same corpus asks the same questions under the same ids.
+        merge_pass(tree, corpus, ExternalCoherenceScorer(req_path, resp_path), seed=21)
+        assert [json.loads(line) for line in req_path.read_text().splitlines()] == requests
+        # One sampled post's text changes; its rows and the seed do not.
+        edited = requests[0]["in_texts"][0]
+        corpus.posts.text[corpus.posts.text.index(edited)] = edited + " (edited)"
+        with pytest.raises(ValueError, match="lack responses"):
+            merge_pass(tree, corpus, ExternalCoherenceScorer(req_path, resp_path), seed=21)
+
 
 class TestResponseFile:
     @pytest.mark.parametrize(
