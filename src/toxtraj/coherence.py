@@ -20,7 +20,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .hdbscan import ClusterTree, ClusterTreeNode
-from .stats import mann_whitney_u
+from .stats import check_alpha, mann_whitney_u
 from .util import parallel_map, substream
 
 
@@ -316,6 +316,7 @@ def merge_pass(
     small to sample, or whose parent is, are auto-merged and counted in
     ``n_auto_merged``.
     """
+    check_alpha(alpha)
     for name, value in (("reps", reps), ("n_in", n_in), ("n_out", n_out)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")

@@ -5,14 +5,16 @@ reachability graph -> condensed cluster tree -> excess-of-mass selection.
 A recursive driver re-clusters every sufficiently large cluster on its own
 members, producing a multi-level cluster tree.
 
-Core distances come from one k-d tree query. The MST comes from Boruvka
-rounds over a k-d tree neighbour table (McInnes & Healy 2017,
-arXiv:1705.07321; March, Ram & Gray 2010), at every size. Point u lists every
-point within max(d_64(u), core_u), ties included, by k-nearest queries whose
-k doubles. Reachability weights tie often, so edges are compared by the total
-order (w, min(u, v), max(u, v)). Under it the MST is unique, and it is exactly
-the tree, weights and edge orientation included, that Prim's scan from vertex
-0 builds.
+The MST comes from Boruvka rounds over a k-d tree neighbour table (McInnes &
+Healy 2017, arXiv:1705.07321; March, Ram & Gray 2010), at every size. Point u
+lists every point within max(d_64(u), core_u), ties included, by k-nearest
+queries whose k doubles. A pass builds one k-d tree and queries each point
+once for both its core and its list: a first sweep over the query's rows
+takes the cores, bounds and unsorted lists, and a second, once every core is
+known, sorts each list by weight. Reachability weights tie often, so edges
+are compared by the total order (w, min(u, v), max(u, v)). Under it the MST
+is unique, and it is exactly the tree, weights and edge orientation
+included, that Prim's scan from vertex 0 builds.
 """
 from __future__ import annotations
 
@@ -148,12 +150,18 @@ def core_distances(points: np.ndarray, min_samples: int) -> np.ndarray:
     if min_samples == 1:
         return np.zeros(n, dtype=np.float64)
     _, idx = cKDTree(points).query(points, k=min_samples)
-    # cKDTree's own distances can differ from numpy's sum of squares by 1-2 ulp.
-    return np.sqrt(((points - points[idx[:, -1]]) ** 2).sum(axis=1))
+    return _cores(points, slice(None), idx, min_samples)
+
+
+def _cores(points: np.ndarray, rows, idx: np.ndarray, min_samples: int) -> np.ndarray:
+    """Core distances of ``rows`` from their k-d query ``idx``: numpy's
+    distance to column min_samples - 1. cKDTree's own distances can differ
+    from numpy's sum of squares by 1-2 ulp."""
+    return np.sqrt(((points[rows] - points[idx[:, min_samples - 1]]) ** 2).sum(axis=1))
 
 
 def mutual_reachability_mst(
-    points: np.ndarray, cores: np.ndarray
+    points: np.ndarray, cores: np.ndarray, lists=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """MST (endpoints, weights) of the complete mutual-reachability graph.
 
@@ -166,10 +174,13 @@ def mutual_reachability_mst(
 
     - Before round 1, each point u lists every point within its bound
       R_u = max(d_64(u), core_u), or all n points when n <= 65, by k-d tree
-      queries from k = 65 whose k doubles while the k-th neighbour lies
-      within R_u. Each list is sorted by (w, v), which for a fixed u is the
-      key order, so a round reads a point's cheapest listed edge to another
-      component at a pointer that only moves forward.
+      queries whose k doubles while the k-th neighbour lies within R_u.
+      One query serves the cores and the lists: ``run_hdbscan`` passes as
+      ``lists`` the unsorted lists of the query that gave ``cores``. Without
+      them the MST makes its own, from k = 65. Each list is sorted by
+      (w, v), which for a fixed u is the key order, so a round reads a
+      point's cheapest listed edge to another component at a pointer that
+      only moves forward.
     - An unlisted neighbour v of u is farther than R_u, so w(u, v) > R_u.
       A component whose cheapest listed edge weighs at most every member's
       R_u is certified.
@@ -195,7 +206,7 @@ def mutual_reachability_mst(
     # Imported here: it adds about 3 MB to the resident set of runs that never cluster.
     from scipy.sparse.csgraph import breadth_first_order, connected_components
 
-    nbr, ptr, stop, bound = _neighbour_lists(points, cores)
+    nbr, ptr, stop, bound = _neighbour_lists(points, cores, lists)
     comp = np.arange(n)
     n_comp = n
     edges = np.empty((0, 2), dtype=np.int64)
@@ -241,47 +252,83 @@ def _mr_weights(points: np.ndarray, cores: np.ndarray, u: np.ndarray, v: np.ndar
     return out
 
 
-def _neighbour_lists(points: np.ndarray, cores: np.ndarray):
-    """Per-point neighbour lists sorted by (weight, index), and their bounds.
+def _query(points: np.ndarray, min_samples: int = 1, cores: Optional[np.ndarray] = None):
+    """The one k-d query of a clustering pass, and a first pass over its rows.
 
-    Returns (nbr, start, stop, bound): point u lists nbr[start[u]:stop[u]],
-    and every point it does not list is farther than bound[u] >= core_u.
+    Give ``min_samples`` or ``cores``. Each point is queried once, at
+    k = min(n, max(64, min_samples) + 1), so that the last column lies past
+    both the core's and d_64's, in batches of _CHUNK // k rows. From its
+    row a point takes its core, unless ``cores`` is given; its bound
+    R_u = max(d_64(u), core_u), or inf when n <= 65; and the prefix of its
+    row within R_u. A point whose last column still lies within R_u is
+    queried again, with k doubled, on the same tree. No query's rows outlive
+    their batch.
+
+    Returns (cores, (nbr, start, stop, bound, batches)): point u's unsorted
+    list is nbr[start[u]:stop[u]], and each entry of ``batches`` holds the
+    rows that one query batch listed, at most _CHUNK entries together.
     """
     n = points.shape[0]
     tree = cKDTree(points)
+    cores = np.zeros(n) if cores is None else cores
     bound = np.full(n, np.inf)
     start = np.empty(n, dtype=np.int64)
     stop = np.empty(n, dtype=np.int64)
     pieces: list[np.ndarray] = []
+    batches: list[np.ndarray] = []
     filled = 0
-    todo = np.ones(n, dtype=bool)
-    k = min(n, _NEIGHBOURS + 1)
-    while todo.any():
-        pending = np.flatnonzero(todo)
+    pending = np.arange(n)
+    k = min(n, max(_NEIGHBOURS, min_samples) + 1)
+    first = True
+    while pending.size:
         step = max(1, _CHUNK // k)
+        again = []
         for s in range(0, pending.size, step):
             rows = pending[s : s + step]
             dist, idx = tree.query(points[rows], k=k)
-            if k == _NEIGHBOURS + 1 < n:
-                bound[rows] = np.maximum(dist[:, -2], cores[rows])
+            if first and min_samples > 1:
+                cores[rows] = _cores(points, rows, idx, min_samples)
+            if first and n > _NEIGHBOURS + 1:
+                bound[rows] = np.maximum(dist[:, _NEIGHBOURS - 1], cores[rows])
             radius = bound[rows] * (1.0 + _MARGIN)
             done = (dist[:, -1] > radius) | (k == n)
+            again.append(rows[~done])
             rows = rows[done]
-            todo[rows] = False
-            # Distances ascend along a row, so each row lists a prefix, of at most ``width`` entries.
+            # Distances ascend along a row, so each row lists a prefix.
             within = dist[done] <= radius[done, None]
             lengths = within.sum(axis=1)
-            width = lengths.max(initial=0)
-            idx, within = idx[done, :width], within[:, :width]
-            w = _mr_weights(points, cores, np.repeat(rows, width), idx.ravel()).reshape(idx.shape)
-            w[~within] = np.inf
-            order = np.lexsort((idx, w), axis=1)
             start[rows] = filled + np.cumsum(lengths) - lengths
             stop[rows] = start[rows] + lengths
             filled += int(lengths.sum())
-            pieces.append(np.take_along_axis(idx, order, 1)[within].astype(np.int32))
+            pieces.append(idx[done][within].astype(np.int32))
+            batches.append(rows)
+        pending = np.concatenate(again)
         k = min(n, 2 * k)
-    return np.concatenate(pieces), start, stop, bound
+        first = False
+    return cores, (np.concatenate(pieces), start, stop, bound, batches)
+
+
+def _neighbour_lists(points: np.ndarray, cores: np.ndarray, lists=None):
+    """Per-point neighbour lists sorted by (weight, index), and their bounds.
+
+    ``lists`` is ``_query``'s unsorted listing under these cores; without
+    it, ``_query`` lists from ``cores``. Returns (nbr, start, stop, bound):
+    point u lists nbr[start[u]:stop[u]], and every point it does not list is
+    farther than bound[u] >= core_u. The lists are sorted in place, one
+    query batch at a time.
+    """
+    nbr, start, stop, bound, batches = _query(points, cores=cores)[1] if lists is None else lists
+    for rows in batches:
+        lengths = stop[rows] - start[rows]
+        within = np.arange(lengths.max(initial=0)) < lengths[:, None]
+        at = (start[rows, None] + np.arange(within.shape[1]))[within]
+        idx = np.zeros(within.shape, dtype=np.int32)
+        idx[within] = nbr[at]
+        w = np.full(within.shape, np.inf)
+        w[within] = _mr_weights(points, cores, np.repeat(rows, lengths), nbr[at])
+        order = np.lexsort((idx, w), axis=1)
+        nbr[at] = np.take_along_axis(idx, order, 1)[within]
+    return nbr, start, stop, bound
 
 
 def _cheapest(points, cores, u, v, best):
@@ -452,13 +499,14 @@ def condense_and_extract(
 
 
 def run_hdbscan(points: np.ndarray, params: HdbscanParams) -> ClusterLabeling:
-    """Full single-pass clustering: cores -> MST -> condense/extract."""
+    """Full single-pass clustering: one k-d query for cores and lists -> MST -> condense/extract."""
     points = np.asarray(points, dtype=np.float64)
+    _check_points(points)
     n = points.shape[0]
     if params.min_samples > n or n < 2:
         return ClusterLabeling(labels=np.full(n, -1, dtype=np.int64), stabilities={})
-    cores = core_distances(points, params.min_samples)
-    mst = mutual_reachability_mst(points, cores)
+    cores, lists = _query(points, params.min_samples)
+    mst = mutual_reachability_mst(points, cores, lists)
     return condense_and_extract(mst, params.min_cluster_size, n)
 
 

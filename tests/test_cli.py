@@ -281,6 +281,28 @@ class TestPipeline:
         assert not (tmp_path / "bad" / "topics.json").exists()
         assert (tmp_path / "bad" / "reduced.emb").exists() == (stage == "merge")
 
+    @pytest.mark.parametrize(
+        "stage, key, value, named",
+        [
+            ("groups", "alpha", 5, "alpha must be in (0, 1], got 5"),
+            ("groups", "alpha", 0, "alpha must be in (0, 1], got 0"),
+            ("groups", "min_posts", -1, "min_posts must be at least 0, got -1"),
+            ("merge", "alpha", -1, "alpha must be in (0, 1], got -1"),
+        ],
+    )
+    def test_alpha_and_min_posts_out_of_range_named_by_their_stage(self, tmp_path, stage, key, value, named):
+        small_scenario(tmp_path, n_users=6)
+        config = pipeline_config(tmp_path, out_name="bad")
+        config["stages"][stage][key] = value
+        if stage == "groups":
+            # groups reads only the corpus; without these stages no topics.json is written either.
+            for name in ("reduce", "cluster", "merge"):
+                config["stages"][name] = {"enabled": False}
+        with pytest.raises(RuntimeError, match=f"^{re.escape(f'stage {stage!r} failed: {named}')}$"):
+            run_pipeline(config)
+        assert not (tmp_path / "bad" / "groups.json").exists()
+        assert not (tmp_path / "bad" / "topics.json").exists()
+
     def test_integer_taken_for_a_float_param(self, tmp_path):
         small_scenario(tmp_path, n_users=6)
         stages = {

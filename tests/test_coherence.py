@@ -198,6 +198,17 @@ class TestMergePass:
         # A count of the pass, not part of topics.json.
         assert "n_auto_merged" not in json.dumps(topics.to_json())
 
+    def test_alpha_out_of_range_named_before_any_sample(self):
+        _, corpus, tree = planted_tree(seed=9)
+
+        class Unreachable:
+            def score(self, request):
+                raise AssertionError("scored a request")
+
+        for alpha in (0, -1, 5, 1.5, float("nan")):
+            with pytest.raises(ValueError, match=rf"^alpha must be in \(0, 1\], got {alpha}$"):
+                merge_pass(tree, corpus, Unreachable(), alpha=alpha, seed=9)
+
     def test_remerge_starts_unscored(self):
         # Scores carried over from an earlier pass would let nodes too small
         # for this pass's samples through the gate unrescored.

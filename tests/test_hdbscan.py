@@ -16,6 +16,7 @@ from reference_hdbscan import (
     reference_mutual_reachability,
     reference_prim,
 )
+from toxtraj import hdbscan as hdbscan_module
 from toxtraj.hdbscan import (
     ClusterTree,
     HdbscanParams,
@@ -541,3 +542,124 @@ class TestParams:
     def test_invalid_metric(self):
         with pytest.raises(ValueError):
             HdbscanParams(min_cluster_size=5, min_samples=2, metric="manhattan")
+
+
+def dense_cores(points, min_samples):
+    """Core distances from blocks of the dense numpy distance matrix."""
+    n, d = points.shape
+    chunk = max(1, (1 << 22) // (n * d))
+    cores = np.empty(n)
+    for start in range(0, n, chunk):
+        block = points[start : start + chunk]
+        d2 = ((block[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+        cores[start : start + chunk] = np.sqrt(np.partition(d2, min_samples - 1, axis=1)[:, min_samples - 1])
+    return cores
+
+
+def shared_query_cases():
+    """TestCoreDistances.test_bit_exact_against_dense_numpy's inputs, then
+    inputs whose points tie at the min_samples-th distance while the query
+    takes k = 65, and min_samples above 64."""
+    rng = np.random.default_rng(21)
+    cases = []
+    for d in (5, 16, 64):
+        centers = rng.normal(scale=4.0, size=(4, d))
+        blobs = centers[rng.integers(4, size=500)] + rng.normal(size=(500, d))
+        grid = rng.integers(0, 8, size=(500, d)) / 2
+        cases += [(pts, ms) for pts in (blobs, grid) for ms in (2, 10, 60)]
+    centers = rng.normal(scale=4.0, size=(6, 16))
+    cases.append((centers[rng.integers(6, size=4200)] + rng.normal(size=(4200, 16)), 10))
+    rng = np.random.default_rng(38)
+    lattice = np.stack(np.meshgrid(np.arange(30.0), np.arange(30.0)), axis=-1).reshape(-1, 2)
+    cases += [(rng.integers(0, 3, size=(600, 2)).astype(float), 4), (lattice, 10)]
+    cases += [(rng.integers(0, 12, size=(n, d)) / 2, 30) for n, d in [(400, 2), (300, 3)]]
+    for n, ms in [(70, 65), (120, 65), (70, 66), (400, 66), (101, 100), (400, 100)]:
+        cases += [(rng.normal(size=(n, 4)), ms), (rng.integers(0, 3, size=(n, 2)) / 2, ms)]
+    return cases
+
+
+def blobs_6500():
+    rng = np.random.default_rng(39)
+    centers = rng.normal(scale=4.0, size=(6, 5))
+    return centers[rng.integers(6, size=6500)] + rng.normal(size=(6500, 5))
+
+
+class TestSharedQuery:
+    """A run_hdbscan pass queries its points once, for the cores and the MST's lists."""
+
+    def test_one_tree_and_one_first_query_per_point(self, monkeypatch):
+        trees = []
+
+        class CountingTree(cKDTree):
+            def __init__(self, data, *args, **kwargs):
+                super().__init__(data, *args, **kwargs)
+                self.queries = []
+                trees.append(self)
+
+            def query(self, x, k=1, *args, **kwargs):
+                self.queries.append((k, np.array(x)))
+                return super().query(x, k, *args, **kwargs)
+
+        passes = []
+        run = hdbscan_module.run_hdbscan
+
+        def counted_run(points, params):
+            trees.clear()
+            labeling = run(points, params)
+            passes.append(points.shape[0])
+            full = [t for t in trees if t.n == points.shape[0]]
+            assert len(full) == 1
+            first_k = min(k for k, _ in full[0].queries)
+            queried = np.concatenate([x for k, x in full[0].queries if k == first_k])
+            assert np.array_equal(queried[np.lexsort(queried.T)], points[np.lexsort(points.T)])
+            return labeling
+
+        monkeypatch.setattr(hdbscan_module, "cKDTree", CountingTree)
+        monkeypatch.setattr(hdbscan_module, "run_hdbscan", counted_run)
+        pts, _, _ = generate_hierarchical_blobs(three_by_two_scenario(), seed=2)
+        recursive_cluster(pts, HdbscanParams(min_cluster_size=60, min_samples=15))
+        assert len(passes) == 10
+        # Tied points: many rows are queried again at a doubled k.
+        grid = np.random.default_rng(40).integers(0, 3, size=(600, 2)).astype(float)
+        hdbscan_module.run_hdbscan(grid, HdbscanParams(min_cluster_size=20, min_samples=4))
+        assert any(k > 65 for k, _ in trees[0].queries)
+
+    def test_cores_and_mst_bit_equal_to_dense(self, monkeypatch):
+        seen = []
+        mst = hdbscan_module.mutual_reachability_mst
+
+        def captured(points, cores, *args):
+            result = mst(points, cores, *args)
+            seen.append((cores.copy(), result))
+            return result
+
+        monkeypatch.setattr(hdbscan_module, "mutual_reachability_mst", captured)
+        for pts, ms in shared_query_cases():
+            seen.clear()
+            run_hdbscan(pts, HdbscanParams(min_cluster_size=20, min_samples=ms))
+            (cores, result), = seen
+            want = dense_cores(pts, ms)
+            assert np.array_equal(cores, want), (pts.shape, ms)
+            assert_same_mst(result, dense_prim_mst(pts, want))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_point_is_named(self, bad):
+        pts = np.random.default_rng(41).normal(size=(80, 3))
+        pts[23, 2] = bad
+        params = HdbscanParams(min_cluster_size=10, min_samples=5)
+        with pytest.raises(ValueError, match=r"^point 23 has non-finite values$"):
+            run_hdbscan(pts, params)
+        with pytest.raises(ValueError, match=r"^point 23 has non-finite values$"):
+            recursive_cluster(pts, params)
+
+    def test_one_pass_memory(self):
+        # The whole 6,500 x 65 query, held at once, peaks at about 12 MB.
+        pts = blobs_6500()
+        params = HdbscanParams(min_cluster_size=60, min_samples=60)
+        tracemalloc.start()
+        try:
+            run_hdbscan(pts, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
