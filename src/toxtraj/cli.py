@@ -447,7 +447,8 @@ def _param_error(param: Param, value) -> str | None:
     float, str or dict default, or else an int ``type``, takes a value of its
     JSON type: a bool is no number, and an int is a float. With no default,
     null is taken too. Any other ``type`` (``window_time``, ``scorer_kind``)
-    must then accept the value."""
+    must then accept the value. A seed must be at least 0, and workers, a
+    thread count, at least 1."""
     default = param.default
     if isinstance(default, tuple):
         if not (isinstance(value, (list, tuple)) and value and all(v in default for v in value)):
@@ -465,15 +466,19 @@ def _param_error(param: Param, value) -> str | None:
             param.type(value)
         except ValueError as exc:
             return f"is not valid ({exc})"
+    if param == SEED and value < 0:
+        return "must be a non-negative integer"
+    if param == WORKERS and value < 1:
+        return "must be a positive integer"
     return None
 
 
 def _check_config(config: dict) -> None:
     """Raise ValueError naming the first part of ``config`` that a run would
     not read: an unknown key, stage or stage key, a value ``_param_error``
-    refuses or an ``enabled`` that is no bool, or a negative seed. A stage
-    reads ``enabled``, its params but the seed and workers that a run sets,
-    and its source inputs that have a flag."""
+    refuses or an ``enabled`` that is no bool. A stage reads ``enabled``, its
+    params but the seed and workers that a run sets, and its source inputs
+    that have a flag."""
     if not isinstance(config, dict):
         raise ValueError("the config must be a JSON object")
     top = {param.key: param for param in (SEED, WORKERS, OUT_DIR, Param("stages", {}))}
@@ -483,8 +488,6 @@ def _check_config(config: dict) -> None:
         error = _param_error(top[key], value)
         if error:
             raise ValueError(f"config key {key!r} {error}")
-    if config.get("seed", 0) < 0:
-        raise ValueError("config key 'seed' must be a non-negative integer")
     stages = {stage.name: stage for stage in STAGES}
     for name, cfg in config.get("stages", {}).items():
         if name not in stages:
@@ -597,14 +600,17 @@ def _tsv_block(header: list[str], rows: list[list]) -> str:
 
 
 def render_report(manifest: dict) -> str:
-    """Markdown summary of what the manifest's stages wrote. Files the
-    manifest does not list, such as an earlier run's, are not read."""
+    """Markdown summary of what the manifest's stages wrote, and of the stage
+    that failed, if one did. Files the manifest does not list, such as an
+    earlier run's, are not read."""
     stages = {stage["name"]: stage for stage in manifest["stages"]}
 
     def listed(stage, name):
         return stages.get(stage, {}).get("outputs", {}).get(name)
 
     sections = [f"# toxtraj run report\n\nroot seed: {manifest['root_seed']}\n"]
+    if "failed_stage" in manifest:
+        sections[0] += f"failed at stage {manifest['failed_stage']!r}: {manifest['error']}\n"
     sections.append("## Stages\n")
     rows = [[s["name"], s.get("peak_rss_mb")] for s in manifest["stages"]]
     sections.append(_tsv_block(["stage", "peak_rss_mb"], rows))

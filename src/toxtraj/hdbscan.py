@@ -8,13 +8,14 @@ members, producing a multi-level cluster tree.
 The MST comes from Boruvka rounds over a k-d tree neighbour table (McInnes &
 Healy 2017, arXiv:1705.07321; March, Ram & Gray 2010), at every size. Point u
 lists every point within max(d_64(u), core_u), ties included, by k-nearest
-queries whose k doubles. A pass builds one k-d tree and queries each point
-once for both its core and its list: a first sweep over the query's rows
+queries whose k doubles. The MST makes a pass's one k-d query, which gives
+each point both its core and its list: a first sweep over the query's rows
 takes the cores, bounds and unsorted lists, and a second, once every core is
-known, sorts each list by weight. Reachability weights tie often, so edges
-are compared by the total order (w, min(u, v), max(u, v)). Under it the MST
-is unique, and it is exactly the tree, weights and edge orientation
-included, that Prim's scan from vertex 0 builds.
+known, sorts each list by weight. ``core_distances`` reads its cores from
+that same query. Reachability weights tie often, so edges are compared by
+the total order (w, min(u, v), max(u, v)). Under it the MST is unique, and
+it is exactly the tree, weights and edge orientation included, that Prim's
+scan from vertex 0 builds.
 """
 from __future__ import annotations
 
@@ -49,8 +50,7 @@ class HdbscanParams(JsonRecord):
     def __post_init__(self):
         if self.min_cluster_size < 2:
             raise ValueError("min_cluster_size must be at least 2")
-        if self.min_samples < 1:
-            raise ValueError("min_samples must be at least 1")
+        _check_min_samples(self.min_samples)
         if self.metric != "euclidean":
             raise ValueError("only the euclidean metric is supported")
 
@@ -140,29 +140,19 @@ def _check_points(points: np.ndarray) -> None:
         raise ValueError(f"point {int(non_finite[0])} has non-finite values")
 
 
-def core_distances(points: np.ndarray, min_samples: int) -> np.ndarray:
-    """Distance to the min_samples-th nearest neighbor, self counted first."""
-    points = np.asarray(points, dtype=np.float64)
-    n = points.shape[0]
+def _check_min_samples(min_samples: int, n: float = np.inf) -> None:
+    if min_samples < 1:
+        raise ValueError("min_samples must be at least 1")
     if min_samples > n:
         raise ValueError(f"min_samples ({min_samples}) exceeds point count ({n})")
-    _check_points(points)
-    if min_samples == 1:
-        return np.zeros(n, dtype=np.float64)
-    _, idx = cKDTree(points).query(points, k=min_samples)
-    return _cores(points, slice(None), idx, min_samples)
 
 
-def _cores(points: np.ndarray, rows, idx: np.ndarray, min_samples: int) -> np.ndarray:
-    """Core distances of ``rows`` from their k-d query ``idx``: numpy's
-    distance to column min_samples - 1. cKDTree's own distances can differ
-    from numpy's sum of squares by 1-2 ulp."""
-    return np.sqrt(((points[rows] - points[idx[:, min_samples - 1]]) ** 2).sum(axis=1))
+def core_distances(points: np.ndarray, min_samples: int) -> np.ndarray:
+    """Distance to the min_samples-th nearest neighbor, self counted first, from a pass's query."""
+    return _query(np.asarray(points, dtype=np.float64), min_samples)[0]
 
 
-def mutual_reachability_mst(
-    points: np.ndarray, cores: np.ndarray, lists=None
-) -> tuple[np.ndarray, np.ndarray]:
+def mutual_reachability_mst(points: np.ndarray, min_samples: int) -> tuple[np.ndarray, np.ndarray]:
     """MST (endpoints, weights) of the complete mutual-reachability graph.
 
     The weight of (u, v) is max(|p_u - p_v|, core_u, core_v), always from
@@ -172,15 +162,13 @@ def mutual_reachability_mst(
     Boruvka rounds: every component takes its cheapest leaving edge, and
     all of them join the tree; under a total order they form a forest.
 
-    - Before round 1, each point u lists every point within its bound
-      R_u = max(d_64(u), core_u), or all n points when n <= 65, by k-d tree
-      queries whose k doubles while the k-th neighbour lies within R_u.
-      One query serves the cores and the lists: ``run_hdbscan`` passes as
-      ``lists`` the unsorted lists of the query that gave ``cores``. Without
-      them the MST makes its own, from k = 65. Each list is sorted by
-      (w, v), which for a fixed u is the key order, so a round reads a
-      point's cheapest listed edge to another component at a pointer that
-      only moves forward.
+    - Before round 1, the pass's one k-d query (``_query``) gives each point
+      u its core, the min_samples-th distance, and lists every point within
+      its bound R_u = max(d_64(u), core_u), or all n points when n <= 65,
+      by queries whose k doubles while the k-th neighbour lies within R_u.
+      Each list is sorted by (w, v), which for a fixed u is the key order,
+      so a round reads a point's cheapest listed edge to another component
+      at a pointer that only moves forward.
     - An unlisted neighbour v of u is farther than R_u, so w(u, v) > R_u.
       A component whose cheapest listed edge weighs at most every member's
       R_u is certified.
@@ -193,20 +181,13 @@ def mutual_reachability_mst(
     order is unspecified.
     """
     points = np.asarray(points, dtype=np.float64)
-    cores = np.asarray(cores, dtype=np.float64)
-    if points.shape[0] != cores.shape[0]:
-        raise ValueError("cores must be computed from the same points")
-    _check_points(points)
-    non_finite = np.flatnonzero(~np.isfinite(cores))
-    if non_finite.size:
-        raise ValueError(f"core distance {int(non_finite[0])} is not finite")
+    cores, nbr, ptr, stop, bound = _neighbour_lists(points, min_samples)
     n = points.shape[0]
     if n < 2:
         return np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.float64)
     # Imported here: it adds about 3 MB to the resident set of runs that never cluster.
     from scipy.sparse.csgraph import breadth_first_order, connected_components
 
-    nbr, ptr, stop, bound = _neighbour_lists(points, cores, lists)
     comp = np.arange(n)
     n_comp = n
     edges = np.empty((0, 2), dtype=np.int64)
@@ -252,32 +233,35 @@ def _mr_weights(points: np.ndarray, cores: np.ndarray, u: np.ndarray, v: np.ndar
     return out
 
 
-def _query(points: np.ndarray, min_samples: int = 1, cores: Optional[np.ndarray] = None):
+def _query(points: np.ndarray, min_samples: int):
     """The one k-d query of a clustering pass, and a first pass over its rows.
 
-    Give ``min_samples`` or ``cores``. Each point is queried once, at
-    k = min(n, max(64, min_samples) + 1), so that the last column lies past
-    both the core's and d_64's, in batches of _CHUNK // k rows. From its
-    row a point takes its core, unless ``cores`` is given; its bound
-    R_u = max(d_64(u), core_u), or inf when n <= 65; and the prefix of its
-    row within R_u. A point whose last column still lies within R_u is
-    queried again, with k doubled, on the same tree. No query's rows outlive
-    their batch.
+    It checks the points and min_samples first. Each point is queried once,
+    at k = min(n, max(64, min_samples) + 1), in batches of _CHUNK // k rows.
+    From its row a point takes its core, numpy's distance to column
+    min_samples - 1 (cKDTree's own can differ by 1-2 ulp), or 0 when
+    min_samples is 1; its bound R_u = max(d_64(u), core_u), or inf when
+    n <= 65; and the prefix of its row within R_u. A point whose last column
+    still lies within R_u is queried again, with k doubled, on the same
+    tree. No query's rows outlive their batch.
 
-    Returns (cores, (nbr, start, stop, bound, batches)): point u's unsorted
+    Returns (cores, nbr, start, stop, bound, batches): point u's unsorted
     list is nbr[start[u]:stop[u]], and each entry of ``batches`` holds the
     rows that one query batch listed, at most _CHUNK entries together.
     """
     n = points.shape[0]
+    _check_points(points)
+    _check_min_samples(min_samples, n)
     tree = cKDTree(points)
-    cores = np.zeros(n) if cores is None else cores
+    cores = np.zeros(n)
     bound = np.full(n, np.inf)
-    start = np.empty(n, dtype=np.int64)
-    stop = np.empty(n, dtype=np.int64)
-    pieces: list[np.ndarray] = []
+    start = np.zeros(n, dtype=np.int64)
+    stop = np.zeros(n, dtype=np.int64)
+    pieces = [np.empty(0, dtype=np.int32)]
     batches: list[np.ndarray] = []
     filled = 0
-    pending = np.arange(n)
+    # A lone point lists nothing, and cKDTree would return its k = 1 query as 1-d rows.
+    pending = np.arange(n if n > 1 else 0)
     k = min(n, max(_NEIGHBOURS, min_samples) + 1)
     first = True
     while pending.size:
@@ -287,7 +271,7 @@ def _query(points: np.ndarray, min_samples: int = 1, cores: Optional[np.ndarray]
             rows = pending[s : s + step]
             dist, idx = tree.query(points[rows], k=k)
             if first and min_samples > 1:
-                cores[rows] = _cores(points, rows, idx, min_samples)
+                cores[rows] = np.sqrt(((points[rows] - points[idx[:, min_samples - 1]]) ** 2).sum(axis=1))
             if first and n > _NEIGHBOURS + 1:
                 bound[rows] = np.maximum(dist[:, _NEIGHBOURS - 1], cores[rows])
             radius = bound[rows] * (1.0 + _MARGIN)
@@ -305,19 +289,18 @@ def _query(points: np.ndarray, min_samples: int = 1, cores: Optional[np.ndarray]
         pending = np.concatenate(again)
         k = min(n, 2 * k)
         first = False
-    return cores, (np.concatenate(pieces), start, stop, bound, batches)
+    return cores, np.concatenate(pieces), start, stop, bound, batches
 
 
-def _neighbour_lists(points: np.ndarray, cores: np.ndarray, lists=None):
-    """Per-point neighbour lists sorted by (weight, index), and their bounds.
+def _neighbour_lists(points: np.ndarray, min_samples: int):
+    """The pass's cores, and neighbour lists sorted by (weight, index) with their bounds.
 
-    ``lists`` is ``_query``'s unsorted listing under these cores; without
-    it, ``_query`` lists from ``cores``. Returns (nbr, start, stop, bound):
-    point u lists nbr[start[u]:stop[u]], and every point it does not list is
-    farther than bound[u] >= core_u. The lists are sorted in place, one
-    query batch at a time.
+    Returns (cores, nbr, start, stop, bound): point u lists
+    nbr[start[u]:stop[u]], and every point it does not list is farther than
+    bound[u] >= core_u. ``_query``'s lists are sorted in place, one query
+    batch at a time.
     """
-    nbr, start, stop, bound, batches = _query(points, cores=cores)[1] if lists is None else lists
+    cores, nbr, start, stop, bound, batches = _query(points, min_samples)
     for rows in batches:
         lengths = stop[rows] - start[rows]
         within = np.arange(lengths.max(initial=0)) < lengths[:, None]
@@ -328,7 +311,7 @@ def _neighbour_lists(points: np.ndarray, cores: np.ndarray, lists=None):
         w[within] = _mr_weights(points, cores, np.repeat(rows, lengths), nbr[at])
         order = np.lexsort((idx, w), axis=1)
         nbr[at] = np.take_along_axis(idx, order, 1)[within]
-    return nbr, start, stop, bound
+    return cores, nbr, start, stop, bound
 
 
 def _cheapest(points, cores, u, v, best):
@@ -499,15 +482,13 @@ def condense_and_extract(
 
 
 def run_hdbscan(points: np.ndarray, params: HdbscanParams) -> ClusterLabeling:
-    """Full single-pass clustering: one k-d query for cores and lists -> MST -> condense/extract."""
+    """Full single-pass clustering: MST (one k-d query for cores and lists) -> condense/extract."""
     points = np.asarray(points, dtype=np.float64)
     _check_points(points)
     n = points.shape[0]
     if params.min_samples > n or n < 2:
         return ClusterLabeling(labels=np.full(n, -1, dtype=np.int64), stabilities={})
-    cores, lists = _query(points, params.min_samples)
-    mst = mutual_reachability_mst(points, cores, lists)
-    return condense_and_extract(mst, params.min_cluster_size, n)
+    return condense_and_extract(mutual_reachability_mst(points, params.min_samples), params.min_cluster_size, n)
 
 
 def recursive_cluster(

@@ -156,6 +156,8 @@ class TestPipeline:
             ({"workers": 2.0}, "config key 'workers' must be a JSON integer"),
             ({"out_dir": 3}, "config key 'out_dir' must be a JSON string"),
             ({"seed": -1}, "config key 'seed' must be a non-negative integer"),
+            ({"workers": 0}, "config key 'workers' must be a positive integer"),
+            ({"workers": -4}, "config key 'workers' must be a positive integer"),
             ({"stages": {"cluster": {"enabled": "false"}}}, "stage 'cluster': config key 'enabled' must be a JSON boolean"),
             ({"stages": {"cluster": {"enabled": 0}}}, "stage 'cluster': config key 'enabled' must be a JSON boolean"),
             ({"stages": {"cluster": {"enabled": None}}}, "stage 'cluster': config key 'enabled' must be a JSON boolean"),
@@ -169,7 +171,8 @@ class TestPipeline:
              "stage 'permanova': config key 'pairs' must be a non-empty list of increasing, decreasing"),
         ],
         ids=["config-list", "stages-list", "stage-false", "stage-list", "seed-string", "seed-bool",
-             "workers-string", "workers-float", "out-dir-number", "seed-negative", "enabled-string",
+             "workers-string", "workers-float", "out-dir-number", "seed-negative", "workers-zero",
+             "workers-negative", "enabled-string",
              "enabled-zero", "enabled-null", "freqs-string", "pairs-empty", "freqs-unknown", "pairs-both"],
     )
     def test_config_not_an_object_named_before_any_file(self, tmp_path, monkeypatch, capsys, config, named):
@@ -323,6 +326,22 @@ class TestPipeline:
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["merge", "--tree", "t.json", "--corpus", "c", "--out", "o.json"],
+            ["trajectories", "--corpus", "c", "--embeddings", "e.emb", "--out", "t.bin"],
+            ["permanova", "--traj", "t.bin", "--groups", "g.json", "--out", "p.json"],
+        ],
+        ids=["merge", "trajectories", "permanova"],
+    )
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_workers_flag_below_one_named_before_any_file(self, tmp_path, monkeypatch, capsys, argv, workers):
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--workers", workers]) == 1
+        assert capsys.readouterr().err == f"toxtraj {argv[0]}: error: --workers must be a positive integer\n"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
         "argv, named",
         [
             (["merge", "--tree", "t.json", "--corpus", "c", "--out", "o.json", "--scorer", "constant:9"],
@@ -361,6 +380,8 @@ class TestPipeline:
             run_pipeline(config)
         manifest = json.loads((tmp_path / "fail" / "manifest.json").read_text())
         assert manifest["failed_stage"] == "cluster"
+        failed = "failed at stage 'cluster': min_cluster_size must be at least 2"
+        assert f"root seed: {manifest['root_seed']}\n{failed}\n" in render_report(manifest)
         assert (tmp_path / "fail" / "corpus" / "posts.ndjson").exists()
 
     def test_env_seed_override(self, tmp_path, monkeypatch):

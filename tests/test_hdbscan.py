@@ -86,26 +86,36 @@ class TestCoreDistances:
             assert np.array_equal(core_distances(pts, ms), dense(pts, ms)), (pts.shape, ms)
 
 
+@pytest.mark.parametrize("entry", [core_distances, mutual_reachability_mst])
+@pytest.mark.parametrize(
+    "ms, message",
+    [(0, r"min_samples must be at least 1"), (-1, r"min_samples must be at least 1"),
+     (11, r"min_samples \(11\) exceeds point count \(10\)")],
+    ids=["zero", "negative", "above-n"],
+)
+def test_min_samples_outside_one_to_n_is_named(entry, ms, message):
+    pts = np.random.default_rng(42).normal(size=(10, 3))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        entry(pts, ms)
+
+
 class TestMst:
     def test_hand_case(self):
         pts = np.array([[0.0], [1.0], [3.0]])
-        cores = core_distances(pts, 2)
-        endpoints, weights = mutual_reachability_mst(pts, cores)
+        endpoints, weights = mutual_reachability_mst(pts, 2)
         assert weights.sum() == pytest.approx(3.0)
         edges = {frozenset(e) for e in endpoints.tolist()}
         assert edges == {frozenset({0, 1}), frozenset({1, 2})}
 
     def test_identical_points(self):
         pts = np.zeros((6, 2))
-        cores = core_distances(pts, 1)
-        _, weights = mutual_reachability_mst(pts, cores)
+        _, weights = mutual_reachability_mst(pts, 1)
         assert np.all(weights == 0.0)
 
     def test_dense_prim_oracle(self):
         rng = np.random.default_rng(2)
         pts = rng.normal(size=(150, 3))
-        cores = core_distances(pts, 10)
-        _, weights = mutual_reachability_mst(pts, cores)
+        _, weights = mutual_reachability_mst(pts, 10)
         ref_m = reference_mutual_reachability(
             [list(p) for p in pts], reference_core_distances([list(p) for p in pts], 10)
         )
@@ -132,7 +142,7 @@ class TestMst:
         # Tie-heavy: 25 grid positions, so many points coincide and weights repeat.
         grids = [(rng.integers(0, 5, size=(n, 2)).astype(float), ms) for n, ms in [(60, 1), (150, 4), (200, 12)]]
         for pts, ms in blobs + grids:
-            endpoints, weights = mutual_reachability_mst(pts, core_distances(pts, ms))
+            endpoints, weights = mutual_reachability_mst(pts, ms)
             rows = [list(p) for p in pts]
             ref = reference_prim(reference_mutual_reachability(rows, reference_core_distances(rows, ms)))
             assert weights.sum() == pytest.approx(sum(e[0] for e in ref), abs=1e-9)
@@ -142,8 +152,7 @@ class TestMst:
     def test_mreach_dominates_euclidean(self):
         rng = np.random.default_rng(4)
         pts = rng.normal(size=(80, 3))
-        cores = core_distances(pts, 6)
-        endpoints, weights = mutual_reachability_mst(pts, cores)
+        endpoints, weights = mutual_reachability_mst(pts, 6)
         for (u, v), w in zip(endpoints.tolist(), weights.tolist()):
             assert w >= np.linalg.norm(pts[u] - pts[v]) - 1e-12
 
@@ -173,7 +182,7 @@ def assert_same_mst(mine, ref):
 
 def assert_matches_dense_prim(points, min_samples):
     cores = core_distances(points, min_samples)
-    assert_same_mst(mutual_reachability_mst(points, cores), dense_prim_mst(points, cores))
+    assert_same_mst(mutual_reachability_mst(points, min_samples), dense_prim_mst(points, cores))
 
 
 @st.composite
@@ -191,7 +200,7 @@ class TestMstExact:
 
     def test_oriented_edges_match_reference_prim(self):
         for pts, ms in reference_instances():
-            endpoints, _ = mutual_reachability_mst(pts, core_distances(pts, ms))
+            endpoints, _ = mutual_reachability_mst(pts, ms)
             rows = [list(p) for p in pts]
             ref = reference_prim(reference_mutual_reachability(rows, reference_core_distances(rows, ms)))
             assert set(map(tuple, endpoints.tolist())) == {(i, j) for _, i, j in ref}
@@ -235,7 +244,7 @@ class TestMstExact:
         cores = core_distances(pts, ms)
         tracemalloc.start()
         try:
-            mst = mutual_reachability_mst(pts, cores)
+            mst = mutual_reachability_mst(pts, ms)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -249,7 +258,7 @@ class TestMstExact:
         with pytest.raises(ValueError, match=r"^point 17 has non-finite values$"):
             core_distances(pts, 5)
         with pytest.raises(ValueError, match=r"^point 17 has non-finite values$"):
-            mutual_reachability_mst(pts, np.ones(80))
+            mutual_reachability_mst(pts, 5)
 
 
 def neighbour_list_cases():
@@ -270,8 +279,7 @@ class TestNeighbourLists:
     def test_lists_every_point_within_the_bound_in_key_order(self, case):
         pts, ms = neighbour_list_cases()[case]
         n = len(pts)
-        cores = core_distances(pts, ms)
-        nbr, start, stop, bound = _neighbour_lists(pts, cores)
+        cores, nbr, start, stop, bound = _neighbour_lists(pts, ms)
         assert nbr.dtype == np.int32
         assert np.all(bound >= cores)
         assert np.all(np.isinf(bound)) == (n <= 65)
@@ -304,7 +312,7 @@ def single_linkage_cases():
     # A few hundred points on 9 grid positions: most weights tie, many at 0.
     grid = rng.integers(0, 3, size=(300, 2)).astype(float)
     blobs = np.vstack([c + 0.3 * rng.normal(size=(60, 3)) for c in rng.uniform(-4, 4, size=(3, 3))])
-    cases = [(mutual_reachability_mst(pts, core_distances(pts, ms)), len(pts))
+    cases = [(mutual_reachability_mst(pts, ms), len(pts))
              for pts, ms in [(grid, 1), (grid, 7), (blobs, 1), (blobs, 5), (grid[:2], 1)]]
     cases += [(random_tree(rng, n, k), n) for n, k in [(2, 1), (3, 1), (50, 3), (400, 2), (400, 1000)]]
     return cases
@@ -628,9 +636,9 @@ class TestSharedQuery:
         seen = []
         mst = hdbscan_module.mutual_reachability_mst
 
-        def captured(points, cores, *args):
-            result = mst(points, cores, *args)
-            seen.append((cores.copy(), result))
+        def captured(points, min_samples):
+            result = mst(points, min_samples)
+            seen.append((core_distances(points, min_samples), result))
             return result
 
         monkeypatch.setattr(hdbscan_module, "mutual_reachability_mst", captured)
