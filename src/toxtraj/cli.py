@@ -53,7 +53,7 @@ from .trajectory import (
     weekly_average,
     write_trajectories,
 )
-from .util import seed_for, sha256_file
+from .util import RANGES, range_error, seed_for, sha256_file
 
 SEED_ENV_VAR = "TOXTRAJ_SEED"
 
@@ -83,7 +83,7 @@ def _root_seed(config_seed: int) -> int:
         seed = int(env) if env else config_seed
     except ValueError:
         raise ValueError(f"{SEED_ENV_VAR} must be an integer, not {env!r}") from None
-    if seed < 0:
+    if seed < RANGES["seed"]:
         raise ValueError(f"{SEED_ENV_VAR} must be a non-negative integer, not {env!r}")
     return seed
 
@@ -447,8 +447,7 @@ def _param_error(param: Param, value) -> str | None:
     float, str or dict default, or else an int ``type``, takes a value of its
     JSON type: a bool is no number, and an int is a float. With no default,
     null is taken too. Any other ``type`` (``window_time``, ``scorer_kind``)
-    must then accept the value. A seed must be at least 0, and workers, a
-    thread count, at least 1."""
+    must then accept the value, and a key of ``RANGES`` a value in its range."""
     default = param.default
     if isinstance(default, tuple):
         if not (isinstance(value, (list, tuple)) and value and all(v in default for v in value)):
@@ -466,11 +465,7 @@ def _param_error(param: Param, value) -> str | None:
             param.type(value)
         except ValueError as exc:
             return f"is not valid ({exc})"
-    if param == SEED and value < 0:
-        return "must be a non-negative integer"
-    if param == WORKERS and value < 1:
-        return "must be a positive integer"
-    return None
+    return range_error(param.key, value) if param.key in RANGES else None
 
 
 def _check_config(config: dict) -> None:
@@ -548,7 +543,7 @@ def run_pipeline(config: dict, config_dir: Path | None = None) -> dict:
         for i, stage in enumerate(plan):
             name = stage.name
             cfg = stages_cfg.get(name, {})
-            started = time.time()
+            started = time.perf_counter()
             paths = {}
             for port in stage.inputs:
                 path = (sources if port.source else artifacts).get(port.name)
@@ -568,7 +563,7 @@ def run_pipeline(config: dict, config_dir: Path | None = None) -> dict:
                 {
                     "name": name,
                     "seed": stage_seed(root_seed, name),
-                    "wall_time_s": round(time.time() - started, 3),
+                    "wall_time_s": round(time.perf_counter() - started, 3),
                     # The process's peak so far, so it never falls: a stage that raises it set the peak.
                     "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
                     "inputs": {k: v for k, v in paths.items() if v is not None},

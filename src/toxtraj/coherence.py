@@ -20,8 +20,8 @@ import numpy as np
 
 from .corpus import Corpus
 from .hdbscan import ClusterTree, ClusterTreeNode
-from .stats import check_alpha, mann_whitney_u
-from .util import parallel_map, substream
+from .stats import mann_whitney_u
+from .util import check_range, parallel_map, substream
 
 
 DEFAULT_REPS = 30
@@ -316,10 +316,8 @@ def merge_pass(
     small to sample, or whose parent is, are auto-merged and counted in
     ``n_auto_merged``.
     """
-    check_alpha(alpha)
-    for name, value in (("reps", reps), ("n_in", n_in), ("n_out", n_out)):
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
+    for name, value in (("alpha", alpha), ("reps", reps), ("n_in", n_in), ("n_out", n_out)):
+        check_range(name, value)
     n_points = tree.n_points
     params = tree.params
     if corpus.embeddings is None or corpus.embeddings.n != n_points:

@@ -7,15 +7,15 @@ members, producing a multi-level cluster tree.
 
 The MST comes from Boruvka rounds over a k-d tree neighbour table (McInnes &
 Healy 2017, arXiv:1705.07321; March, Ram & Gray 2010), at every size. Point u
-lists every point within max(d_64(u), core_u), ties included, by k-nearest
-queries whose k doubles. The MST makes a pass's one k-d query, which gives
-each point both its core and its list: a first sweep over the query's rows
-takes the cores, bounds and unsorted lists, and a second, once every core is
-known, sorts each list by weight. ``core_distances`` reads its cores from
-that same query. Reachability weights tie often, so edges are compared by
-the total order (w, min(u, v), max(u, v)). Under it the MST is unique, and
-it is exactly the tree, weights and edge orientation included, that Prim's
-scan from vertex 0 builds.
+lists every point within max(d_K(u), core_u), K = _NEIGHBOURS, ties included,
+by k-nearest queries whose k doubles. The MST makes a pass's one k-d query,
+which gives each point both its core and its list: a first sweep over the
+query's rows takes the cores, bounds and unsorted lists, and a second, once
+every core is known, sorts each list by weight. ``core_distances`` reads its
+cores from that same query. Reachability weights tie often, so edges are
+compared by the total order (w, min(u, v), max(u, v)). Under it the MST is
+unique, and it is exactly the tree, weights and edge orientation included,
+that Prim's scan from vertex 0 builds.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.spatial import cKDTree
 
-from .util import JsonRecord
+from .util import JsonRecord, check_range
 
 # Nearest neighbours listed per point before round 1, ties at the last one included.
 _NEIGHBOURS = 64
@@ -48,9 +48,8 @@ class HdbscanParams(JsonRecord):
     metric: str = "euclidean"
 
     def __post_init__(self):
-        if self.min_cluster_size < 2:
-            raise ValueError("min_cluster_size must be at least 2")
-        _check_min_samples(self.min_samples)
+        check_range("min_cluster_size", self.min_cluster_size)
+        check_range("min_samples", self.min_samples)
         if self.metric != "euclidean":
             raise ValueError("only the euclidean metric is supported")
 
@@ -140,13 +139,6 @@ def _check_points(points: np.ndarray) -> None:
         raise ValueError(f"point {int(non_finite[0])} has non-finite values")
 
 
-def _check_min_samples(min_samples: int, n: float = np.inf) -> None:
-    if min_samples < 1:
-        raise ValueError("min_samples must be at least 1")
-    if min_samples > n:
-        raise ValueError(f"min_samples ({min_samples}) exceeds point count ({n})")
-
-
 def core_distances(points: np.ndarray, min_samples: int) -> np.ndarray:
     """Distance to the min_samples-th nearest neighbor, self counted first, from a pass's query."""
     return _query(np.asarray(points, dtype=np.float64), min_samples)[0]
@@ -164,7 +156,7 @@ def mutual_reachability_mst(points: np.ndarray, min_samples: int) -> tuple[np.nd
 
     - Before round 1, the pass's one k-d query (``_query``) gives each point
       u its core, the min_samples-th distance, and lists every point within
-      its bound R_u = max(d_64(u), core_u), or all n points when n <= 65,
+      R_u = max(d_K(u), core_u), K = _NEIGHBOURS, or all n when n <= K + 1,
       by queries whose k doubles while the k-th neighbour lies within R_u.
       Each list is sorted by (w, v), which for a fixed u is the key order,
       so a round reads a point's cheapest listed edge to another component
@@ -237,11 +229,11 @@ def _query(points: np.ndarray, min_samples: int):
     """The one k-d query of a clustering pass, and a first pass over its rows.
 
     It checks the points and min_samples first. Each point is queried once,
-    at k = min(n, max(64, min_samples) + 1), in batches of _CHUNK // k rows.
-    From its row a point takes its core, numpy's distance to column
-    min_samples - 1 (cKDTree's own can differ by 1-2 ulp), or 0 when
-    min_samples is 1; its bound R_u = max(d_64(u), core_u), or inf when
-    n <= 65; and the prefix of its row within R_u. A point whose last column
+    at k = min(n, max(K, min_samples) + 1), K = _NEIGHBOURS, in batches of
+    _CHUNK // k rows. From its row a point takes its core, numpy's distance
+    to column min_samples - 1 (cKDTree's own can differ by 1-2 ulp), or 0
+    when min_samples is 1; its bound R_u = max(d_K(u), core_u), or inf when
+    n <= K + 1; and the prefix of its row within R_u. A point whose last column
     still lies within R_u is queried again, with k doubled, on the same
     tree. No query's rows outlive their batch.
 
@@ -251,7 +243,9 @@ def _query(points: np.ndarray, min_samples: int):
     """
     n = points.shape[0]
     _check_points(points)
-    _check_min_samples(min_samples, n)
+    check_range("min_samples", min_samples)
+    if min_samples > n:
+        raise ValueError(f"min_samples ({min_samples}) exceeds point count ({n})")
     tree = cKDTree(points)
     cores = np.zeros(n)
     bound = np.full(n, np.inf)
@@ -501,8 +495,7 @@ def recursive_cluster(
     Recursion stops when a pass yields no cluster, when all clusters are at or
     below min_cluster_size, or at max_depth.
     """
-    if max_depth < 1:
-        raise ValueError("max_depth must be at least 1")
+    check_range("max_depth", max_depth)
     points = np.asarray(points, dtype=np.float64)
     nodes: dict[int, ClusterTreeNode] = {}
 

@@ -66,7 +66,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .util import JsonRecord, substream
+from .util import JsonRecord, check_range, substream
 
 DEFAULT_K = 15
 # Below this many training rows the full scan is about as fast as the tree
@@ -96,8 +96,7 @@ def fit_knn(points: np.ndarray, labels: Sequence[int], k: int = DEFAULT_K) -> Kn
     if points.ndim != 2 or points.shape[0] != labels.shape[0]:
         raise ValueError("points must be (m, d) with one label per row")
     m = points.shape[0]
-    if k < 1:
-        raise ValueError("k must be positive")
+    check_range("k", k)
     if m < k:
         raise ValueError(f"need at least k = {k} training points, got {m}")
     non_finite = np.flatnonzero(~np.isfinite(points).all(axis=1))

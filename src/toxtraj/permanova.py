@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import JsonRecord, parallel_map, substream
+from .util import JsonRecord, check_range, parallel_map, substream
 
 DEFAULT_PERMUTATIONS = 4999
 # Permutations drawn from one random stream, whose group sums one float32
@@ -154,8 +154,7 @@ def permanova_test(
     block is one worker task, so results do not depend on worker count.
     exceed = #{F_perm >= F_obs}; p = (1 + exceed) / (1 + n_permutations).
     """
-    if n_permutations < 1:
-        raise ValueError("at least 1 permutation is required")
+    check_range("n_permutations", n_permutations)
     a = _as_matrix(group_a, "group_a")
     b = _as_matrix(group_b, "group_b")
     if a.shape[1] != b.shape[1]:

@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .util import substream
+from .util import check_range, substream
 
 DEFAULT_OUTPUT_DIM = 5
 DEFAULT_SAMPLE_FRACTION = 0.10
@@ -55,10 +55,8 @@ def fit_on_sample(
     """
     values = np.asarray(values, dtype=np.float64)
     n, d = values.shape
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError("fraction must lie in (0, 1]")
-    if output_dim < 1:
-        raise ValueError(f"output_dim must be at least 1, got {output_dim}")
+    check_range("fraction", fraction)
+    check_range("dim", output_dim)
     if output_dim > d:
         raise ValueError("output_dim cannot exceed the input dimension")
     sample_size = max(int(fraction * n), output_dim + 1)

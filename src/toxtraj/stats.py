@@ -27,12 +27,6 @@ def t_cdf(t: float, df: float) -> float:
     return float(stdtr(df, t))
 
 
-def check_alpha(alpha: float) -> None:
-    """Refuses a significance level outside (0, 1]."""
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-
-
 def _check_finite(name: str, *arrays: np.ndarray) -> None:
     if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError(f"{name}: input has non-finite values")

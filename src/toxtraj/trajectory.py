@@ -21,8 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .corpus import Corpus, StudyWindow
-from .stats import check_alpha, ols_trend
-from .util import JsonRecord, parallel_map
+from .stats import ols_trend
+from .util import JsonRecord, check_range, parallel_map
 
 DEFAULT_MIN_POSTS = 50
 SIGNIFICANCE_ALPHA = 0.05
@@ -179,9 +179,8 @@ def build_groups(
     alpha: float = SIGNIFICANCE_ALPHA,
 ) -> GroupingResult:
     """Full grouping: active users, trend split, and matched references."""
-    check_alpha(alpha)
-    if min_posts < 0:
-        raise ValueError(f"min_posts must be at least 0, got {min_posts}")
+    check_range("alpha", alpha)
+    check_range("min_posts", min_posts)
     active = select_active_users(corpus, min_posts)
     result = assign_groups(corpus, [u for u, _ in active], alpha)
     pool = [(a.user_id, a.mean_toxicity) for a in result.assignments.values() if a.group == GROUP_NO_TREND]

@@ -12,6 +12,31 @@ from typing import Callable, Iterable, Optional, Sequence, Union, get_args, get_
 
 import numpy as np
 
+# The range of every stage value, by its config key: an int is the least value
+# an integer may take, _UNIT the interval (0, 1]. The stages and the CLI read
+# this one table, so a run refuses a value out of range before any file.
+_UNIT = (0, 1)
+RANGES = {
+    "seed": 0, "workers": 1, "dim": 1, "min_cluster_size": 2, "min_samples": 1, "max_depth": 1,
+    "reps": 1, "n_in": 1, "n_out": 1, "min_posts": 0, "n_permutations": 1, "k": 1,
+    "alpha": _UNIT, "fraction": _UNIT,
+}
+
+
+def range_error(name: str, value) -> Optional[str]:
+    """What is wrong with ``value`` as ``name``'s by ``RANGES``, or None. NaN lies in no range."""
+    least = RANGES[name]
+    if least is _UNIT:
+        return None if 0 < value <= 1 else f"must be in (0, 1], got {value}"
+    return None if value >= least else f"must be at least {least}, got {value}"
+
+
+def check_range(name: str, value) -> None:
+    """Raise ValueError naming ``name`` and its range unless ``value`` lies in it."""
+    error = range_error(name, value)
+    if error:
+        raise ValueError(f"{name} {error}")
+
 
 def _key_to_int(key) -> int:
     """Map a stream key (int or str) to a stable 64-bit integer."""

@@ -21,13 +21,18 @@ import toxtraj.cli as cli_mod
 import toxtraj.corpus as corpus_mod
 from toxtraj.corpus import DEFAULT_T0, DEFAULT_T_END, write_embeddings, write_posts
 from toxtraj.corpus import StudyWindow, read_embeddings
+from toxtraj.coherence import merge_pass
+from toxtraj.hdbscan import HdbscanParams, recursive_cluster
+from toxtraj.knn import fit_knn
+from toxtraj.permanova import permanova_test
+from toxtraj.reduce import fit_on_sample
 from toxtraj.synth import (
     ScenarioConfig,
     TrendMix,
     generate_user_streams,
     three_by_two_scenario,
 )
-from toxtraj.trajectory import read_trajectories
+from toxtraj.trajectory import build_groups, read_trajectories
 from toxtraj.util import sha256_file
 
 
@@ -155,9 +160,9 @@ class TestPipeline:
             ({"workers": "two"}, "config key 'workers' must be a JSON integer"),
             ({"workers": 2.0}, "config key 'workers' must be a JSON integer"),
             ({"out_dir": 3}, "config key 'out_dir' must be a JSON string"),
-            ({"seed": -1}, "config key 'seed' must be a non-negative integer"),
-            ({"workers": 0}, "config key 'workers' must be a positive integer"),
-            ({"workers": -4}, "config key 'workers' must be a positive integer"),
+            ({"seed": -1}, "config key 'seed' must be at least 0, got -1"),
+            ({"workers": 0}, "config key 'workers' must be at least 1, got 0"),
+            ({"workers": -4}, "config key 'workers' must be at least 1, got -4"),
             ({"stages": {"cluster": {"enabled": "false"}}}, "stage 'cluster': config key 'enabled' must be a JSON boolean"),
             ({"stages": {"cluster": {"enabled": 0}}}, "stage 'cluster': config key 'enabled' must be a JSON boolean"),
             ({"stages": {"cluster": {"enabled": None}}}, "stage 'cluster': config key 'enabled' must be a JSON boolean"),
@@ -248,6 +253,22 @@ class TestPipeline:
             ("ingest", "t0", "bogus", "is not valid (Invalid isoformat string: 'bogus')"),
             ("merge", "scorer", "bogus", "is not valid (unknown scorer kind: 'bogus')"),
             ("merge", "scorer", "constant:9", "is not valid (constant score must be in 1..5)"),
+            ("synth", "seed", -1, "must be at least 0, got -1"),
+            ("reduce", "dim", -2, "must be at least 1, got -2"),
+            ("reduce", "dim", 0, "must be at least 1, got 0"),
+            ("reduce", "fraction", 2.0, "must be in (0, 1], got 2.0"),
+            ("cluster", "min_cluster_size", 1, "must be at least 2, got 1"),
+            ("cluster", "min_samples", 0, "must be at least 1, got 0"),
+            ("cluster", "max_depth", 0, "must be at least 1, got 0"),
+            ("merge", "reps", 0, "must be at least 1, got 0"),
+            ("merge", "n_in", 0, "must be at least 1, got 0"),
+            ("merge", "n_out", 0, "must be at least 1, got 0"),
+            ("merge", "alpha", -1, "must be in (0, 1], got -1"),
+            ("groups", "alpha", 5, "must be in (0, 1], got 5"),
+            ("groups", "alpha", 0, "must be in (0, 1], got 0"),
+            ("groups", "min_posts", -1, "must be at least 0, got -1"),
+            ("permanova", "n_permutations", 0, "must be at least 1, got 0"),
+            ("assign", "k", 0, "must be at least 1, got 0"),
         ],
     )
     def test_stage_value_named_before_any_file(self, tmp_path, monkeypatch, capsys, stage, key, value, named):
@@ -266,45 +287,30 @@ class TestPipeline:
         assert sorted(os.listdir(tmp_path)) == ["config.json", "scenario.json"]
 
     @pytest.mark.parametrize(
-        "stage, key, value, named",
+        "call, named",
         [
-            ("reduce", "dim", -2, "output_dim must be at least 1, got -2"),
-            ("reduce", "dim", 0, "output_dim must be at least 1, got 0"),
-            ("merge", "reps", 0, "reps must be at least 1, got 0"),
-            ("merge", "n_in", 0, "n_in must be at least 1, got 0"),
-            ("merge", "n_out", 0, "n_out must be at least 1, got 0"),
+            (lambda: fit_on_sample(np.ones((10, 3)), output_dim=0), "dim must be at least 1, got 0"),
+            (lambda: fit_on_sample(np.ones((10, 3)), fraction=2.0), "fraction must be in (0, 1], got 2.0"),
+            (lambda: HdbscanParams(min_cluster_size=1, min_samples=1), "min_cluster_size must be at least 2, got 1"),
+            (lambda: HdbscanParams(min_cluster_size=2, min_samples=0), "min_samples must be at least 1, got 0"),
+            (lambda: recursive_cluster(np.ones((5, 2)), HdbscanParams(2, 1), max_depth=0), "max_depth must be at least 1, got 0"),
+            (lambda: merge_pass(None, None, None, alpha=5), "alpha must be in (0, 1], got 5"),
+            (lambda: merge_pass(None, None, None, reps=0), "reps must be at least 1, got 0"),
+            (lambda: merge_pass(None, None, None, n_in=0), "n_in must be at least 1, got 0"),
+            (lambda: merge_pass(None, None, None, n_out=0), "n_out must be at least 1, got 0"),
+            (lambda: build_groups(None, alpha=0), "alpha must be in (0, 1], got 0"),
+            (lambda: build_groups(None, min_posts=-1), "min_posts must be at least 0, got -1"),
+            (lambda: permanova_test(np.ones((3, 2)), np.ones((3, 2)), n_permutations=0), "n_permutations must be at least 1, got 0"),
+            (lambda: fit_knn(np.ones((3, 2)), [0, 0, 0], k=0), "k must be at least 1, got 0"),
         ],
+        ids=["reduce-dim", "reduce-fraction", "cluster-min-cluster-size", "cluster-min-samples", "cluster-max-depth",
+             "merge-alpha", "merge-reps", "merge-n-in", "merge-n-out", "groups-alpha", "groups-min-posts",
+             "permanova-n-permutations", "assign-k"],
     )
-    def test_stage_value_out_of_range_named_by_its_stage(self, tmp_path, stage, key, value, named):
-        small_scenario(tmp_path, n_users=6)
-        config = pipeline_config(tmp_path, out_name="bad")
-        config["stages"][stage] = {key: value}
-        with pytest.raises(RuntimeError, match=f"^{re.escape(f'stage {stage!r} failed: {named}')}$"):
-            run_pipeline(config)
-        assert not (tmp_path / "bad" / "topics.json").exists()
-        assert (tmp_path / "bad" / "reduced.emb").exists() == (stage == "merge")
-
-    @pytest.mark.parametrize(
-        "stage, key, value, named",
-        [
-            ("groups", "alpha", 5, "alpha must be in (0, 1], got 5"),
-            ("groups", "alpha", 0, "alpha must be in (0, 1], got 0"),
-            ("groups", "min_posts", -1, "min_posts must be at least 0, got -1"),
-            ("merge", "alpha", -1, "alpha must be in (0, 1], got -1"),
-        ],
-    )
-    def test_alpha_and_min_posts_out_of_range_named_by_their_stage(self, tmp_path, stage, key, value, named):
-        small_scenario(tmp_path, n_users=6)
-        config = pipeline_config(tmp_path, out_name="bad")
-        config["stages"][stage][key] = value
-        if stage == "groups":
-            # groups reads only the corpus; without these stages no topics.json is written either.
-            for name in ("reduce", "cluster", "merge"):
-                config["stages"][name] = {"enabled": False}
-        with pytest.raises(RuntimeError, match=f"^{re.escape(f'stage {stage!r} failed: {named}')}$"):
-            run_pipeline(config)
-        assert not (tmp_path / "bad" / "groups.json").exists()
-        assert not (tmp_path / "bad" / "topics.json").exists()
+    def test_library_entry_refuses_what_a_run_refuses(self, call, named):
+        # Direct callers of the library meet the same table as a run, before any input is read.
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+            call()
 
     def test_integer_taken_for_a_float_param(self, tmp_path):
         small_scenario(tmp_path, n_users=6)
@@ -338,7 +344,41 @@ class TestPipeline:
     def test_workers_flag_below_one_named_before_any_file(self, tmp_path, monkeypatch, capsys, argv, workers):
         monkeypatch.chdir(tmp_path)
         assert main([*argv, "--workers", workers]) == 1
-        assert capsys.readouterr().err == f"toxtraj {argv[0]}: error: --workers must be a positive integer\n"
+        assert capsys.readouterr().err == f"toxtraj {argv[0]}: error: --workers must be at least 1, got {workers}\n"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["synth", "--scenario", "s.json", "--out-dir", "s", "--seed", "-1"], "--seed must be at least 0, got -1"),
+            (["reduce", "--in", "e.emb", "--out", "r.emb", "--dim", "0"], "--dim must be at least 1, got 0"),
+            (["reduce", "--in", "e.emb", "--out", "r.emb", "--fraction", "2.0"], "--fraction must be in (0, 1], got 2.0"),
+            (["reduce", "--in", "e.emb", "--out", "r.emb", "--seed", "-1"], "--seed must be at least 0, got -1"),
+            (["cluster", "--in", "e.emb", "--out", "t.json", "--min-cluster-size", "1"],
+             "--min-cluster-size must be at least 2, got 1"),
+            (["cluster", "--in", "e.emb", "--out", "t.json", "--min-cluster-size", "60", "--min-samples", "0"],
+             "--min-samples must be at least 1, got 0"),
+            (["cluster", "--in", "e.emb", "--out", "t.json", "--min-cluster-size", "60", "--max-depth", "0"],
+             "--max-depth must be at least 1, got 0"),
+            (["merge", "--tree", "t.json", "--corpus", "c", "--out", "o.json", "--reps", "0"], "--reps must be at least 1, got 0"),
+            (["merge", "--tree", "t.json", "--corpus", "c", "--out", "o.json", "--n-in", "0"], "--n-in must be at least 1, got 0"),
+            (["merge", "--tree", "t.json", "--corpus", "c", "--out", "o.json", "--n-out", "0"], "--n-out must be at least 1, got 0"),
+            (["merge", "--tree", "t.json", "--corpus", "c", "--out", "o.json", "--alpha", "5"], "--alpha must be in (0, 1], got 5.0"),
+            (["groups", "--corpus", "c", "--out", "g.json", "--min-posts", "-1"], "--min-posts must be at least 0, got -1"),
+            (["groups", "--corpus", "c", "--out", "g.json", "--alpha", "0"], "--alpha must be in (0, 1], got 0.0"),
+            (["permanova", "--traj", "t.bin", "--groups", "g.json", "--out", "p.json", "--n-permutations", "0"],
+             "--n-permutations must be at least 1, got 0"),
+            (["assign", "--topics", "t.json", "--embeddings", "e.emb", "--traj", "t.bin", "--groups", "g.json",
+              "--out", "l.json", "--k", "0"], "--k must be at least 1, got 0"),
+        ],
+        ids=["synth-seed", "reduce-dim", "reduce-fraction", "reduce-seed", "cluster-min-cluster-size",
+             "cluster-min-samples", "cluster-max-depth", "merge-reps", "merge-n-in", "merge-n-out", "merge-alpha",
+             "groups-min-posts", "groups-alpha", "permanova-n-permutations", "assign-k"],
+    )
+    def test_stage_flag_out_of_range_named_before_any_file(self, tmp_path, monkeypatch, capsys, argv, named):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"toxtraj {argv[0]}: error: {named}\n"
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize(
@@ -375,12 +415,12 @@ class TestPipeline:
     def test_failing_stage_named_and_partial_outputs_kept(self, tmp_path):
         small_scenario(tmp_path)
         config = pipeline_config(tmp_path, out_name="fail")
-        config["stages"]["cluster"]["min_cluster_size"] = 1  # invalid
-        with pytest.raises(RuntimeError, match="cluster"):
+        config["stages"]["reduce"]["dim"] = 6  # above the embeddings' 5 dimensions, which only the data shows
+        with pytest.raises(RuntimeError, match="reduce"):
             run_pipeline(config)
         manifest = json.loads((tmp_path / "fail" / "manifest.json").read_text())
-        assert manifest["failed_stage"] == "cluster"
-        failed = "failed at stage 'cluster': min_cluster_size must be at least 2"
+        assert manifest["failed_stage"] == "reduce"
+        failed = "failed at stage 'reduce': output_dim cannot exceed the input dimension"
         assert f"root seed: {manifest['root_seed']}\n{failed}\n" in render_report(manifest)
         assert (tmp_path / "fail" / "corpus" / "posts.ndjson").exists()
 

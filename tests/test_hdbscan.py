@@ -89,7 +89,7 @@ class TestCoreDistances:
 @pytest.mark.parametrize("entry", [core_distances, mutual_reachability_mst])
 @pytest.mark.parametrize(
     "ms, message",
-    [(0, r"min_samples must be at least 1"), (-1, r"min_samples must be at least 1"),
+    [(0, r"min_samples must be at least 1, got 0"), (-1, r"min_samples must be at least 1, got -1"),
      (11, r"min_samples \(11\) exceeds point count \(10\)")],
     ids=["zero", "negative", "above-n"],
 )
@@ -282,7 +282,7 @@ class TestNeighbourLists:
         cores, nbr, start, stop, bound = _neighbour_lists(pts, ms)
         assert nbr.dtype == np.int32
         assert np.all(bound >= cores)
-        assert np.all(np.isinf(bound)) == (n <= 65)
+        assert np.all(np.isinf(bound)) == (n <= hdbscan_module._NEIGHBOURS + 1)
         for u in range(n):
             listed = nbr[start[u] : stop[u]].astype(np.int64)
             dist = np.sqrt(((pts - pts[u]) ** 2).sum(axis=1))
@@ -293,7 +293,7 @@ class TestNeighbourLists:
             left_off = np.ones(n, dtype=bool)
             left_off[listed] = False
             assert np.all(dist[left_off] > bound[u])
-            assert listed.size >= min(n, 64)
+            assert listed.size >= min(n, hdbscan_module._NEIGHBOURS)
 
 
 def random_tree(rng, n, n_weights):
