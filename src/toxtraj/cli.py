@@ -10,6 +10,7 @@ run`` and the per-stage subcommands are both generated from that table.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import resource
@@ -34,7 +35,7 @@ from .coherence import (
     level_counts,
     merge_pass,
 )
-from .corpus import StudyWindow, load_corpus, load_corpus_bundle, save_corpus, study_window
+from .corpus import StudyWindow, load_corpus, load_corpus_bundle, save_corpus
 from .hdbscan import ClusterTree, HdbscanParams, recursive_cluster
 from .knn import DEFAULT_K, fit_knn, label_trajectory
 from .permanova import DEFAULT_PERMUTATIONS, permanova_test
@@ -53,7 +54,7 @@ from .trajectory import (
     weekly_average,
     write_trajectories,
 )
-from .util import RANGES, range_error, seed_for, sha256_file
+from .util import RANGES, check_range, range_error, seed_for, sha256_file
 
 SEED_ENV_VAR = "TOXTRAJ_SEED"
 
@@ -105,11 +106,10 @@ def _read_window(path) -> StudyWindow:
 def run_ingest(posts, embeddings, window, out, t0, t_end) -> dict:
     # ``window`` (synth's window.json) sets the grids; t0/t_end override its span.
     base = _read_window(window)
-    window = study_window(
-        t0=base.t0 if t0 is None else t0,
-        t_end=base.t_end if t_end is None else t_end,
-        n_daily_grid=base.n_daily_grid,
-        week_len_days=base.week_len_days,
+    window = dataclasses.replace(
+        base,
+        t0=base.t0 if t0 is None else corpus_mod.window_time(t0),
+        t_end=base.t_end if t_end is None else corpus_mod.window_time(t_end),
     )
     corpus = load_corpus(posts, embeddings_path=embeddings, window=window)
     paths = save_corpus(corpus, out)
@@ -281,6 +281,7 @@ def run_synth(scenario, out, seed) -> dict:
     config = ScenarioConfig.load(scenario)
     if seed is not None:
         config.seed = seed
+    check_range("seed", config.seed)
     corpus, truth = generate_user_streams(config)
     paths = save_corpus(corpus, out)
     paths["truth"] = str(Path(out) / "truth.json")

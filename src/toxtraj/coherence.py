@@ -37,9 +37,9 @@ You are a computational social scientist evaluating the coherence of a specific 
 
 Evaluation Process:
 1. Examine two sets of tweets:
-   - In-topic examples: 30 randomly selected tweets classified as belonging to Topic A.
+   - In-topic examples: {n_in} randomly selected tweets classified as belonging to Topic A.
      {in_topic_examples}
-   - Out-topic examples: 30 randomly selected tweets classified as NOT belonging to Topic A.
+   - Out-topic examples: {n_out} randomly selected tweets classified as NOT belonging to Topic A.
      {out_topic_examples}
 
 2. Rate the coherence of Topic A on a 5-point Likert scale:
@@ -71,8 +71,9 @@ class CoherenceRequest:
     @cached_property
     def document(self) -> dict:
         """The request line a rater reads: task_id, node_id, rep, in_texts,
-        out_texts (an absent text as "") and prompt. The task id is the first
-        16 hex digits of the sha256 of the JSON of the other five keys."""
+        out_texts (an absent text as "") and the prompt, which states each
+        list's size. The task id is the first 16 hex digits of the sha256 of
+        the JSON of the other five keys."""
         in_texts = [t if t is not None else "" for t in self.in_texts]
         out_texts = [t if t is not None else "" for t in self.out_texts]
         doc = {
@@ -81,6 +82,8 @@ class CoherenceRequest:
             "in_texts": in_texts,
             "out_texts": out_texts,
             "prompt": COHERENCE_PROMPT_TEMPLATE.format(
+                n_in=len(in_texts),
+                n_out=len(out_texts),
                 in_topic_examples="\n     ".join(in_texts),
                 out_topic_examples="\n     ".join(out_texts),
             ),

@@ -77,25 +77,21 @@ def normalize_toxicity(raw: int) -> float:
     return (raw - 1) * 25.0
 
 
-def parse_utc(text: str) -> int:
-    """Parse an ISO-8601 timestamp (Z suffix allowed) to Unix seconds."""
-    cleaned = text.strip()
-    if cleaned.endswith("Z"):
-        cleaned = cleaned[:-1] + "+00:00"
-    dt = datetime.fromisoformat(cleaned)
+def window_time(value: int | str) -> int:
+    """Unix seconds of a time given as an integer, or as a string: Unix
+    seconds when all digits (the form window.json stores), else ISO-8601,
+    UTC when it names no zone (a Z suffix allowed)."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise CorpusError(f"a time is an integer or a string, not {value!r}")
+    if isinstance(value, int) or value.strip().isdigit():
+        return int(value)
+    text = value.strip()
+    if text.endswith("Z"):
+        text = text[:-1] + "+00:00"
+    dt = datetime.fromisoformat(text)
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return int(dt.timestamp())
-
-
-def window_time(value: int | str) -> int:
-    """Unix seconds of a time given as an integer, or as a string: ISO-8601,
-    or Unix seconds when all digits (the form window.json stores)."""
-    if isinstance(value, str):
-        return int(value) if value.strip().isdigit() else parse_utc(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise CorpusError(f"a time is an integer or a string, not {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -132,21 +128,6 @@ class StudyWindow(JsonRecord):
     def contains(self, timestamp):
         """Whether each timestamp (an int or an array) lies in the window."""
         return (self.t0 <= timestamp) & (timestamp <= self.t_end)
-
-
-def study_window(
-    t0: int | str | None = None,
-    t_end: int | str | None = None,
-    n_daily_grid: int = DEFAULT_DAILY_GRID,
-    week_len_days: int = DEFAULT_WEEK_LEN_DAYS,
-) -> StudyWindow:
-    """Build a StudyWindow, defaults as above; ``window_time`` reads t0 and t_end."""
-    return StudyWindow(
-        t0=DEFAULT_T0 if t0 is None else window_time(t0),
-        t_end=DEFAULT_T_END if t_end is None else window_time(t_end),
-        n_daily_grid=n_daily_grid,
-        week_len_days=week_len_days,
-    )
 
 
 @dataclass

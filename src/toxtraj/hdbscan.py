@@ -8,14 +8,14 @@ members, producing a multi-level cluster tree.
 The MST comes from Boruvka rounds over a k-d tree neighbour table (McInnes &
 Healy 2017, arXiv:1705.07321; March, Ram & Gray 2010), at every size. Point u
 lists every point within max(d_K(u), core_u), K = _NEIGHBOURS, ties included,
-by k-nearest queries whose k doubles. The MST makes a pass's one k-d query,
-which gives each point both its core and its list: a first sweep over the
-query's rows takes the cores, bounds and unsorted lists, and a second, once
-every core is known, sorts each list by weight. ``core_distances`` reads its
-cores from that same query. Reachability weights tie often, so edges are
-compared by the total order (w, min(u, v), max(u, v)). Under it the MST is
-unique, and it is exactly the tree, weights and edge orientation included,
-that Prim's scan from vertex 0 builds.
+by k-nearest queries whose k doubles. ``_neighbour_lists`` makes a pass's
+one k-d query, which gives each point both its core and its list: a first
+sweep over the query's rows takes the cores, bounds and unsorted lists, and a
+second, once every core is known, sorts each list by weight.
+``core_distances`` reads its cores from that same query. Reachability
+weights tie often, so edges are compared by the total order (w, min(u, v),
+max(u, v)). Under it the MST is unique, and it is exactly the tree, weights
+and edge orientation included, that Prim's scan from vertex 0 builds.
 """
 from __future__ import annotations
 
@@ -141,7 +141,7 @@ def _check_points(points: np.ndarray) -> None:
 
 def core_distances(points: np.ndarray, min_samples: int) -> np.ndarray:
     """Distance to the min_samples-th nearest neighbor, self counted first, from a pass's query."""
-    return _query(np.asarray(points, dtype=np.float64), min_samples)[0]
+    return _neighbour_lists(np.asarray(points, dtype=np.float64), min_samples)[0]
 
 
 def mutual_reachability_mst(points: np.ndarray, min_samples: int) -> tuple[np.ndarray, np.ndarray]:
@@ -154,10 +154,10 @@ def mutual_reachability_mst(points: np.ndarray, min_samples: int) -> tuple[np.nd
     Boruvka rounds: every component takes its cheapest leaving edge, and
     all of them join the tree; under a total order they form a forest.
 
-    - Before round 1, the pass's one k-d query (``_query``) gives each point
-      u its core, the min_samples-th distance, and lists every point within
-      R_u = max(d_K(u), core_u), K = _NEIGHBOURS, or all n when n <= K + 1,
-      by queries whose k doubles while the k-th neighbour lies within R_u.
+    - Before round 1, ``_neighbour_lists`` gives each point u its core, the
+      min_samples-th distance, and lists every point within R_u =
+      max(d_K(u), core_u), K = _NEIGHBOURS, or all n when n <= K + 1, by
+      queries whose k doubles while the k-th neighbour lies within R_u.
       Each list is sorted by (w, v), which for a fixed u is the key order,
       so a round reads a point's cheapest listed edge to another component
       at a pointer that only moves forward.
@@ -225,21 +225,23 @@ def _mr_weights(points: np.ndarray, cores: np.ndarray, u: np.ndarray, v: np.ndar
     return out
 
 
-def _query(points: np.ndarray, min_samples: int):
-    """The one k-d query of a clustering pass, and a first pass over its rows.
+def _neighbour_lists(points: np.ndarray, min_samples: int):
+    """The one k-d query of a clustering pass: each point's core, and its
+    neighbour list sorted by (weight, index) with its bound.
 
     It checks the points and min_samples first. Each point is queried once,
     at k = min(n, max(K, min_samples) + 1), K = _NEIGHBOURS, in batches of
     _CHUNK // k rows. From its row a point takes its core, numpy's distance
-    to column min_samples - 1 (cKDTree's own can differ by 1-2 ulp), or 0
-    when min_samples is 1; its bound R_u = max(d_K(u), core_u), or inf when
-    n <= K + 1; and the prefix of its row within R_u. A point whose last column
-    still lies within R_u is queried again, with k doubled, on the same
-    tree. No query's rows outlive their batch.
+    to column min_samples - 1 (cKDTree's own can differ by 1-2 ulp; column 0
+    lies at distance 0); its bound R_u = max(d_K(u), core_u), or inf when
+    n <= K + 1; and the prefix of its row within R_u. A point whose last
+    column still lies within R_u is queried again, with k doubled, on the
+    same tree; no query's rows outlive their batch. Once every core is
+    known, the lists are sorted in place, one query batch at a time.
 
-    Returns (cores, nbr, start, stop, bound, batches): point u's unsorted
-    list is nbr[start[u]:stop[u]], and each entry of ``batches`` holds the
-    rows that one query batch listed, at most _CHUNK entries together.
+    Returns (cores, nbr, start, stop, bound): point u lists
+    nbr[start[u]:stop[u]], and every point it does not list is farther than
+    bound[u] >= core_u.
     """
     n = points.shape[0]
     _check_points(points)
@@ -264,7 +266,7 @@ def _query(points: np.ndarray, min_samples: int):
         for s in range(0, pending.size, step):
             rows = pending[s : s + step]
             dist, idx = tree.query(points[rows], k=k)
-            if first and min_samples > 1:
+            if first:
                 cores[rows] = np.sqrt(((points[rows] - points[idx[:, min_samples - 1]]) ** 2).sum(axis=1))
             if first and n > _NEIGHBOURS + 1:
                 bound[rows] = np.maximum(dist[:, _NEIGHBOURS - 1], cores[rows])
@@ -283,18 +285,7 @@ def _query(points: np.ndarray, min_samples: int):
         pending = np.concatenate(again)
         k = min(n, 2 * k)
         first = False
-    return cores, np.concatenate(pieces), start, stop, bound, batches
-
-
-def _neighbour_lists(points: np.ndarray, min_samples: int):
-    """The pass's cores, and neighbour lists sorted by (weight, index) with their bounds.
-
-    Returns (cores, nbr, start, stop, bound): point u lists
-    nbr[start[u]:stop[u]], and every point it does not list is farther than
-    bound[u] >= core_u. ``_query``'s lists are sorted in place, one query
-    batch at a time.
-    """
-    cores, nbr, start, stop, bound, batches = _query(points, min_samples)
+    nbr = np.concatenate(pieces)
     for rows in batches:
         lengths = stop[rows] - start[rows]
         within = np.arange(lengths.max(initial=0)) < lengths[:, None]

@@ -68,18 +68,14 @@ def substream(root_seed: int, *keys) -> np.random.Generator:
 def parallel_map(fn: Callable, items: Sequence, workers: int = 1) -> list:
     """Map fn over items, optionally on a thread pool.
 
-    Results are slotted by input index, so output is identical for any
+    Results come back in input order, so output is identical for any
     worker count as long as fn(item) itself is deterministic.
     """
     items = list(items)
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    results: list = [None] * len(items)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(fn, item): i for i, item in enumerate(items)}
-        for future, i in futures.items():
-            results[i] = future.result()
-    return results
+        return list(pool.map(fn, items))
 
 
 class JsonRecord:

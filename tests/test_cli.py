@@ -412,6 +412,23 @@ class TestPipeline:
         manifest = run_pipeline({"seed": 1, "out_dir": str(tmp_path / "keys"), "workers": 1, "stages": stages})
         assert [s["name"] for s in manifest["stages"]] == ["synth", "ingest", "groups"]
 
+    def test_relative_source_paths_tried_against_config_dir_then_working_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("cfg").mkdir()
+        small_scenario(tmp_path / "cfg", n_users=6)
+        Path("scenario.json").write_text("not a scenario")  # shadowed by cfg/scenario.json
+        assert main(["synth", "--scenario", "cfg/scenario.json", "--out-dir", "data"]) == 0
+        stages = {stage.name: {"enabled": False} for stage in cli_mod.STAGES}
+        stages["synth"] = {"scenario": "scenario.json"}
+        stages["ingest"] = {"posts": "data/posts.ndjson"}  # no cfg/data/ exists
+        Path("cfg/config.json").write_text(json.dumps({"out_dir": "run", "stages": stages}))
+        assert main(["run", "--config", "cfg/config.json"]) == 0
+        manifest = json.loads(Path("run/manifest.json").read_text())
+        synth, ingest = manifest["stages"]
+        assert synth["inputs"] == {"scenario": str(Path("cfg/scenario.json"))}
+        assert ingest["inputs"]["posts"] == str(Path("data/posts.ndjson"))
+        assert ingest["summary"]["n_posts"] == synth["summary"]["n_posts"]
+
     def test_failing_stage_named_and_partial_outputs_kept(self, tmp_path):
         small_scenario(tmp_path)
         config = pipeline_config(tmp_path, out_name="fail")
@@ -423,6 +440,23 @@ class TestPipeline:
         failed = "failed at stage 'reduce': output_dim cannot exceed the input dimension"
         assert f"root seed: {manifest['root_seed']}\n{failed}\n" in render_report(manifest)
         assert (tmp_path / "fail" / "corpus" / "posts.ndjson").exists()
+
+    def test_scenario_seed_out_of_range_named(self, tmp_path, monkeypatch, capsys):
+        # The scenario file's own seed, read only when the stage's config or flag sets none.
+        monkeypatch.chdir(tmp_path)
+        small_scenario(tmp_path, seed=-1, n_users=6)
+        assert main(["synth", "--scenario", "scenario.json", "--out-dir", "s"]) == 1
+        assert capsys.readouterr().err == "toxtraj synth: error: seed must be at least 0, got -1\n"
+        assert os.listdir(tmp_path) == ["scenario.json"]
+        stages = {stage.name: {"enabled": False} for stage in cli_mod.STAGES}
+        stages["synth"] = {"scenario": "scenario.json"}
+        with pytest.raises(RuntimeError, match=r"^stage 'synth' failed: seed must be at least 0, got -1$"):
+            run_pipeline({"out_dir": "bad", "stages": stages})
+        assert json.loads(Path("bad/manifest.json").read_text())["failed_stage"] == "synth"
+        stages["synth"]["seed"] = 4
+        manifest = run_pipeline({"out_dir": "good", "stages": stages})
+        assert [s["name"] for s in manifest["stages"]] == ["synth"]
+        assert manifest["stages"][0]["summary"]["n_users"] == 6
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         small_scenario(tmp_path)

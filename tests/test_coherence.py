@@ -7,6 +7,7 @@ from oracles import exact_u_pvalue_greater, t_interval
 from toxtraj.coherence import (
     KEEP,
     MERGE,
+    CoherenceRequest,
     ConstantCoherenceScorer,
     ExternalCoherenceScorer,
     PendingExternalScores,
@@ -321,6 +322,54 @@ class TestExternalExchange:
         corpus.posts.text[corpus.posts.text.index(edited)] = edited + " (edited)"
         with pytest.raises(ValueError, match="lack responses"):
             merge_pass(tree, corpus, ExternalCoherenceScorer(req_path, resp_path), seed=21)
+
+
+# The rater's prompt at the default 30 in / 30 out samples, written out.
+DEFAULT_PROMPT = """Task Description:
+You are a computational social scientist evaluating the coherence of a specific topic ("Topic A") discovered in a collection of tweets.
+
+Evaluation Process:
+1. Examine two sets of tweets:
+   - In-topic examples: 30 randomly selected tweets classified as belonging to Topic A.
+     {}
+   - Out-topic examples: 30 randomly selected tweets classified as NOT belonging to Topic A.
+     {}
+
+2. Rate the coherence of Topic A on a 5-point Likert scale:
+   - 5: Highly coherent.
+   - 4: Moderately coherent.
+   - 3: Neutral.
+   - 2: Somewhat incoherent.
+   - 1: Highly incoherent.
+
+Note:
+Relevance to U.S. immigration alone does not imply coherence. Evaluate distinctness of subtopics.
+
+Output Format:
+Coherence: {{coherence rate}}
+"""
+
+
+def request(n_in, n_out):
+    in_texts = [f"in {i}" for i in range(n_in)]
+    out_texts = [None if i == 4 else f"out {i}" for i in range(n_out)]
+    return CoherenceRequest(3, 1, np.zeros((n_in, 2)), np.zeros((n_out, 2)), in_texts, out_texts)
+
+
+class TestRequestLine:
+    def test_prompt_states_each_sample_size(self):
+        prompt = request(5, 7).document["prompt"]
+        assert "In-topic examples: 5 randomly selected tweets" in prompt
+        assert "Out-topic examples: 7 randomly selected tweets" in prompt
+        assert "30" not in prompt
+
+    def test_default_request_line_unchanged(self):
+        doc = request(30, 30).document
+        in_lines = "\n     ".join(f"in {i}" for i in range(30))
+        out_lines = "\n     ".join("" if i == 4 else f"out {i}" for i in range(30))
+        assert doc["prompt"] == DEFAULT_PROMPT.format(in_lines, out_lines)
+        # A rater's responses to an earlier request file keep matching their tasks.
+        assert doc["task_id"] == "6c333b1ef990b298"
 
 
 class TestResponseFile:

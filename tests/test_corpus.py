@@ -27,7 +27,7 @@ from toxtraj.corpus import (
     read_posts,
     save_corpus,
     sidecar_path,
-    study_window,
+    window_time,
     write_embeddings,
     write_posts,
 )
@@ -69,12 +69,12 @@ class TestNormalizeToxicity:
 
 class TestStudyWindow:
     def test_defaults(self):
-        window = study_window()
+        window = StudyWindow()
         assert window.n_daily_grid == DEFAULT_DAILY_GRID == 194
         assert window.tau_grid().shape == (194,)
 
     def test_grid_formula(self):
-        window = study_window(t0=0, t_end=86400 * 9, n_daily_grid=10)
+        window = StudyWindow(t0=0, t_end=86400 * 9, n_daily_grid=10)
         grid = window.tau_grid()
         assert np.allclose(grid, np.arange(10) / 9.0)
 
@@ -88,15 +88,17 @@ class TestStudyWindow:
 
     def test_invalid_window(self):
         with pytest.raises(CorpusError):
-            study_window(t0=100, t_end=100)
+            StudyWindow(t0=100, t_end=100)
 
     def test_iso_parsing(self):
-        window = study_window(t0="2023-04-17T00:00:00Z", t_end="2023-10-27T23:59:00Z")
+        window = StudyWindow(
+            t0=window_time("2023-04-17T00:00:00Z"), t_end=window_time("2023-10-27T23:59:00Z")
+        )
         assert window.t0 == DEFAULT_T0
         assert window.t_end == DEFAULT_T_END
 
     def test_n_weeks(self):
-        assert study_window().n_weeks == 27
+        assert StudyWindow().n_weeks == 27
 
 
 class TestLoadCorpus:
