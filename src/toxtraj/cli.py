@@ -4,8 +4,8 @@ report rendering. A single root seed (config or TOXTRAJ_SEED) feeds every
 stage through named substreams, so any stage can be replayed in isolation.
 
 ``STAGES`` declares each stage once: the files it reads and writes and its
-parameters with their defaults; ``run_<stage>`` does its work. ``toxtraj
-run`` and the per-stage subcommands are both generated from that table.
+parameters with their defaults; ``run_<stage>`` does its work and returns
+its summary. ``toxtraj run`` and the subcommands come from that table.
 """
 from __future__ import annotations
 
@@ -42,10 +42,7 @@ from .permanova import DEFAULT_PERMUTATIONS, permanova_test
 from .synth import ScenarioConfig, generate_user_streams
 from .trajectory import (
     DEFAULT_MIN_POSTS,
-    GROUP_DECREASING,
-    GROUP_INCREASING,
-    REF_DECREASING,
-    REF_INCREASING,
+    PAIRS,
     GroupingResult,
     build_groups,
     build_trajectories,
@@ -125,7 +122,7 @@ def run_reduce(embeddings, out, dim, fraction, seed) -> dict:
     matrix = corpus_mod.read_embeddings(embeddings)
     model = reduce_mod.fit_on_sample(matrix.values, fraction=fraction, output_dim=dim, seed=seed)
     corpus_mod.write_embeddings(out, reduce_mod.transform(model, matrix.values), matrix.row_ids)
-    return {"outputs": {"embeddings": str(out)}, "dim": dim}
+    return {"dim": dim}
 
 
 def run_cluster(embeddings, out, min_cluster_size, min_samples, max_depth) -> dict:
@@ -137,7 +134,6 @@ def run_cluster(embeddings, out, min_cluster_size, min_samples, max_depth) -> di
     tree.save(out)
     per_level = Counter(node.level for node in tree.nodes.values())
     return {
-        "outputs": {"tree": str(out)},
         "nodes_per_level": dict(sorted(per_level.items())),
         "n_outliers": int(tree.outlier_rows().size),
     }
@@ -169,7 +165,6 @@ def run_merge(tree, corpus, out, scorer, alpha, seed, reps, n_in, n_out, workers
     )
     topics.save(out)
     return {
-        "outputs": {"topics": str(out)},
         "level_counts": level_counts(topics),
         "n_outliers": topics.n_outliers,
         "n_auto_merged": topics.n_auto_merged,
@@ -180,7 +175,6 @@ def run_groups(corpus, out, min_posts, alpha) -> dict:
     grouping = build_groups(corpus, min_posts=min_posts, alpha=alpha)
     grouping.save(out)
     return {
-        "outputs": {"groups": str(out)},
         "group_sizes": grouping.group_sizes(),
         "reference_overlap": grouping.reference_overlap,
     }
@@ -189,32 +183,29 @@ def run_groups(corpus, out, min_posts, alpha) -> dict:
 def run_trajectories(corpus, out, workers) -> dict:
     user_ids, paths, report = build_trajectories(corpus, workers=workers)
     write_trajectories(out, user_ids, paths)
-    return {"outputs": {"trajectories": str(out)}, **report}
+    return report
 
 
-PAIR_GROUPS = {
-    "increasing": (GROUP_INCREASING, REF_INCREASING),
-    "decreasing": (GROUP_DECREASING, REF_DECREASING),
-}
-
-
-def _member_paths(user_ids, paths, grouping: GroupingResult, group: str) -> np.ndarray:
-    """The paths of ``group``'s members that have a trajectory, in member order."""
+def _group_paths(trajectories, groups, corpus) -> tuple[int, dict[str, np.ndarray]]:
+    """The week length of bundle ``corpus``'s window, and each group of ``PAIRS`` by name, trend
+    groups first: the daily paths of its members in ``trajectories``, in member order."""
+    week_len = _read_window(corpus and Path(corpus) / "window.json").week_len_days
+    user_ids, paths = read_trajectories(trajectories)
     index = {u: i for i, u in enumerate(user_ids)}
-    return paths[[index[u] for u in grouping.members(group) if u in index]]
+    grouping = GroupingResult.load(groups)
+    return week_len, {
+        group: paths[[index[u] for u in grouping.members(group) if u in index]]
+        for side in zip(*PAIRS.values()) for group in side
+    }
 
 
 def run_permanova(trajectories, groups, corpus, out, pairs, freqs, n_permutations, seed, workers) -> dict:
-    # ``trajectories`` must hold the daily grid; weekly vectors are derived
-    # from it with the week length of ``corpus``'s window.
-    week_len = _read_window(corpus and Path(corpus) / "window.json").week_len_days
-    user_ids, daily = read_trajectories(trajectories)
-    grouping = GroupingResult.load(groups)
-    by_freq = {freq: daily if freq == "daily" else weekly_average(daily, week_len) for freq in freqs}
+    # ``trajectories`` must hold the daily grid, whose weeks the weekly vectors average.
+    week_len, paths = _group_paths(trajectories, groups, corpus)
     rows = []
     for pair in pairs:
         for freq in freqs:
-            a, b = (_member_paths(user_ids, by_freq[freq], grouping, group) for group in PAIR_GROUPS[pair])
+            a, b = (paths[group] if freq == "daily" else weekly_average(paths[group], week_len) for group in PAIRS[pair])
             if len(a) == 0 or len(b) == 0:
                 rows.append({"pair": pair, "freq": freq, "skipped": "empty group"})
                 continue
@@ -224,17 +215,16 @@ def run_permanova(trajectories, groups, corpus, out, pairs, freqs, n_permutation
                 seed=stage_seed(seed, f"permanova-{pair}-{freq}"), workers=workers,
             )
             rows.append({"pair": pair, "freq": freq, **result.to_json()})
-    doc = {"rows": rows}
+    text = json.dumps({"rows": rows}, indent=2)
     if out is None:
-        print(json.dumps(doc, indent=2))
-        return {"outputs": {}, "n_rows": len(rows)}
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-    return {"outputs": {"permanova": str(out)}, "n_rows": len(rows)}
+        print(text)
+    else:
+        Path(out).write_text(text, encoding="utf-8")
+    return {"n_rows": len(rows)}
 
 
 def run_assign(topics, embeddings, trajectories, groups, corpus, out, k) -> dict:
-    week_len = _read_window(corpus and Path(corpus) / "window.json").week_len_days
+    week_len, paths = _group_paths(trajectories, groups, corpus)
     topics = TopicTree.load(topics)
     matrix = corpus_mod.read_embeddings(embeddings)
     assignment = topics.topic_of_rows()
@@ -243,14 +233,11 @@ def run_assign(topics, embeddings, trajectories, groups, corpus, out, k) -> dict
     if labeled_rows.size == 0:
         raise ValueError("no rows are assigned to surviving topics")
     model = fit_knn(matrix.values[labeled_rows], assignment[labeled_rows], k=k)
-    user_ids, paths = read_trajectories(trajectories)
-    grouping = GroupingResult.load(groups)
     topic_toxicity = {
         n.node_id: n.mean_toxicity for n in topics.surviving()
     }
     groups_doc = {}
-    for name in (GROUP_INCREASING, GROUP_DECREASING, REF_INCREASING, REF_DECREASING):
-        members = _member_paths(user_ids, paths, grouping, name)
+    for name, members in paths.items():
         if len(members) == 0:
             continue
         avg_daily = group_average_trajectory(members)
@@ -272,9 +259,8 @@ def run_assign(topics, embeddings, trajectories, groups, corpus, out, k) -> dict
             ],
         }
     doc = {"k": k, "topics": sorted(leaf_ids), "groups": groups_doc}
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-    return {"outputs": {"labeled": str(out)}, "n_training_rows": int(labeled_rows.size)}
+    Path(out).write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    return {"n_training_rows": int(labeled_rows.size)}
 
 
 def run_synth(scenario, out, seed) -> dict:
@@ -397,7 +383,7 @@ STAGES = (
                   Port("groups", "--groups"),
                   Port("corpus", "--corpus", required=False, help=BUNDLE_WINDOW)),
           outputs=Port("permanova", "--out", path="permanova.json", required=False, help="result JSON path (default: stdout)"),
-          params=(Param("pairs", tuple(PAIR_GROUPS)),
+          params=(Param("pairs", tuple(PAIRS)),
                   Param("freqs", ("daily", "weekly")),
                   Param("n_permutations", PIPELINE_DEFAULTS["n_permutations"]),
                   SEED,
@@ -424,15 +410,16 @@ def _execute(stage: Stage, kwargs: dict, held=None):
     A corpus-reading stage gets the loaded corpus in place of its ``corpus``
     path: from ``held``, the (corpus, embeddings path) pair the previous stage
     left, else from disk by ``load_corpus_bundle`` with its ``embeddings``
-    input. Returns the stage's result and the pair it leaves for the next
-    stage."""
+    input. Returns the stage's result, whose ``outputs`` maps the output's
+    name to ``out`` (empty if None) unless the stage maps its own files, and
+    the pair it leaves for the next stage."""
     if stage.name in READS_CORPUS:
         bundle = Path(kwargs["corpus"])
         wanted = Path(kwargs.pop("embeddings", None) or (held[1] if held else bundle / "embeddings.emb"))
         if not held or held[1] != wanted:
             held = load_corpus_bundle(bundle, wanted), wanted
         kwargs["corpus"] = held[0]
-    result = stage.fn(**kwargs)
+    result = {"outputs": {} if kwargs["out"] is None else {stage.outputs.name: str(kwargs["out"])}, **stage.fn(**kwargs)}
     if "corpus" in result:
         held = result.pop("corpus"), Path(kwargs["out"]) / "embeddings.emb"
     return result, held
@@ -559,7 +546,7 @@ def run_pipeline(config: dict, config_dir: Path | None = None) -> dict:
             result, held = _execute(stage, dict(paths, out=out, **params), held)
             if i + 1 == len(plan) or plan[i + 1].name not in READS_CORPUS:
                 held = None
-            outputs = result.get("outputs", {})
+            outputs = result["outputs"]
             manifest["stages"].append(
                 {
                     "name": name,
@@ -652,7 +639,7 @@ def render_report(manifest: dict) -> str:
         corpus = load_corpus(listed("ingest", "posts"), window=window)
         week_seconds = window.week_len_days * 86400
         sections.append("## Weekly mean toxicity by group\n")
-        names = [GROUP_INCREASING, REF_INCREASING, GROUP_DECREASING, REF_DECREASING]
+        names = [group for pair in PAIRS.values() for group in pair]
         columns = []
         for name in names:
             # Members in member order, each one's posts in canonical order.

@@ -163,26 +163,28 @@ class ExternalCoherenceScorer:
     def _load_responses(self) -> dict[str, int]:
         """task_id -> score; a bad line raises ValueError naming its number."""
         responses: dict[str, int] = {}
-        with open(self.responses_path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                where = f"response line {line_no}"
-                try:
-                    doc = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"{where}: invalid JSON ({exc.msg})") from None
-                if not isinstance(doc, dict):
-                    raise ValueError(f"{where}: expected a JSON object")
-                task_id, score = doc.get("task_id"), doc.get("coherence")
-                if not isinstance(task_id, str):
-                    raise ValueError(f"{where}: task_id must be a string, got {task_id!r}")
-                if isinstance(score, bool) or score not in (1, 2, 3, 4, 5):
-                    raise ValueError(f"{where}: coherence must be an integer in 1..5, got {score!r}")
-                if task_id in responses:
-                    raise ValueError(f"{where}: task_id {task_id!r} repeats an earlier line")
-                responses[task_id] = int(score)
+        for line_no, raw in enumerate(Path(self.responses_path).read_bytes().splitlines(), start=1):
+            where = f"response line {line_no}"
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{self.responses_path}: {where}: not valid UTF-8 ({exc.reason})") from None
+            if not line:
+                continue
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{where}: invalid JSON ({exc.msg})") from None
+            if not isinstance(doc, dict):
+                raise ValueError(f"{where}: expected a JSON object")
+            task_id, score = doc.get("task_id"), doc.get("coherence")
+            if not isinstance(task_id, str):
+                raise ValueError(f"{where}: task_id must be a string, got {task_id!r}")
+            if isinstance(score, bool) or score not in (1, 2, 3, 4, 5):
+                raise ValueError(f"{where}: coherence must be an integer in 1..5, got {score!r}")
+            if task_id in responses:
+                raise ValueError(f"{where}: task_id {task_id!r} repeats an earlier line")
+            responses[task_id] = int(score)
         return responses
 
     def write_requests(self, requests: list[CoherenceRequest]) -> None:
@@ -338,7 +340,7 @@ def merge_pass(
         key=lambda n: n.node_id,
     )
     requests = {n.node_id: [build_request(n, corpus, rep, n_in, n_out, seed) for rep in range(reps)] for n in scoreable}
-    if isinstance(scorer, ExternalCoherenceScorer):
+    if requests and isinstance(scorer, ExternalCoherenceScorer):
         scorer.resolve([req for node_requests in requests.values() for req in node_requests])
 
     def score_node(node: TopicNode) -> list[int]:

@@ -32,6 +32,7 @@ GROUP_DECREASING = "Decreasing"
 GROUP_NO_TREND = "NoTrend"
 REF_INCREASING = "IncreasingRef"
 REF_DECREASING = "DecreasingRef"
+PAIRS = {"increasing": (GROUP_INCREASING, REF_INCREASING), "decreasing": (GROUP_DECREASING, REF_DECREASING)}
 
 TRAJ_MAGIC = b"TRJ1"
 
@@ -368,7 +369,10 @@ def read_trajectories(path) -> tuple[list[str], np.ndarray]:
         paths = np.empty((n, t_steps, k), dtype=np.float64)
         for i in range(n):
             (id_len,) = struct.unpack("<I", take(4, f"id length of user {i}"))
-            user_ids.append(take(id_len, f"id of user {i}").decode("utf-8"))
+            try:
+                user_ids.append(take(id_len, f"id of user {i}").decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: id of user {i} is not valid UTF-8 ({exc.reason})") from None
             payload = take(row_bytes, f"values of user {i}")
             paths[i] = np.frombuffer(payload, dtype="<f8").reshape(t_steps, k)
         if fh.read(1):

@@ -109,7 +109,13 @@ class JsonRecord:
 
     @classmethod
     def load(cls, path):
-        return cls.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+        """The record saved at ``path``. An error the file causes starts with the path, and
+        keeps its class if that takes a message alone, as CorpusError does; else it is a ValueError."""
+        try:
+            return cls.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            kind = type(exc) if type(exc).__init__ is ValueError.__init__ else ValueError
+            raise kind(f"{path}: {'missing key ' if isinstance(exc, KeyError) else ''}{exc}") from None
 
 
 @functools.cache

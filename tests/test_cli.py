@@ -32,7 +32,7 @@ from toxtraj.synth import (
     generate_user_streams,
     three_by_two_scenario,
 )
-from toxtraj.trajectory import build_groups, read_trajectories
+from toxtraj.trajectory import build_groups, group_average_trajectory, read_trajectories, write_trajectories
 from toxtraj.util import sha256_file
 
 
@@ -880,6 +880,83 @@ class TestCliCommands:
         doc, _ = json.JSONDecoder().raw_decode(printed)
         assert doc["rows"][0]["pair"] == "increasing"
         assert "pseudo_f" in doc["rows"][0]
+
+    def group_run(self, tmp_path):
+        """A run's outputs, and each group's members as groups.json lists them."""
+        small_scenario(tmp_path, n_users=24)
+        run_pipeline(pipeline_config(tmp_path, out_name="groups_run", perms=19))
+        out_dir = tmp_path / "groups_run"
+        doc = json.loads((out_dir / "groups.json").read_text())
+        members = {
+            name: sorted(a["user_id"] for a in doc["assignments"] if a["group"] == name)
+            for name in ("Increasing", "Decreasing")
+        }
+        members.update(IncreasingRef=doc["reference_increasing"], DecreasingRef=doc["reference_decreasing"])
+        assert all(members.values())
+        return out_dir, doc, members
+
+    @staticmethod
+    def weekly(daily):
+        """Each user's mean over every whole week: 27 weeks of 7 days in 194."""
+        return daily[:, : 27 * 7].reshape(len(daily), 27, 7, -1).mean(axis=2)
+
+    def stage_argv(self, out_dir, traj, groups, dest):
+        """permanova and assign on the run's outputs, writing p.json and l.json to ``dest``."""
+        common = ["--traj", str(traj), "--groups", str(groups), "--corpus", str(out_dir / "corpus")]
+        permanova = ["permanova", *common, "--n-permutations", "19", "--seed", "3", "--out", str(dest / "p.json")]
+        assign = ["assign", *common, "--topics", str(out_dir / "topics.json"), "--embeddings",
+                  str(out_dir / "reduced.emb"), "--out", str(dest / "l.json")]
+        return permanova, assign
+
+    def test_empty_reference_group_skipped_and_not_labeled(self, tmp_path, capsys):
+        out_dir, doc, members = self.group_run(tmp_path)
+        doc["reference_decreasing"] = []
+        groups = tmp_path / "groups.json"
+        groups.write_text(json.dumps(doc))
+        user_ids, paths = read_trajectories(out_dir / "traj.bin")
+        row = {u: i for i, u in enumerate(user_ids)}
+        daily = {name: paths[[row[u] for u in ids if u in row]] for name, ids in members.items()}
+        permanova, assign = self.stage_argv(out_dir, out_dir / "traj.bin", groups, tmp_path)
+        assert main(permanova) == 0 and main(assign) == 0, capsys.readouterr().err
+        expected = []
+        for freq in ("daily", "weekly"):
+            a, b = daily["Increasing"], daily["IncreasingRef"]
+            if freq == "weekly":
+                a, b = self.weekly(a), self.weekly(b)
+            result = permanova_test(a.reshape(len(a), -1), b.reshape(len(b), -1), n_permutations=19,
+                                    seed=stage_seed(3, f"permanova-increasing-{freq}"))
+            expected.append({"pair": "increasing", "freq": freq, **result.to_json()})
+        expected += [{"pair": "decreasing", "freq": freq, "skipped": "empty group"} for freq in ("daily", "weekly")]
+        assert json.loads((tmp_path / "p.json").read_text())["rows"] == json.loads(json.dumps(expected))
+        labeled = json.loads((tmp_path / "l.json").read_text())["groups"]
+        assert list(labeled) == ["Increasing", "Decreasing", "IncreasingRef"]
+        assert {name: g["n_users"] for name, g in labeled.items()} == {name: len(daily[name]) for name in labeled}
+
+    def test_member_without_trajectory_left_out_in_member_order(self, tmp_path, monkeypatch, capsys):
+        out_dir, _, members = self.group_run(tmp_path)
+        user_ids, paths = read_trajectories(out_dir / "traj.bin")
+        dropped = {members["Increasing"][0], members["DecreasingRef"][-1]}
+        # The kept users go into the file in reverse, so file order is not member order.
+        kept = [i for i, u in enumerate(user_ids) if u not in dropped][::-1]
+        traj = tmp_path / "traj.bin"
+        write_trajectories(traj, [user_ids[i] for i in kept], paths[kept])
+        row = {u: i for i, u in enumerate(user_ids)}
+        daily = {name: paths[[row[u] for u in ids if u not in dropped]] for name, ids in members.items()}
+        tested, averaged = [], []
+        monkeypatch.setattr(cli_mod, "permanova_test", lambda a, b, **kw: tested.append((a, b)) or permanova_test(a, b, **kw))
+        monkeypatch.setattr(cli_mod, "group_average_trajectory", lambda m: averaged.append(m) or group_average_trajectory(m))
+        permanova, assign = self.stage_argv(out_dir, traj, out_dir / "groups.json", tmp_path)
+        assert main(permanova) == 0 and main(assign) == 0, capsys.readouterr().err
+        pairs = [("Increasing", "IncreasingRef")] * 2 + [("Decreasing", "DecreasingRef")] * 2
+        for (a, b), names, freq in zip(tested, pairs, ["daily", "weekly"] * 2, strict=True):
+            for got, name in zip((a, b), names):
+                want = daily[name] if freq == "daily" else self.weekly(daily[name])
+                np.testing.assert_array_equal(got, want.reshape(len(want), -1))
+        order = ["Increasing", "Decreasing", "IncreasingRef", "DecreasingRef"]
+        for got, name in zip(averaged, order, strict=True):
+            np.testing.assert_array_equal(got, daily[name])
+        labeled = json.loads((tmp_path / "l.json").read_text())["groups"]
+        assert {name: g["n_users"] for name, g in labeled.items()} == {name: len(daily[name]) for name in order}
 
     def test_run_and_report_commands(self, tmp_path, capsys):
         small_scenario(tmp_path, n_users=24)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from toxtraj.coherence import (
     reference_coherence_score,
 )
 from toxtraj.coherence import test_subcluster as subcluster_decision
-from toxtraj.hdbscan import ClusterTreeNode, HdbscanParams, recursive_cluster
+from toxtraj.hdbscan import ClusterTree, ClusterTreeNode, HdbscanParams, recursive_cluster
 from toxtraj.synth import (
     generate_hierarchical_blobs,
     make_blob_corpus,
@@ -323,6 +324,18 @@ class TestExternalExchange:
         with pytest.raises(ValueError, match="lack responses"):
             merge_pass(tree, corpus, ExternalCoherenceScorer(req_path, resp_path), seed=21)
 
+    def test_nothing_to_score_asks_for_no_ratings(self, tmp_path):
+        # One level-1 node holding every row leaves no complement to sample,
+        # so no request is built and no rater is asked for one.
+        corpus = make_blob_corpus(np.random.default_rng(22).normal(size=(40, 2)))
+        node = ClusterTreeNode(0, 1, None, np.arange(40, dtype=np.int64), PARAMS)
+        tree = ClusterTree(nodes={0: node}, n_points=40, params=PARAMS)
+        req_path = tmp_path / "requests.ndjson"
+        topics = merge_pass(tree, corpus, ExternalCoherenceScorer(req_path, tmp_path / "responses.ndjson"))
+        assert level_counts(topics) == {1: 1}
+        assert topics.nodes[0].coherence_scores is None
+        assert not req_path.exists()
+
 
 # The rater's prompt at the default 30 in / 30 out samples, written out.
 DEFAULT_PROMPT = """Task Description:
@@ -392,4 +405,11 @@ class TestResponseFile:
         responses.write_text('{"task_id": "t0", "coherence": 2}\n' + line + "\n")
         scorer = ExternalCoherenceScorer(tmp_path / "requests.ndjson", responses)
         with pytest.raises(ValueError, match=r"^response line 2: "):
+            scorer.resolve([])
+
+    def test_bytes_not_utf8_named_with_file_and_line(self, tmp_path):
+        responses = tmp_path / "responses.ndjson"
+        responses.write_bytes(b'{"task_id": "t0", "coherence": 2}\r\n{"task_id": "t\xff1", "coherence": 3}\n')
+        scorer = ExternalCoherenceScorer(tmp_path / "requests.ndjson", responses)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(responses))}: response line 2: not valid UTF-8"):
             scorer.resolve([])

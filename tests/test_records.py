@@ -2,12 +2,13 @@
 back equal."""
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
 from toxtraj.coherence import TopicNode, TopicTree
-from toxtraj.corpus import StudyWindow
+from toxtraj.corpus import CorpusError, StudyWindow
 from toxtraj.hdbscan import ClusterTree, ClusterTreeNode, HdbscanParams
 from toxtraj.knn import TrajectoryLabeling
 from toxtraj.permanova import PermanovaResult
@@ -123,3 +124,24 @@ def test_topic_tree_loads_as_cluster_tree(tmp_path):
         assert (node.node_id, node.level, node.parent, node.params) == (nid, nodes[nid].level, nodes[nid].parent, PARAMS)
         assert node.member_rows.dtype == np.int64
         np.testing.assert_array_equal(node.member_rows, nodes[nid].member_rows)
+
+
+@pytest.mark.parametrize(
+    "record_type, data, error, named",
+    [
+        (ClusterTree, b'{"n_points": 3, "assignments": []}', ValueError, "missing key 'nodes'"),
+        (StudyWindow, json.dumps({**WINDOW.to_json(), "weeks": 3}).encode(), ValueError,
+         "unexpected keyword argument 'weeks'"),
+        (StudyWindow, b'{"t0": 1000\xff}', ValueError, "can't decode byte 0xff"),
+        (StudyWindow, b'{"t0": ', ValueError, "Expecting value"),
+        (StudyWindow, b"[]", ValueError, "no attribute 'items'"),
+        (StudyWindow, b'{"t0": 5, "t_end": 5}', CorpusError, "t_end (5) must exceed t0 (5)"),
+    ],
+    ids=["missing-key", "unknown-key", "not-utf8", "not-json", "not-object", "corpus-error"],
+)
+def test_load_error_starts_with_the_path(tmp_path, record_type, data, error, named):
+    path = tmp_path / "record.json"
+    path.write_bytes(data)
+    with pytest.raises(error, match=f"^{re.escape(str(path))}: .*{re.escape(named)}") as info:
+        record_type.load(path)
+    assert type(info.value) is error

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from itertools import combinations
 
@@ -466,6 +467,16 @@ class TestTrajectoryFile:
         assert len(path.read_bytes()) == 16 + 3 * 116
         path.write_bytes(cut(path.read_bytes()))
         with pytest.raises(ValueError, match=f"traj.bin: {problem}"):
+            read_trajectories(path)
+
+    def test_id_not_utf8_names_file_and_user(self, tmp_path):
+        path = tmp_path / "traj.bin"
+        write_trajectories(path, ["u0", "u1"], np.zeros((2, 3, 2)))
+        data = path.read_bytes()
+        # User 1's id follows the 16-byte header, user 0's 4 + 2 + 48 bytes and its own length.
+        at = 16 + 54 + 4
+        path.write_bytes(data[:at] + b"\xff" + data[at + 1 :])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: id of user 1 is not valid UTF-8"):
             read_trajectories(path)
 
 
