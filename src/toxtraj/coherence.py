@@ -4,7 +4,8 @@ Every subcluster's coherence (1..5) is sampled repeatedly against the rest
 of the corpus; a subcluster survives only when its coherence distribution is
 significantly higher than its parent's under a one-sided Mann-Whitney test.
 Scoring is pluggable: a deterministic geometric reference scorer, a constant
-scorer, or a batch file exchange with an outside rater.
+scorer, or a batch file exchange with an outside rater. A scorer takes the
+list of one node's requests and returns one score per request, in order.
 """
 from __future__ import annotations
 
@@ -93,11 +94,15 @@ class CoherenceRequest:
 
 
 class CoherenceScorer(Protocol):
-    def score(self, request: CoherenceRequest) -> int: ...
+    def score(self, requests: list[CoherenceRequest]) -> list[int]:
+        """One score in 1..5 for each of one node's requests, in order."""
+        ...
 
 
 _MARGIN_THRESHOLDS = ((0.0, 1), (0.10, 2), (0.25, 3), (0.45, 4))
 _MARGIN_EPS = 1e-12
+# Distances held by one of the batched scorer's (reps, n, n) arrays.
+_PAIRS = 1 << 16
 
 
 def reference_coherence_score(in_samples: np.ndarray, out_samples: np.ndarray) -> int:
@@ -123,11 +128,72 @@ def reference_coherence_score(in_samples: np.ndarray, out_samples: np.ndarray) -
     return 5
 
 
-class ReferenceCoherenceScorer:
-    """Scores requests with the geometric margin proxy."""
+def _distance_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per rep, the sum of the distances between the rows of a (d, reps, n_a)
+    and b (d, reps, n_b), whose squares are summed column by column."""
+    squares = np.zeros(a.shape[1:] + b.shape[2:])
+    for a_c, b_c in zip(a, b):
+        diff = a_c[:, :, None] - b_c[:, None, :]
+        squares += np.square(diff, out=diff)
+    return np.sqrt(squares, out=squares).reshape(squares.shape[0], -1).sum(axis=1)
 
-    def score(self, request: CoherenceRequest) -> int:
-        return reference_coherence_score(request.in_points, request.out_points)
+
+class ReferenceCoherenceScorer:
+    """Scores requests with the geometric margin proxy, all of a node's reps at once.
+
+    The reps' distances are formed in a (d, reps, n, n) layout, so their sums
+    over d and over pairs run in another order than in
+    ``reference_coherence_score``, which stays the definition: a rep whose
+    margin lies within ``band`` of a threshold is rescored by it.
+
+    The band. Let u = 2^-53, gamma_k = k·u / (1 - k·u), tau = sqrt(d·2^-1074)
+    and eps = _MARGIN_EPS. Both ways form the same squared differences (one
+    subtraction, one square) and differ only in the order of their sums. A sum
+    of k non-negative terms, in any order, lies within gamma_(k-1) of its exact
+    value, relative; a square that underflows adds at most 2^-1075, which the
+    square root turns into at most tau. So a distance lies within gamma_(d+3)
+    of the exact one, relative, plus tau, and a mean of N of them, summed in any
+    order and divided by N, within gamma_(N+d+3), plus 2·tau. Let g = gamma_K,
+    K = max(n_in·n_out, n_in²) + d + 8, which covers both means, and E and A the
+    computed inter- and intra-set means. The numerator's subtraction, the
+    denominator's addition and the division add three roundings, so a margin
+    lies within (2g + 3u)·(E + A) / (E + eps) + 4·tau / (E + eps) of the exact
+    margin to first order. 3·(g + 2u) in place of 2g + 3u covers the second
+    order and E, A in place of the exact means; tau moves the denominator by
+    under 2·tau/eps relative, far below u. Two margins so placed differ by at
+    most band = (8·(g + 2u)·(E + A) + 8·tau) / (E + eps). A rep whose margin
+    lies farther than band from every threshold gets the score the reference
+    gives; a NaN margin, from overflow or an empty sample, is rescored.
+    """
+
+    def score(self, requests: list[CoherenceRequest]) -> list[int]:
+        if not requests:
+            return []
+        if len({(r.in_points.shape, r.out_points.shape) for r in requests}) > 1:
+            raise ValueError("a node's requests must share their sample shapes")
+        n_in, d = requests[0].in_points.shape
+        n_out = requests[0].out_points.shape[0]
+        u, k = 2.0**-53, max(n_in * n_out, n_in * n_in) + d + 8
+        g = k * u / (1.0 - k * u)
+        tau = np.sqrt(d * np.finfo(np.float64).smallest_subnormal)
+        step = max(1, _PAIRS // max(n_in * max(n_in, n_out), 1))
+        scores = []
+        for s in range(0, len(requests), step):
+            batch = requests[s : s + step]
+            a = np.stack([np.asarray(r.in_points, dtype=np.float64) for r in batch]).transpose(2, 0, 1)
+            b = np.stack([np.asarray(r.out_points, dtype=np.float64) for r in batch]).transpose(2, 0, 1)
+            with np.errstate(all="ignore"):
+                inter = _distance_sums(a, b) / (n_in * n_out)
+                intra = _distance_sums(a, a) / max(n_in * (n_in - 1), 1)
+                margin = (inter - intra) / (inter + _MARGIN_EPS)
+                band = (8.0 * (g + 2.0 * u) * (inter + intra) + 8.0 * tau) / (inter + _MARGIN_EPS)
+                certain = np.all([np.abs(margin - t) > band for t, _ in _MARGIN_THRESHOLDS], axis=0)
+            for req, m, ok in zip(batch, margin.tolist(), certain.tolist()):
+                if ok:
+                    scores.append(next((score for t, score in _MARGIN_THRESHOLDS if m < t), 5))
+                else:
+                    scores.append(reference_coherence_score(req.in_points, req.out_points))
+        return scores
 
 
 class ConstantCoherenceScorer:
@@ -138,8 +204,8 @@ class ConstantCoherenceScorer:
             raise ValueError("constant score must be in 1..5")
         self.value = value
 
-    def score(self, request: CoherenceRequest) -> int:
-        return self.value
+    def score(self, requests: list[CoherenceRequest]) -> list[int]:
+        return [self.value] * len(requests)
 
 
 class PendingExternalScores(RuntimeError):
@@ -161,14 +227,14 @@ class ExternalCoherenceScorer:
         self._responses: Optional[dict[str, int]] = None
 
     def _load_responses(self) -> dict[str, int]:
-        """task_id -> score; a bad line raises ValueError naming its number."""
+        """task_id -> score; a bad line raises ValueError naming the file and the line's number."""
         responses: dict[str, int] = {}
         for line_no, raw in enumerate(Path(self.responses_path).read_bytes().splitlines(), start=1):
-            where = f"response line {line_no}"
+            where = f"{self.responses_path}: response line {line_no}"
             try:
                 line = raw.decode("utf-8").strip()
             except UnicodeDecodeError as exc:
-                raise ValueError(f"{self.responses_path}: {where}: not valid UTF-8 ({exc.reason})") from None
+                raise ValueError(f"{where}: not valid UTF-8 ({exc.reason})") from None
             if not line:
                 continue
             try:
@@ -208,10 +274,10 @@ class ExternalCoherenceScorer:
             )
         self._responses = responses
 
-    def score(self, request: CoherenceRequest) -> int:
+    def score(self, requests: list[CoherenceRequest]) -> list[int]:
         if self._responses is None:
             raise RuntimeError("call resolve(requests) before scoring")
-        return self._responses[request.document["task_id"]]
+        return [self._responses[r.document["task_id"]] for r in requests]
 
 
 @dataclass
@@ -260,7 +326,13 @@ def build_request(
     n_out: int,
     seed: int,
 ) -> CoherenceRequest:
-    """Sample one rep: n_in rows from the node, n_out from its complement."""
+    """Sample one rep: n_in rows from the node, n_out from its complement.
+
+    The node's member rows must strictly ascend within [0, n_points), as
+    ``ClusterTree.from_json`` and ``recursive_cluster`` ensure. The complement
+    draw picks complement positions j, as a draw over the complement's array
+    would, and maps them to rows: the j-th non-member row is j plus the count
+    of members m_i with m_i - i <= j."""
     if corpus.embeddings is None:
         raise ValueError("corpus must carry embeddings for coherence scoring")
     n_total = corpus.embeddings.n
@@ -276,10 +348,8 @@ def build_request(
         )
     rng = substream(seed, "coherence", node.node_id, rep)
     in_rows = np.sort(rng.choice(members, size=n_in, replace=False))
-    mask = np.ones(n_total, dtype=bool)
-    mask[members] = False
-    complement = np.flatnonzero(mask)
-    out_rows = np.sort(rng.choice(complement, size=n_out, replace=False))
+    j = np.sort(rng.choice(n_total - members.size, size=n_out, replace=False))
+    out_rows = j + np.searchsorted(members - np.arange(members.size), j, side="right")
     values = corpus.embeddings.values
     text = corpus.posts.text
     return CoherenceRequest(
@@ -344,7 +414,7 @@ def merge_pass(
         scorer.resolve([req for node_requests in requests.values() for req in node_requests])
 
     def score_node(node: TopicNode) -> list[int]:
-        return [int(scorer.score(req)) for req in requests[node.node_id]]
+        return [int(score) for score in scorer.score(requests[node.node_id])]
 
     scores = parallel_map(score_node, scoreable, workers=workers)
     for node, node_scores in zip(scoreable, scores):

@@ -16,6 +16,20 @@ second, once every core is known, sorts each list by weight.
 weights tie often, so edges are compared by the total order (w, min(u, v),
 max(u, v)). Under it the MST is unique, and it is exactly the tree, weights
 and edge orientation included, that Prim's scan from vertex 0 builds.
+
+K trades the query and the list sort, which grow with it, against the
+components whose cheapest listed edge is not certified and go to the exact
+``_search``. Best of 7 CPU seconds of ``recursive_cluster`` on seed-1
+benchmark inputs (``reduced.emb``), with the tree identical at every K:
+
+    input (min_cluster_size, min_samples)      K=8    12     16     24     32     64
+    subtopics-3k (40, 10)                      0.197  0.148  0.150  0.164  0.179  0.244
+    topics-6k (60, 15)                         0.235  0.233  0.222  0.251  0.286  0.432
+    topics-6k (60, 60)                         0.390  0.378  0.396  0.381  0.389  0.413
+    topics-6k (100, 100), the CLI default      0.543  0.537  0.553  0.538  0.555  0.538
+
+Once min_samples >= K the core radius bounds the lists and the time is flat,
+so one constant serves, with no rule tied to min_samples: K = 16.
 """
 from __future__ import annotations
 
@@ -29,7 +43,9 @@ from scipy.spatial import cKDTree
 from .util import JsonRecord, check_range
 
 # Nearest neighbours listed per point before round 1, ties at the last one included.
-_NEIGHBOURS = 64
+# Swept over 8, 12, 16, 24, 32 and 64 (module docstring): 16 is fastest or
+# within noise of it on every input, and the tree never changes.
+_NEIGHBOURS = 16
 # Pairs handled per numpy pass; it bounds the MST's transient arrays.
 _CHUNK = 1 << 15
 # cKDTree's distances differ from numpy's by a few ulp; they may bound, with
@@ -125,12 +141,23 @@ class ClusterTree(JsonRecord):
 
     @classmethod
     def from_json(cls, doc: dict) -> "ClusterTree":
-        return cls(
+        """Refuses, naming the node, member rows outside [0, n_points) or
+        not strictly ascending: numpy would read row -1 as the last row, and
+        coherence sampling maps rows through the sorted members."""
+        tree = cls(
             nodes={nd["node_id"]: cls.node_type.from_json(nd) for nd in doc["nodes"]},
             n_points=doc["n_points"],
             params=HdbscanParams.from_json(doc["params"]),
             **{name: doc[name] for name in cls.json_fields if name in doc},
         )
+        for node in tree.nodes.values():
+            rows = node.member_rows
+            outside = rows[(rows < 0) | (rows >= tree.n_points)]
+            if outside.size:
+                raise ValueError(f"node {node.node_id}: member row {int(outside[0])} is outside [0, {tree.n_points})")
+            if (np.diff(rows) <= 0).any():
+                raise ValueError(f"node {node.node_id}: member rows must strictly ascend")
+        return tree
 
 
 def _check_points(points: np.ndarray) -> None:

@@ -77,6 +77,20 @@ def pseudo_f(ss_between: float, ss_within: float, n_total: int) -> float:
     return ss_between / (ss_within / (n_total - 2))
 
 
+def _canonical_order(x: np.ndarray) -> np.ndarray:
+    """np.lexsort(x.T[::-1])'s order: rows by column 0, then 1, ..., then
+    index. A stable argsort of column 0 places the rows; only the runs it
+    leaves tied are sorted further, in one lexsort keyed first by the run."""
+    order = np.argsort(x[:, 0], kind="stable")
+    tie = x[order[1:], 0] == x[order[:-1], 0]
+    if x.shape[1] > 1 and tie.any():
+        run = np.cumsum(np.concatenate(([True], ~tie)))
+        pos = np.flatnonzero(np.concatenate(([False], tie)) | np.concatenate((tie, [False])))
+        tied = order[pos]
+        order[pos] = tied[np.lexsort((*x[tied, :0:-1].T, run[pos]))]
+    return order
+
+
 def _f_from_counts(x: np.ndarray, idx_a: np.ndarray, total_sum: np.ndarray, sst: float) -> float:
     """F for one label arrangement, via the SST = SSB + SSW identity."""
     n = x.shape[0]
@@ -168,11 +182,8 @@ def permanova_test(
     f_obs = pseudo_f(ss_between, ss_within, n)
     # Permute over a canonically ordered copy with the smaller group size
     # drawn: the null distribution of F depends only on the pooled rows and
-    # the unordered size split, which makes p exactly swap-invariant. The
-    # order is np.lexsort(x.T[::-1])'s, which one stable argsort of column 0
-    # gives when that column has no ties.
-    order = np.argsort(x[:, 0], kind="stable")
-    xs = x[np.lexsort(x.T[::-1]) if (x[order[1:], 0] == x[order[:-1], 0]).any() else order]
+    # the unordered size split, which makes p exactly swap-invariant.
+    xs = x[_canonical_order(x)]
     k = min(n_a, n - n_a)
     total_sum = xs.sum(axis=0)
     z = xs - total_sum / n

@@ -3,8 +3,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import exact_u_pvalue_greater, t_interval
+from toxtraj import coherence
 from toxtraj.coherence import (
     KEEP,
     MERGE,
@@ -27,13 +30,14 @@ from toxtraj.synth import (
     null_split_scenario,
     three_by_two_scenario,
 )
+from toxtraj.util import substream
 
 PARAMS = HdbscanParams(min_cluster_size=60, min_samples=15)
 
 
 def sampled_scores(node, corpus, scorer, seed):
     """30 coherence scores for one node, sampled as the merge pass samples them."""
-    return [int(scorer.score(build_request(node, corpus, rep, 30, 30, seed))) for rep in range(30)]
+    return [int(score) for score in scorer.score([build_request(node, corpus, rep, 30, 30, seed) for rep in range(30)])]
 
 
 def planted_tree(seed=0, scenario=None, separable=True):
@@ -69,6 +73,103 @@ class TestReferenceScore:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             reference_coherence_score(np.empty((0, 5)), np.zeros((3, 5)))
+
+
+def margin_score_oracle(in_samples, out_samples):
+    """The reference score as one request's numpy expression states it."""
+    inter = np.sqrt(((in_samples[:, None, :] - out_samples[None, :, :]) ** 2).sum(axis=2))
+    mean_inter = float(inter.mean())
+    n_in = in_samples.shape[0]
+    intra = np.sqrt(((in_samples[:, None, :] - in_samples[None, :, :]) ** 2).sum(axis=2))
+    mean_intra = float(intra.sum() / max(n_in * (n_in - 1), 1))
+    margin = (mean_inter - mean_intra) / (mean_inter + 1e-12)
+    for threshold, score in ((0.0, 1), (0.10, 2), (0.25, 3), (0.45, 4)):
+        if margin < threshold:
+            return score
+    return 5
+
+
+def points_request(rep, in_points, out_points):
+    return CoherenceRequest(0, rep, in_points, out_points, [None] * len(in_points), [None] * len(out_points))
+
+
+@st.composite
+def node_samples(draw):
+    """One node's reps: d, reps, n_in and n_out in 1..40 (d to 12), as normal
+    draws, small integers (exact ties and margins on a threshold) or normal
+    draws scaled per rep by 10^-170, where squares underflow, up to 10^149,
+    where they stay finite."""
+    d, reps = draw(st.integers(1, 12)), draw(st.integers(1, 40))
+    n_in, n_out = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "grid", "scales"]))
+    shape = (reps, n_in + n_out, d)
+    if kind == "normal":
+        x = rng.normal(size=shape) + rng.normal(scale=2.0, size=(reps, 1, d)) * (np.arange(n_in + n_out) < n_in)[:, None]
+    elif kind == "grid":
+        x = rng.integers(-2, 3, size=shape).astype(np.float64)
+    else:
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-170, 150, size=(reps, 1, 1))
+    return x[:, :n_in], x[:, n_in:]
+
+
+class TestBatchedReferenceScore:
+    @settings(max_examples=200, deadline=None)
+    @given(samples=node_samples(), pairs=st.sampled_from([1, 100, 1 << 16]))
+    def test_equals_each_reps_own_expression(self, samples, pairs):
+        in_points, out_points = samples
+        requests = [points_request(rep, a, b) for rep, (a, b) in enumerate(zip(in_points, out_points))]
+        saved, coherence._PAIRS = coherence._PAIRS, pairs
+        try:
+            scores = ReferenceCoherenceScorer().score(requests)
+        finally:
+            coherence._PAIRS = saved
+        assert scores == [margin_score_oracle(a, b) for a, b in zip(in_points, out_points)]
+
+    def test_margin_on_a_threshold_rescored_by_the_reference(self, monkeypatch):
+        # Rep 0: inter-set mean (0.5 + 1.5) / 2 = 1 and intra-set mean 1, so
+        # the margin is exactly 0, a threshold: the band cannot certify it.
+        # Rep 1 lies far from every threshold.
+        calls = []
+
+        def counted(in_samples, out_samples):
+            calls.append(1)
+            return reference_coherence_score(in_samples, out_samples)
+
+        monkeypatch.setattr(coherence, "reference_coherence_score", counted)
+        in_points = np.array([[0.0], [1.0]])
+        requests = [points_request(0, in_points, np.array([[-0.5]])), points_request(1, in_points, np.array([[100.0]]))]
+        assert margin_score_oracle(in_points, np.array([[-0.5]])) == 2
+        assert ReferenceCoherenceScorer().score(requests) == [2, 5]
+        assert len(calls) == 1
+
+    def test_requests_of_other_shapes_refused(self):
+        requests = [points_request(0, np.zeros((3, 2)), np.ones((3, 2))), points_request(1, np.zeros((4, 2)), np.ones((3, 2)))]
+        with pytest.raises(ValueError, match="share their sample shapes"):
+            ReferenceCoherenceScorer().score(requests)
+
+
+class TestBuildRequest:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_rows_as_a_draw_over_the_complement_array(self, data):
+        # Row i's point is (i,), so the sampled points are the sampled rows.
+        n_total = data.draw(st.integers(2, 300))
+        member = np.array(data.draw(st.lists(st.booleans(), min_size=n_total, max_size=n_total)))
+        members = np.flatnonzero(member)
+        if members.size == 0 or members.size == n_total:
+            return
+        n_in = data.draw(st.integers(1, members.size))
+        n_out = data.draw(st.integers(1, n_total - members.size))
+        seed, rep = data.draw(st.integers(0, 2**31)), data.draw(st.integers(0, 40))
+        corpus = make_blob_corpus(np.arange(n_total, dtype=np.float64)[:, None])
+        node = ClusterTreeNode(7, 2, 0, members, PARAMS)
+        request = build_request(node, corpus, rep, n_in, n_out, seed)
+        rng = substream(seed, "coherence", 7, rep)
+        in_rows = np.sort(rng.choice(members, size=n_in, replace=False))
+        out_rows = np.sort(rng.choice(np.flatnonzero(~member), size=n_out, replace=False))
+        np.testing.assert_array_equal(request.in_points[:, 0], in_rows)
+        np.testing.assert_array_equal(request.out_points[:, 0], out_rows)
 
 
 class TestCoherenceDistribution:
@@ -229,6 +330,13 @@ class TestMergePass:
         one = merge_pass(tree, corpus, ReferenceCoherenceScorer(), seed=14, workers=1)
         four = merge_pass(tree, corpus, ReferenceCoherenceScorer(), seed=14, workers=4)
         assert json.dumps(one.to_json(), sort_keys=True) == json.dumps(four.to_json(), sort_keys=True)
+
+    def test_topics_json_same_bytes_with_one_and_two_workers(self, tmp_path):
+        _, corpus, tree = planted_tree(seed=9)
+        for workers in (1, 2):
+            merge_pass(tree, corpus, ReferenceCoherenceScorer(), seed=9, workers=workers).save(tmp_path / f"{workers}.json")
+        assert level_counts(TopicTree.load(tmp_path / "1.json")) == {1: 3, 2: 6}
+        assert (tmp_path / "1.json").read_bytes() == (tmp_path / "2.json").read_bytes()
 
     def test_mean_toxicity_populated(self):
         pts, _, tree = planted_tree(seed=15)
@@ -404,7 +512,7 @@ class TestResponseFile:
         responses = tmp_path / "responses.ndjson"
         responses.write_text('{"task_id": "t0", "coherence": 2}\n' + line + "\n")
         scorer = ExternalCoherenceScorer(tmp_path / "requests.ndjson", responses)
-        with pytest.raises(ValueError, match=r"^response line 2: "):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(responses))}: response line 2: "):
             scorer.resolve([])
 
     def test_bytes_not_utf8_named_with_file_and_line(self, tmp_path):

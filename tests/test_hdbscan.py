@@ -1,3 +1,5 @@
+import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -540,6 +542,29 @@ class TestRecursiveCluster:
             other = loaded.nodes[nid]
             assert (node.level, node.parent) == (other.level, other.parent)
             np.testing.assert_array_equal(node.member_rows, other.member_rows)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda rows, n: [-1] + rows[1:], "member row -1 is outside [0, {n})"),
+            (lambda rows, n: rows[:-1] + [n], "member row {n} is outside [0, {n})"),
+            (lambda rows, n: [rows[1], rows[0]] + rows[2:], "member rows must strictly ascend"),
+            (lambda rows, n: [rows[0]] + rows[:-1], "member rows must strictly ascend"),
+        ],
+        ids=["negative", "past-the-end", "descending", "repeated"],
+    )
+    def test_tree_rows_out_of_range_or_unsorted_named(self, tmp_path, edit, message):
+        # numpy would read row -1 as the last row, and a merge would go on with it.
+        pts, _, _ = generate_hierarchical_blobs(three_by_two_scenario(), seed=6)
+        tree = recursive_cluster(pts, HdbscanParams(min_cluster_size=60, min_samples=15))
+        doc = tree.to_json()
+        node = doc["nodes"][-1]
+        node["member_rows"] = edit(node["member_rows"], doc["n_points"])
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(doc))
+        expected = f"{path}: node {node['node_id']}: {message.format(n=doc['n_points'])}"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            ClusterTree.load(path)
 
 
 class TestParams:

@@ -169,6 +169,26 @@ class TestPseudoF:
             pseudo_f(1.0, 1.0, 2)
 
 
+@st.composite
+def tied_rows(draw):
+    """Rows whose column 0 holds few values, so it ties in runs; the other
+    columns tie too, -0.0 against 0.0 included, or are normal draws."""
+    n, d = draw(st.integers(1, 60)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+    x[rng.random(size=(n, d)) < 0.2] = -0.0
+    if draw(st.booleans()):
+        x[:, 1:] = rng.normal(size=(n, d - 1))
+    return x
+
+
+class TestCanonicalOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(x=tied_rows())
+    def test_equals_lexsort(self, x):
+        np.testing.assert_array_equal(permanova._canonical_order(x), np.lexsort(x.T[::-1]))
+
+
 class TestPermanovaTest:
     def test_result_fields_and_df(self):
         a, b = generate_null_pair(10, 4, 3, seed=0)
