@@ -157,10 +157,18 @@ def scorer_kind(kind: str) -> str:
     return kind
 
 
+def _check_rows(tree_path, tree: ClusterTree, n_rows: int, rows_name: str) -> None:
+    """Refuse ``tree``, read from ``tree_path``, unless it clusters the ``n_rows`` rows of ``rows_name``."""
+    if n_rows != tree.n_points:
+        raise ValueError(f"{tree_path} clusters {tree.n_points} rows, not the {n_rows} of {rows_name}")
+
+
 def run_merge(tree, corpus, out, scorer, alpha, seed, reps, n_in, n_out, workers) -> dict:
     scorer_obj = _make_scorer(scorer, Path(out).parent)
+    clusters = ClusterTree.load(tree)
+    _check_rows(tree, clusters, 0 if corpus.embeddings is None else corpus.embeddings.n, "the corpus embeddings")
     topics = merge_pass(
-        ClusterTree.load(tree), corpus, scorer_obj, alpha=alpha, seed=seed,
+        clusters, corpus, scorer_obj, alpha=alpha, seed=seed,
         reps=reps, n_in=n_in, n_out=n_out, workers=workers,
     )
     topics.save(out)
@@ -224,17 +232,18 @@ def run_permanova(trajectories, groups, corpus, out, pairs, freqs, n_permutation
 
 
 def run_assign(topics, embeddings, trajectories, groups, corpus, out, k) -> dict:
-    week_len, paths = _group_paths(trajectories, groups, corpus)
-    topics = TopicTree.load(topics)
+    tree = TopicTree.load(topics)
     matrix = corpus_mod.read_embeddings(embeddings)
-    assignment = topics.topic_of_rows()
-    leaf_ids = {n.node_id for n in topics.surviving_leaves()}
+    _check_rows(topics, tree, matrix.n, embeddings)
+    week_len, paths = _group_paths(trajectories, groups, corpus)
+    assignment = tree.topic_of_rows()
+    leaf_ids = {n.node_id for n in tree.surviving_leaves()}
     labeled_rows = np.flatnonzero(np.isin(assignment, sorted(leaf_ids)))
     if labeled_rows.size == 0:
         raise ValueError("no rows are assigned to surviving topics")
     model = fit_knn(matrix.values[labeled_rows], assignment[labeled_rows], k=k)
     topic_toxicity = {
-        n.node_id: n.mean_toxicity for n in topics.surviving()
+        n.node_id: n.mean_toxicity for n in tree.surviving()
     }
     groups_doc = {}
     for name, members in paths.items():
@@ -689,17 +698,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_json(path, *keys):
+    """The JSON document at ``path``, which must be an object holding ``keys``
+    if any are given. An error the file causes starts with its path."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if keys and not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise ValueError(f"{path}: missing key {missing[0]!r}")
+    return doc
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
             config_path = Path(args.config)
-            config = json.loads(config_path.read_text())
+            config = _read_json(config_path)
             manifest = run_pipeline(config, config_dir=config_path.parent)
             print(json.dumps({"stages": [s["name"] for s in manifest["stages"]]}, indent=2))
             return 0
         if args.command == "report":
-            manifest = json.loads(Path(args.manifest).read_text())
+            manifest = _read_json(args.manifest, "root_seed", "stages")
             print(render_report(manifest))
             return 0
         stage = next(s for s in STAGES if s.name == args.command)

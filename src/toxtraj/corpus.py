@@ -30,6 +30,7 @@ import itertools
 import json
 import logging
 import math
+import numbers
 import re
 import struct
 from collections import Counter
@@ -106,6 +107,10 @@ class StudyWindow(JsonRecord):
     week_len_days: int = DEFAULT_WEEK_LEN_DAYS
 
     def __post_init__(self):
+        for name in ("t0", "t_end", "n_daily_grid", "week_len_days"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise CorpusError(f"{name} must be an integer, got {value!r}")
         if self.t_end <= self.t0:
             raise CorpusError(f"t_end ({self.t_end}) must exceed t0 ({self.t0})")
         if self.n_daily_grid < 2:

@@ -821,6 +821,53 @@ class TestCliCommands:
         assert "reversed.emb: row ids differ" in capsys.readouterr().err
         assert not (tmp_path / "traj.bin").exists()
 
+    def test_rows_other_than_the_trees_refused_naming_both(self, tmp_path, capsys):
+        small_scenario(tmp_path, n_users=20)
+        run_pipeline(pipeline_config(tmp_path, out_name="rows", perms=19))
+        out_dir = tmp_path / "rows"
+        topics = out_dir / "topics.json"
+        reduced = read_embeddings(out_dir / "reduced.emb")
+        n = reduced.n
+        more, fewer = tmp_path / "more.emb", tmp_path / "fewer.emb"
+        write_embeddings(more, np.vstack([reduced.values, reduced.values[:10]]),
+                         reduced.row_ids + [f"extra{i}" for i in range(10)])
+        write_embeddings(fewer, reduced.values[:-1], reduced.row_ids[:-1])
+        labeled = tmp_path / "labeled.json"
+        for emb, n_rows in ((more, n + 10), (fewer, n - 1)):
+            argv = ["assign", "--topics", str(topics), "--embeddings", str(emb), "--traj", str(out_dir / "traj.bin"),
+                    "--groups", str(out_dir / "groups.json"), "--corpus", str(out_dir / "corpus"), "--out", str(labeled)]
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"toxtraj assign: error: {topics} clusters {n} rows, not the {n_rows} of {emb}\n"
+            assert not labeled.exists()
+        # A tree of other rows: n_points grows, every member row stays valid.
+        tree = json.loads((out_dir / "tree.json").read_text())
+        tree["n_points"] = n + 3
+        other = tmp_path / "other-tree.json"
+        other.write_text(json.dumps(tree))
+        merged = tmp_path / "topics.json"
+        argv = ["merge", "--tree", str(other), "--corpus", str(out_dir / "corpus"), "--out", str(merged)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"toxtraj merge: error: {other} clusters {n + 3} rows, not the {n} of the corpus embeddings\n"
+        assert not merged.exists()
+
+    def test_config_and_manifest_errors_name_their_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("bad.json").write_text('{"seed": 1, }')
+        assert main(["run", "--config", "bad.json"]) == 1
+        assert capsys.readouterr().err == (
+            "toxtraj run: error: bad.json: Expecting property name enclosed in double quotes: line 1 column 13 (char 12)\n"
+        )
+        assert os.listdir(tmp_path) == ["bad.json"]
+        for doc, named in [
+            ('{"root_seed": ', "Expecting value: line 1 column 15 (char 14)"),
+            ("[]", "expected a JSON object"),
+            ('{"stages": []}', "missing key 'root_seed'"),
+            ('{"root_seed": 3}', "missing key 'stages'"),
+        ]:
+            Path("manifest.json").write_text(doc)
+            assert main(["report", "--manifest", "manifest.json"]) == 1
+            assert capsys.readouterr().err == f"toxtraj report: error: manifest.json: {named}\n"
+
     def test_trajectories_of_no_embedded_post_keep_embedding_width(self, tmp_path, capsys):
         config = ScenarioConfig(n_users=5, posts_per_user=(50, 52), seed=1)
         corpus, _ = generate_user_streams(config)

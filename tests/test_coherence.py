@@ -24,6 +24,7 @@ from toxtraj.coherence import (
 )
 from toxtraj.coherence import test_subcluster as subcluster_decision
 from toxtraj.hdbscan import ClusterTree, ClusterTreeNode, HdbscanParams, recursive_cluster
+from toxtraj.stats import mann_whitney_u
 from toxtraj.synth import (
     generate_hierarchical_blobs,
     make_blob_corpus,
@@ -357,6 +358,77 @@ class TestMergePass:
         assert loaded.nodes[0].coherence_scores == topics.nodes[0].coherence_scores
 
 
+class RecordingScorer:
+    """Records the (node id, rep) of every request of each call; scores a
+    request 1 + (7·node id + rep) mod 5, so that each node's slice differs."""
+
+    def __init__(self):
+        self.calls = []
+
+    def score(self, requests):
+        self.calls.append([(r.node_id, r.rep) for r in requests])
+        return [1 + (7 * r.node_id + r.rep) % 5 for r in requests]
+
+
+class ScriptedScorer:
+    """Scores every request of a node with that node's fixed score."""
+
+    def __init__(self, by_node):
+        self.by_node = by_node
+
+    def score(self, requests):
+        return [self.by_node[r.node_id] for r in requests]
+
+
+class TestOneScorerCall:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_call_in_node_and_rep_order_each_node_its_slice(self, workers):
+        _, corpus, tree = planted_tree(seed=9)
+        scorer = RecordingScorer()
+        topics = merge_pass(tree, corpus, scorer, seed=9, reps=4, workers=workers)
+        assert scorer.calls == [[(nid, rep) for nid in sorted(tree.nodes) for rep in range(4)]]
+        for nid, node in topics.nodes.items():
+            assert node.coherence_scores == [1 + (7 * nid + rep) % 5 for rep in range(4)]
+
+    def test_scorer_returning_too_few_scores_refused(self):
+        # Slicing would hand the last nodes short or empty score lists.
+        _, corpus, tree = planted_tree(seed=9)
+
+        class OneShort:
+            def score(self, requests):
+                return [3] * (len(requests) - 1)
+
+        with pytest.raises(ValueError, match=r"^the scorer returned 269 score\(s\) for 270 request\(s\)$"):
+            merge_pass(tree, corpus, OneShort(), seed=9)
+
+    def test_child_that_passes_merges_with_its_merged_parent(self, monkeypatch):
+        # Node 2 beats node 1 on its own, but node 1 ties node 0 and merges,
+        # so node 2 goes with it. Node 3 is too small to sample. Every node
+        # below level 1 is still tested or counted, whatever its parent's fate.
+        assert subcluster_decision([5] * 30, [3] * 30) == KEEP
+        corpus = make_blob_corpus(np.random.default_rng(24).normal(size=(300, 2)))
+        nodes = [
+            ClusterTreeNode(0, 1, None, np.arange(200), PARAMS),
+            ClusterTreeNode(1, 2, 0, np.arange(100), PARAMS),
+            ClusterTreeNode(2, 3, 1, np.arange(50), PARAMS),
+            ClusterTreeNode(3, 3, 1, np.arange(50, 60), PARAMS),
+        ]
+        tree = ClusterTree(nodes={n.node_id: n for n in nodes}, n_points=300, params=PARAMS)
+        tested = []
+
+        def counting_mann_whitney_u(*args, **kwargs):
+            tested.append(args)
+            return mann_whitney_u(*args, **kwargs)
+
+        monkeypatch.setattr(coherence, "mann_whitney_u", counting_mann_whitney_u)
+        topics = merge_pass(tree, corpus, ScriptedScorer({0: 3, 1: 3, 2: 5}))
+        assert [topics.nodes[nid].merged for nid in range(4)] == [False, True, True, True]
+        assert topics.n_auto_merged == 1
+        assert sorted((list(child), list(parent)) for child, parent, *_ in tested) == [([3] * 30, [3] * 30),
+                                                                                     ([5] * 30, [3] * 30)]
+        assert level_counts(topics) == {1: 1}
+
+
 class TestLevelCounts:
     def test_flat_tree(self):
         _, corpus, tree = planted_tree(seed=17)
@@ -513,11 +585,11 @@ class TestResponseFile:
         responses.write_text('{"task_id": "t0", "coherence": 2}\n' + line + "\n")
         scorer = ExternalCoherenceScorer(tmp_path / "requests.ndjson", responses)
         with pytest.raises(ValueError, match=f"^{re.escape(str(responses))}: response line 2: "):
-            scorer.resolve([])
+            scorer.score([])
 
     def test_bytes_not_utf8_named_with_file_and_line(self, tmp_path):
         responses = tmp_path / "responses.ndjson"
         responses.write_bytes(b'{"task_id": "t0", "coherence": 2}\r\n{"task_id": "t\xff1", "coherence": 3}\n')
         scorer = ExternalCoherenceScorer(tmp_path / "requests.ndjson", responses)
         with pytest.raises(ValueError, match=f"^{re.escape(str(responses))}: response line 2: not valid UTF-8"):
-            scorer.resolve([])
+            scorer.score([])

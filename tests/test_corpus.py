@@ -100,6 +100,26 @@ class TestStudyWindow:
     def test_n_weeks(self):
         assert StudyWindow().n_weeks == 27
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_daily_grid", 2.5), ("n_daily_grid", 194.0), ("n_daily_grid", True), ("week_len_days", 7.0),
+         ("week_len_days", False), ("t0", "1681689600"), ("t_end", 1698451140.0)],
+        ids=["grid-fraction", "grid-whole-float", "grid-bool", "week-float", "week-bool", "t0-string", "t-end-float"],
+    )
+    def test_non_integer_field_named_with_its_file(self, tmp_path, field, value):
+        # A float grid would fail later, in the trajectories stage, naming no
+        # file; a bool would read as 0 or 1.
+        path = tmp_path / "window.json"
+        path.write_text(json.dumps({**StudyWindow().to_json(), field: value}))
+        named = f"{path}: {field} must be an integer, got {value!r}"
+        with pytest.raises(CorpusError, match=f"^{re.escape(named)}$"):
+            StudyWindow.load(path)
+
+    def test_numpy_integers_taken(self):
+        window = StudyWindow(t0=np.int64(0), t_end=np.int64(86400 * 9), n_daily_grid=np.int32(10),
+                             week_len_days=np.int64(3))
+        assert window.n_weeks == 3
+
 
 class TestLoadCorpus:
     def test_sorted_by_user_then_time(self, tmp_path):
