@@ -698,6 +698,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _require(doc, keys, where: str) -> None:
+    """Raise ValueError starting with ``where`` unless ``doc`` is an object holding ``keys``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: expected a JSON object")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise ValueError(f"{where}: missing key {missing[0]!r}")
+
+
 def _read_json(path, *keys):
     """The JSON document at ``path``, which must be an object holding ``keys``
     if any are given. An error the file causes starts with its path."""
@@ -705,12 +714,26 @@ def _read_json(path, *keys):
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    if keys and not isinstance(doc, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    missing = [key for key in keys if key not in doc]
-    if missing:
-        raise ValueError(f"{path}: missing key {missing[0]!r}")
+    if keys:
+        _require(doc, keys, str(path))
     return doc
+
+
+def _read_manifest(path) -> dict:
+    """The run manifest at ``path``, refused unless it holds every key that
+    ``render_report`` reads of it; the error names the file, and the stage by
+    its index if a stage entry is at fault."""
+    manifest = _read_json(path, "root_seed", "stages")
+    if "failed_stage" in manifest:
+        _require(manifest, ["error"], str(path))
+    if not isinstance(manifest["stages"], list):
+        raise ValueError(f"{path}: stages must be a list")
+    for i, stage in enumerate(manifest["stages"]):
+        _require(stage, ["name"], f"{path}: stage {i}")
+        if stage["name"] == "merge":
+            _require(stage, ["summary"], f"{path}: stage {i}")
+            _require(stage["summary"], ["level_counts", "n_outliers"], f"{path}: stage {i}: summary")
+    return manifest
 
 
 def main(argv=None) -> int:
@@ -723,8 +746,7 @@ def main(argv=None) -> int:
             print(json.dumps({"stages": [s["name"] for s in manifest["stages"]]}, indent=2))
             return 0
         if args.command == "report":
-            manifest = _read_json(args.manifest, "root_seed", "stages")
-            print(render_report(manifest))
+            print(render_report(_read_manifest(args.manifest)))
             return 0
         stage = next(s for s in STAGES if s.name == args.command)
         values = vars(args)

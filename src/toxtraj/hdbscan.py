@@ -141,22 +141,38 @@ class ClusterTree(JsonRecord):
 
     @classmethod
     def from_json(cls, doc: dict) -> "ClusterTree":
-        """Refuses, naming the node, member rows outside [0, n_points) or
-        not strictly ascending: numpy would read row -1 as the last row, and
-        coherence sampling maps rows through the sorted members."""
+        """Requires every key of ``json_fields``. Refuses, naming the node,
+        member rows outside [0, n_points) or not strictly ascending: numpy
+        would read row -1 as the last row, and coherence sampling maps rows
+        through the sorted members. Refuses a tree of the wrong shape too: a
+        repeated node id, a parent not in the tree, a root not at level 1, a
+        child not one level below its parent, or a child's row not among its
+        parent's; the merge pass would test no node whose parent is missing."""
+        nodes = [cls.node_type.from_json(nd) for nd in doc["nodes"]]
         tree = cls(
-            nodes={nd["node_id"]: cls.node_type.from_json(nd) for nd in doc["nodes"]},
+            nodes={node.node_id: node for node in nodes},
             n_points=doc["n_points"],
             params=HdbscanParams.from_json(doc["params"]),
-            **{name: doc[name] for name in cls.json_fields if name in doc},
+            **{name: doc[name] for name in cls.json_fields},
         )
-        for node in tree.nodes.values():
+        for node in nodes:
+            if tree.nodes[node.node_id] is not node:
+                raise ValueError(f"node {node.node_id}: node id repeated")
             rows = node.member_rows
             outside = rows[(rows < 0) | (rows >= tree.n_points)]
             if outside.size:
                 raise ValueError(f"node {node.node_id}: member row {int(outside[0])} is outside [0, {tree.n_points})")
             if (np.diff(rows) <= 0).any():
                 raise ValueError(f"node {node.node_id}: member rows must strictly ascend")
+            parent = tree.nodes.get(node.parent)
+            if node.parent is not None and parent is None:
+                raise ValueError(f"node {node.node_id}: parent {node.parent} is not in the tree")
+            level = 1 if parent is None else parent.level + 1
+            if node.level != level:
+                raise ValueError(f"node {node.node_id}: level {node.level} where {level} was expected")
+            stray = rows[:0] if parent is None else rows[~np.isin(rows, parent.member_rows)]
+            if stray.size:
+                raise ValueError(f"node {node.node_id}: member row {int(stray[0])} is not a row of parent {node.parent}")
         return tree
 
 

@@ -195,9 +195,6 @@ def make_blob_corpus(points: np.ndarray, window: StudyWindow | None = None) -> C
     return Corpus(posts=posts, window=window, embeddings=emb)
 
 
-TREND_CLASSES = ("increasing", "decreasing", "flat")
-
-
 def _class_counts(mix: TrendMix, n_users: int) -> dict[str, int]:
     n_inc = int(round(mix.increasing * n_users))
     n_dec = int(round(mix.decreasing * n_users))

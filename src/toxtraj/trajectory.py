@@ -58,20 +58,22 @@ class UserGroupAssignment(JsonRecord):
 
 @dataclass
 class GroupingResult(JsonRecord):
-    """All active-user assignments plus the matched reference groups."""
+    """All active-user assignments plus the members of each matched reference
+    group, by the group's name in ``PAIRS``. A trend group's mean toxicity is
+    derived from its members' means, so it is not stored."""
 
     assignments: dict[str, UserGroupAssignment]
-    mean_toxicity_increasing: Optional[float]
-    mean_toxicity_decreasing: Optional[float]
-    reference_increasing: list[str] = field(default_factory=list)
-    reference_decreasing: list[str] = field(default_factory=list)
+    references: dict[str, list[str]] = field(default_factory=dict)
 
     def members(self, group: str) -> list[str]:
-        if group == REF_INCREASING:
-            return list(self.reference_increasing)
-        if group == REF_DECREASING:
-            return list(self.reference_decreasing)
+        if group in self.references:
+            return list(self.references[group])
         return sorted(u for u, a in self.assignments.items() if a.group == group)
+
+    def mean_toxicity(self, group: str) -> Optional[float]:
+        """``np.mean`` of the members' mean toxicity, in member order; None for no members."""
+        means = [self.assignments[u].mean_toxicity for u in self.members(group)]
+        return float(np.mean(means)) if means else None
 
     def group_sizes(self) -> dict[str, int]:
         sizes = {g: 0 for g in (GROUP_INCREASING, GROUP_DECREASING, GROUP_NO_TREND)}
@@ -81,16 +83,14 @@ class GroupingResult(JsonRecord):
 
     @property
     def reference_overlap(self) -> int:
-        return len(set(self.reference_increasing) & set(self.reference_decreasing))
+        return len(set.intersection(*(set(self.members(ref)) for _, ref in PAIRS.values())))
 
     def to_json(self) -> dict:
         return {
             "toxicity_scale": "0-100",
             "group_sizes": self.group_sizes(),
-            "mean_toxicity_increasing": self.mean_toxicity_increasing,
-            "mean_toxicity_decreasing": self.mean_toxicity_decreasing,
-            "reference_increasing": self.reference_increasing,
-            "reference_decreasing": self.reference_decreasing,
+            **{f"mean_toxicity_{pair}": self.mean_toxicity(trend) for pair, (trend, _) in PAIRS.items()},
+            **{f"reference_{pair}": self.members(ref) for pair, (_, ref) in PAIRS.items()},
             "reference_overlap": self.reference_overlap,
             "assignments": [a.to_json() for a in sorted(self.assignments.values(), key=lambda a: a.user_id)],
         }
@@ -100,13 +100,7 @@ class GroupingResult(JsonRecord):
         assignments = {
             a["user_id"]: UserGroupAssignment.from_json(a) for a in doc["assignments"]
         }
-        return cls(
-            assignments=assignments,
-            mean_toxicity_increasing=doc.get("mean_toxicity_increasing"),
-            mean_toxicity_decreasing=doc.get("mean_toxicity_decreasing"),
-            reference_increasing=list(doc.get("reference_increasing", [])),
-            reference_decreasing=list(doc.get("reference_decreasing", [])),
-        )
+        return cls(assignments, {ref: list(doc.get(f"reference_{pair}", [])) for pair, (_, ref) in PAIRS.items()})
 
 
 def select_active_users(corpus: Corpus, min_posts: int = DEFAULT_MIN_POSTS) -> list[tuple[str, int]]:
@@ -146,16 +140,7 @@ def assign_groups(
         assignments[user_id] = UserGroupAssignment(
             user_id, group, fit.slope, fit.p_value, mean_tox
         )
-
-    def group_mean(group: str) -> Optional[float]:
-        means = [a.mean_toxicity for a in assignments.values() if a.group == group]
-        return float(np.mean(means)) if means else None
-
-    return GroupingResult(
-        assignments=assignments,
-        mean_toxicity_increasing=group_mean(GROUP_INCREASING),
-        mean_toxicity_decreasing=group_mean(GROUP_DECREASING),
-    )
+    return GroupingResult(assignments)
 
 
 def matched_reference(
@@ -186,20 +171,13 @@ def build_groups(
     result = assign_groups(corpus, [u for u, _ in active], alpha)
     pool = [(a.user_id, a.mean_toxicity) for a in result.assignments.values() if a.group == GROUP_NO_TREND]
     sizes = result.group_sizes()
-
-    def reference(group: str, target: Optional[float], label: str) -> list[str]:
-        # A user matched to both references keeps the first label.
-        n = sizes[group]
-        if n == 0 or len(pool) < n:
-            return []
-        members = matched_reference(pool, target, n)
-        for user_id in members:
+    for trend, ref in PAIRS.values():
+        n = sizes[trend]
+        result.references[ref] = matched_reference(pool, result.mean_toxicity(trend), n) if 0 < n <= len(pool) else []
+        for user_id in result.references[ref]:
+            # A user matched to both references keeps the first label.
             if result.assignments[user_id].matched_to is None:
-                result.assignments[user_id].matched_to = label
-        return members
-
-    result.reference_increasing = reference(GROUP_INCREASING, result.mean_toxicity_increasing, REF_INCREASING)
-    result.reference_decreasing = reference(GROUP_DECREASING, result.mean_toxicity_decreasing, REF_DECREASING)
+                result.assignments[user_id].matched_to = ref
     return result
 
 

@@ -850,6 +850,40 @@ class TestCliCommands:
         assert capsys.readouterr().err == f"toxtraj merge: error: {other} clusters {n + 3} rows, not the {n} of the corpus embeddings\n"
         assert not merged.exists()
 
+    def test_cluster_tree_refused_as_topics(self, tmp_path, capsys):
+        # The ungated tree has none of the merge pass's keys; taken as topics
+        # it labelled every trajectory, with every mean toxicity null.
+        small_scenario(tmp_path, n_users=20)
+        run_pipeline(pipeline_config(tmp_path, out_name="run", perms=19))
+        out_dir = tmp_path / "run"
+        labeled = tmp_path / "labeled.json"
+        argv = ["assign", "--topics", str(out_dir / "tree.json"), "--embeddings", str(out_dir / "reduced.emb"),
+                "--traj", str(out_dir / "traj.bin"), "--groups", str(out_dir / "groups.json"),
+                "--corpus", str(out_dir / "corpus"), "--out", str(labeled)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"toxtraj assign: error: {out_dir / 'tree.json'}: missing key 'n_outliers'\n"
+        assert not labeled.exists()
+
+    @pytest.mark.parametrize(
+        "manifest, named",
+        [
+            ({"root_seed": 1, "stages": [{}]}, "stage 0: missing key 'name'"),
+            ({"root_seed": 1, "stages": [{"name": "ingest"}, {"name": "merge"}]}, "stage 1: missing key 'summary'"),
+            ({"root_seed": 1, "stages": [{"name": "merge", "summary": {"level_counts": {}}}]},
+             "stage 0: summary: missing key 'n_outliers'"),
+            ({"root_seed": 1, "stages": ["ingest"]}, "stage 0: expected a JSON object"),
+            ({"root_seed": 1, "stages": {}}, "stages must be a list"),
+            ({"root_seed": 1, "stages": [], "failed_stage": "ingest"}, "missing key 'error'"),
+        ],
+        ids=["no-name", "merge-without-summary", "summary-without-outliers", "stage-not-object", "stages-not-list",
+             "failed-without-error"],
+    )
+    def test_malformed_stage_entry_named(self, tmp_path, capsys, manifest, named):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        assert main(["report", "--manifest", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"toxtraj report: error: {path}: {named}\n")
+
     def test_config_and_manifest_errors_name_their_file(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         Path("bad.json").write_text('{"seed": 1, }')

@@ -21,6 +21,7 @@ from reference_hdbscan import (
 from toxtraj import hdbscan as hdbscan_module
 from toxtraj.hdbscan import (
     ClusterTree,
+    ClusterTreeNode,
     HdbscanParams,
     _neighbour_lists,
     _single_linkage,
@@ -564,6 +565,32 @@ class TestRecursiveCluster:
         path.write_text(json.dumps(doc))
         expected = f"{path}: node {node['node_id']}: {message.format(n=doc['n_points'])}"
         with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            ClusterTree.load(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda nodes: nodes[2].update(node_id=1), "node 1: node id repeated"),
+            (lambda nodes: nodes[2].update(parent=7), "node 2: parent 7 is not in the tree"),
+            (lambda nodes: nodes[1].update(level=2), "node 1: level 2 where 1 was expected"),
+            (lambda nodes: nodes[2].update(level=3), "node 2: level 3 where 2 was expected"),
+            (lambda nodes: nodes[2].update(member_rows=[1, 2, 7]), "node 2: member row 7 is not a row of parent 0"),
+        ],
+        ids=["repeated-id", "missing-parent", "root-at-level-2", "child-two-levels-down", "row-not-the-parents"],
+    )
+    def test_tree_of_the_wrong_shape_named(self, tmp_path, edit, message):
+        # A level-2 node whose parent is missing would load, and the merge pass
+        # would never test it, so it would survive as a topic.
+        params = HdbscanParams(min_cluster_size=2, min_samples=1)
+        shape = [(0, 1, None, [0, 1, 2, 3, 4, 5]), (1, 1, None, [6, 7, 8, 9]), (2, 2, 0, [1, 2, 4])]
+        nodes = {i: ClusterTreeNode(i, level, parent, np.array(rows), params) for i, level, parent, rows in shape}
+        doc = ClusterTree(nodes, 10, params).to_json()
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(doc))
+        assert ClusterTree.load(path).nodes.keys() == {0, 1, 2}
+        edit(doc["nodes"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
             ClusterTree.load(path)
 
 

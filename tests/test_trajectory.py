@@ -1,3 +1,4 @@
+import json
 import re
 import tracemalloc
 from itertools import combinations
@@ -503,7 +504,7 @@ class TestBuildPipelinePieces:
         sizes = grouping.group_sizes()
         assert sum(sizes.values()) == len(grouping.assignments)
         # References drawn from the no-trend pool only.
-        for user in grouping.reference_increasing + grouping.reference_decreasing:
+        for user in grouping.members("IncreasingRef") + grouping.members("DecreasingRef"):
             assert grouping.assignments[user].group == GROUP_NO_TREND
 
     def test_workers_equal_output(self):
@@ -522,4 +523,15 @@ class TestBuildPipelinePieces:
         grouping.save(path)
         loaded = GroupingResult.load(path)
         assert loaded.group_sizes() == grouping.group_sizes()
-        assert loaded.reference_increasing == grouping.reference_increasing
+        assert loaded.members("IncreasingRef") == grouping.members("IncreasingRef")
+        # User ids out of order: the saved means are taken in member order, so
+        # a reload, which derives them again, saves the same bytes.
+        grouping = assign_groups(corpus, sorted(corpus.users, reverse=True))
+        grouping.save(path)
+        loaded = GroupingResult.load(path)
+        loaded.save(tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+        doc = json.loads(path.read_text())
+        for pair, (trend, _) in trajectory.PAIRS.items():
+            means = [grouping.assignments[u].mean_toxicity for u in grouping.members(trend)]
+            assert means and doc[f"mean_toxicity_{pair}"] == float(np.mean(means))
